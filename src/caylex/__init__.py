@@ -8,7 +8,8 @@ __version__ = "0.1.0"
 from .groups import (FreeGroup, GroupModel, HeisenbergGroup,
                      UnknownFamilyError, ZdGroup, make_group)
 from .cayley import (EXTERIOR, BallSizeError, CayleyBall, SubsetView,
-                     build_ball, vertex_boundary, vertex_boundary_elements)
+                     build_ball, vertex_boundary, vertex_boundary_elements,
+                     window)
 from .funcspace import (BallFunction, FormalSum, HarmonicityReport,
                         NormReport, check_cocycle, cocycle_extend,
                         cocycle_view, conjugate_index, convolve_diff,
@@ -25,5 +26,6 @@ from .geometry import (EquivalenceProbe, ISdResult, IsoperimetricProfile,
                        IsoperimetricRecord, SobolevReport, check_ISd,
                        indicator_identities, is_equivalence_probe,
                        isoperimetric_profile, lemma61_check,
-                       mean_value_step, random_nonnegative, sobolev_constant,
+                       mean_value_step, random_formal_sum,
+                       random_nonnegative, sobolev_constant,
                        sobolev_p2, sobolev_test_set, tent_function)

@@ -1,10 +1,12 @@
-"""Indexed word-metric balls of a Cayley graph, built by BFS.
+"""Indexed word-metric balls of a Cayley graph, built by BFS, and indexed
+windows around finite seed sets.
 
-Vertex 0 is the identity; vertices are indexed in BFS discovery order with
-the generator index as tie-break, so two builds of the same ball are
-identical.  The neighbor table stores, for vertex i and generator index j,
-the index of x_i * g_j^-1, or EXTERIOR when that element lies outside the
-ball.
+Vertex 0 of a ball is the identity; vertices are indexed in BFS discovery
+order with the generator index as tie-break, so two builds of the same ball
+are identical.  The neighbor table stores, for vertex i and generator index
+j, the index of x_i * g_j^-1, or EXTERIOR when that element lies outside the
+ball.  A window stores a seed set and its 1-step S-closure in the same
+format.
 """
 
 from __future__ import annotations
@@ -114,6 +116,49 @@ def build_ball(group: GroupModel, radius: int, max_vertices=None) -> CayleyBall:
     nbr = np.vstack(nbr_rows) if nbr_rows else np.zeros((0, nS), dtype=np.int64)
     return CayleyBall(group, radius, elements, index, nbr,
                       np.array(wl, dtype=np.int64))
+
+
+def window(group: GroupModel, seeds: Iterable[Element]) -> CayleyBall:
+    """The seed set and its 1-step S-closure, in the CayleyBall format.
+
+    Seeds come first (given order, repeats dropped) with word length 0,
+    then the new elements x g^-1 in discovery order with word length 1, so
+    the window has radius 1, its interior is the seed set and its sphere
+    the closure.  Seed rows come from group.multiply.  Closure rows are the
+    transpose of the seed rows: y = x g_j^-1 has x = y g_k^-1 for k the
+    index of g_j^-1, so no further multiplies are made; a closure row keeps
+    EXTERIOR where its neighbor is not a seed.  Every function supported on
+    the seeds therefore has exact differences, Laplacian and pairings here.
+    """
+    index = {x: i for i, x in enumerate(dict.fromkeys(seeds))}
+    n_seeds = len(index)
+    gens = group.generators
+    back = group.inverse_gen_index
+    mul = group.multiply
+    prods = [mul(x, gens[k]) for x in list(index) for k in back]
+    for y in prods:
+        index.setdefault(y, len(index))
+    elements = list(index)
+    seed_rows = np.array([index[y] for y in prods],
+                         dtype=np.int64).reshape(n_seeds, len(gens))
+    nbr = np.full((len(elements), len(gens)), EXTERIOR, dtype=np.int64)
+    nbr[:n_seeds] = seed_rows
+    i, j = np.nonzero(seed_rows >= n_seeds)
+    nbr[seed_rows[i, j], np.asarray(back)[j]] = i
+    word_length = np.zeros(len(elements), dtype=np.int64)
+    word_length[n_seeds:] = 1
+    return CayleyBall(group, 1, elements, index, nbr, word_length)
+
+
+def edge_arrays(ball: CayleyBall):
+    """Directed in-ball pairs (src, dst) over all (vertex, generator) slots,
+    and the sources of exterior-incident slots."""
+    nbr = ball.nbr
+    n, nS = nbr.shape
+    src = np.repeat(np.arange(n), nS)
+    dst = nbr.ravel()
+    ext = dst == EXTERIOR
+    return src[~ext], dst[~ext], src[ext]
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__, dirichlet, geometry, verify
 from .cayley import BallSizeError, build_ball
-from .funcspace import (FormalSum, dirichlet_seminorm_pow, laplacian,
-                        pairing)
+from .funcspace import (BallFunction, FormalSum, dirichlet_seminorm_pow,
+                        laplacian, pairing)
 from .groups import UnknownFamilyError, make_group
 
 EXIT_OK = 0
@@ -268,8 +268,10 @@ def cmd_pairing(args) -> int:
     holder_bad = 0
     max_leak = 0.0
     for i in range(args.samples):
-        alpha = _random_sum(group, ball, rng, complex_values=bool(i % 2))
-        beta = _random_sum(group, ball, rng, complex_values=bool(i % 3))
+        alpha = geometry.random_formal_sum(ball, rng, 19,
+                                           "complex" if i % 2 else "real")
+        beta = geometry.random_formal_sum(ball, rng, 19,
+                                          "complex" if i % 3 else "real")
         y = ball.elements[int(rng.integers(0, ball.n_vertices))]
         lap_y = laplacian(alpha)(y)
         res = abs(pairing(FormalSum.delta(group, y), alpha)
@@ -283,7 +285,6 @@ def cmd_pairing(args) -> int:
         if lhs > rhs * (1.0 + 1e-10) + 1e-12:
             holder_bad += 1
         # edge leakage of the ball-windowed pairing against the exact one
-        from .funcspace import BallFunction
         wa = BallFunction.from_formal_sum(ball, alpha, "ball")
         wb = BallFunction.from_formal_sum(ball, beta, "ball")
         max_leak = max(max_leak,
@@ -297,18 +298,6 @@ def cmd_pairing(args) -> int:
                   results), args.out, _fmt_from_args(args))
     return EXIT_OK if holder_bad == 0 and max_identity <= 1e-12 \
         else EXIT_SUITE_FAILURE
-
-
-def _random_sum(group, ball, rng, complex_values=False) -> FormalSum:
-    k = int(rng.integers(1, 20))
-    ids = rng.choice(ball.n_vertices, size=min(k, ball.n_vertices),
-                     replace=False)
-    data = {}
-    for i in ids:
-        v = complex(rng.normal(), rng.normal()) if complex_values \
-            else float(rng.normal())
-        data[ball.elements[int(i)]] = v
-    return FormalSum(group, data)
 
 
 def cmd_verify(args) -> int:

@@ -20,9 +20,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cayley import EXTERIOR, CayleyBall, build_ball
-from .funcspace import (BallFunction, FormalSum, dirichlet_seminorm_pow,
-                        is_harmonic, norms)
+from .cayley import CayleyBall, build_ball, edge_arrays
+from .funcspace import BallFunction, FormalSum, energy_value, is_harmonic
 from .groups import Element, FreeGroup, GroupModel, ZdGroup
 
 LINEAR_RESIDUAL_TOL = 1e-10
@@ -58,28 +57,7 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# edge structure
-
-def _edge_arrays(ball: CayleyBall):
-    """Directed in-ball pairs (src, dst) over all (vertex, generator) slots,
-    and the sources of exterior-incident slots."""
-    nbr = ball.nbr
-    n, nS = nbr.shape
-    src = np.repeat(np.arange(n), nS)
-    dst = nbr.ravel()
-    ext = dst == EXTERIOR
-    return src[~ext], dst[~ext], src[ext]
-
-
-def energy_value(u: np.ndarray, p: float, src, dst, ext_src, convention: str) -> float:
-    d = u[dst] - u[src]
-    e = float(np.sum(np.abs(d) ** p))
-    if convention == "zero":
-        # each exterior-incident slot also appears with the exterior endpoint
-        # as x, contributing |u|^p a second time
-        e += 2.0 * float(np.sum(np.abs(u[ext_src]) ** p))
-    return e
-
+# energy gradient (the energy itself is funcspace.energy_value)
 
 def _energy_grad(u, p, src, dst, ext_src, convention):
     d = u[dst] - u[src]
@@ -99,45 +77,36 @@ def _energy_grad(u, p, src, dst, ext_src, convention):
 # solvers
 
 def _solve_linear(ball: CayleyBall, constraints: Dict[int, float],
-                  free: np.ndarray, convention: str) -> Tuple[np.ndarray, float]:
+                  free: np.ndarray, convention: str, edges) -> Tuple[np.ndarray, float]:
     """Minimize the p=2 energy: solve the graph Laplacian on free vertices.
 
     Under the 'zero' convention every vertex has full degree |S| (missing
     neighbors are pinned to 0); under 'ball' the degree is the in-ball
-    neighbor count.
+    neighbor count.  ``edges`` is edge_arrays(ball).
     """
-    n, nS = ball.nbr.shape
+    n = ball.n_vertices
     u = np.zeros(n)
     for i, v in constraints.items():
         u[i] = v
     if len(free) == 0:
         return u, 0.0
+    m = len(free)
     fmap = np.full(n, -1, dtype=np.int64)
-    fmap[free] = np.arange(len(free))
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    b = np.zeros(len(free))
-    nbr = ball.nbr
-    for k, i in enumerate(free):
-        deg = 0
-        for j in range(nS):
-            t = nbr[i, j]
-            if t == EXTERIOR:
-                if convention == "zero":
-                    deg += 1          # neighbor pinned to 0
-                continue
-            deg += 1
-            if fmap[t] >= 0:
-                rows.append(k)
-                cols.append(int(fmap[t]))
-                vals.append(-1.0)
-            else:
-                b[k] += u[t]
-        rows.append(k)
-        cols.append(k)
-        vals.append(float(deg))
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(len(free), len(free)))
+    fmap[free] = np.arange(m)
+    src, dst, ext_src = edges
+    fs, fd = fmap[src], fmap[dst]
+    out = fs >= 0                       # in-ball slots of free vertices
+    deg = np.bincount(fs[out], minlength=m)
+    if convention == "zero":
+        fe = fmap[ext_src]
+        deg = deg + np.bincount(fe[fe >= 0], minlength=m)   # pinned to 0
+    coupled = out & (fd >= 0)
+    pinned = out & (fd < 0)
+    b = np.bincount(fs[pinned], weights=u[dst[pinned]], minlength=m)
+    diag = np.arange(m)
+    L = sp.csr_matrix((np.concatenate([-np.ones(int(coupled.sum())), deg.astype(float)]),
+                       (np.concatenate([fs[coupled], diag]),
+                        np.concatenate([fd[coupled], diag]))), shape=(m, m))
     x = spla.spsolve(L.tocsc(), b)
     res = np.linalg.norm(L @ x - b)
     scale = np.linalg.norm(b) if np.linalg.norm(b) > 0 else 1.0
@@ -200,8 +169,9 @@ def solve(problem: EnergyProblem) -> SolveReport:
     for i in problem.constraints:
         pinned[i] = True
     free = np.where(~pinned)[0]
-    src, dst, ext_src = _edge_arrays(ball)
-    u2, res = _solve_linear(ball, problem.constraints, free, problem.convention)
+    src, dst, ext_src = edge_arrays(ball)
+    u2, res = _solve_linear(ball, problem.constraints, free, problem.convention,
+                            (src, dst, ext_src))
     if problem.p == 2.0:
         e = energy_value(u2, 2.0, src, dst, ext_src, problem.convention)
         return SolveReport(BallFunction(ball, u2, problem.convention),
@@ -220,7 +190,7 @@ def solve_descent_only(problem: EnergyProblem) -> SolveReport:
     for i in problem.constraints:
         pinned[i] = True
     free = np.where(~pinned)[0]
-    src, dst, ext_src = _edge_arrays(ball)
+    src, dst, ext_src = edge_arrays(ball)
     u0 = np.zeros(ball.n_vertices)
     for i, v in problem.constraints.items():
         u0[i] = v

@@ -2,12 +2,15 @@
 L^p and Dirichlet norms, the Laplacian, harmonicity tests, the duality
 pairing, cocycle extension, truncation and pointwise powers.
 
-Two carriers are supported.  FormalSum is a sparse, finitely supported
-function on the whole group.  BallFunction is a dense vector over a
-CayleyBall's vertex indices with an explicit exterior convention:
+Every operator has one dense implementation, on a BallFunction: a vector
+over a CayleyBall's vertex indices with an explicit exterior convention.
 'zero' extends the function by 0 outside the ball (so norms match the
 globally extended function), 'ball' restricts sums to in-ball edges and
-counts skipped ones.
+counts skipped ones.  FormalSum is the sparse public value, a finitely
+supported function on the whole group; an operator lifts a FormalSum
+argument onto the 'zero'-convention window of its support (the support
+and its S-closure, see cayley.window), where the dense result is exact,
+and lowers a function-valued result back to a FormalSum.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from .cayley import EXTERIOR, CayleyBall
+from .cayley import EXTERIOR, CayleyBall, edge_arrays, window
 from .groups import Element, GroupModel
 
 P_MIN, P_MAX = 1.0, 16.0
@@ -137,24 +140,22 @@ class BallFunction:
         self.diagnostics = diagnostics if diagnostics is not None else {}
 
     @classmethod
-    def zeros(cls, ball: CayleyBall, convention: str = "zero") -> "BallFunction":
-        return cls(ball, np.zeros(ball.n_vertices), convention)
-
-    @classmethod
     def from_formal_sum(cls, ball: CayleyBall, alpha: FormalSum,
                         convention: str = "zero") -> "BallFunction":
-        vals = np.zeros(ball.n_vertices,
-                        dtype=complex if not alpha.is_real() else float)
-        for x, v in alpha.data.items():
-            i = ball.index.get(x)
-            if i is not None:
-                vals[i] = v
-        return cls(ball, vals, convention)
+        """Values of alpha on the ball's vertices; the rest is dropped."""
+        index = ball.index
+        ids = [index[x] for x in alpha.data if x in index]
+        vals = [v for x, v in alpha.data.items() if x in index]
+        out = np.zeros(ball.n_vertices, dtype=float if alpha.is_real() else complex)
+        out[ids] = np.real(vals) if out.dtype == float else vals
+        return cls(ball, out, convention)
 
     def to_formal_sum(self) -> FormalSum:
+        nz = np.flatnonzero(self.values)
         elems = self.ball.elements
         return FormalSum(self.ball.group,
-                         {elems[i]: v for i, v in enumerate(self.values.tolist()) if v != 0})
+                         dict(zip([elems[i] for i in nz.tolist()],
+                                  self.values[nz].tolist())))
 
     def copy_with(self, values) -> "BallFunction":
         return BallFunction(self.ball, values, self.convention)
@@ -183,6 +184,65 @@ class NormReport:
 
 
 # ---------------------------------------------------------------------------
+# the dense view
+
+def _lift(fs, domain=None, closure: bool = True):
+    """The one carrier dispatch: dense views of the operands on one index.
+
+    BallFunctions pass through (they must share a ball) and ``domain`` is
+    read as vertex indices.  FormalSums (on one group) are lifted onto one
+    'zero'-convention window seeded by their supports and the ``domain``
+    elements: with its S-closure by default, on the seeds alone when the
+    caller is pointwise.  Returns (dense operands, domain indices, lower),
+    where lower maps a dense result back to the operands' carrier.
+    """
+    if all(isinstance(f, BallFunction) for f in fs):
+        if any(f.ball is not fs[0].ball for f in fs):
+            raise ValueError("functions live on different balls")
+        idx = None if domain is None else np.asarray(list(domain), dtype=np.int64)
+        return list(fs), idx, lambda f: f
+    if not all(isinstance(f, FormalSum) for f in fs):
+        raise TypeError("operands must all be FormalSums or all BallFunctions")
+    group = fs[0].group
+    if any(f.group is not group for f in fs):
+        raise ValueError("functions live on different groups")
+    domain = [] if domain is None else list(domain)
+    seeds = [x for f in fs for x in f.data] + domain
+    if closure:
+        ball = window(group, seeds)
+    else:
+        elements = list(dict.fromkeys(seeds))
+        n = len(elements)
+        ball = CayleyBall(group, 0, elements,
+                          {x: i for i, x in enumerate(elements)},
+                          np.full((n, len(group.generators)), EXTERIOR, dtype=np.int64),
+                          np.zeros(n, dtype=np.int64))
+    idx = np.array([ball.index[x] for x in domain], dtype=np.int64)
+    return ([BallFunction.from_formal_sum(ball, f) for f in fs], idx,
+            BallFunction.to_formal_sum)
+
+
+def _differences(f: BallFunction) -> np.ndarray:
+    """(n, |S|) table of f(x g_j^-1) - f(x).  An EXTERIOR neighbor reads 0
+    under 'zero'; under 'ball' its slot is 0."""
+    nbr = f.ball.nbr
+    ext = nbr == EXTERIOR
+    d = np.where(ext, 0.0, f.values[np.clip(nbr, 0, None)]) - f.values[:, None]
+    return np.where(ext, 0.0, d) if f.convention == "ball" else d
+
+
+def energy_value(u: np.ndarray, p: float, src, dst, ext_src, convention: str) -> float:
+    """sum |u(dst) - u(src)|^p over the directed in-ball pairs; under 'zero'
+    each exterior-incident slot also appears with the exterior endpoint as
+    x, contributing |u|^p a second time."""
+    d = u[dst] - u[src]
+    e = float(np.sum(np.abs(d) ** p))
+    if convention == "zero":
+        e += 2.0 * float(np.sum(np.abs(u[ext_src]) ** p))
+    return e
+
+
+# ---------------------------------------------------------------------------
 # translations and difference operators
 
 def translate(alpha: FormalSum, g: Element) -> FormalSum:
@@ -200,106 +260,53 @@ def _gen_index(group: GroupModel, g: Element) -> int:
 
 def convolve_diff(beta: Carrier, g: Element) -> Carrier:
     """beta * (g - 1): result(x) = beta(x g^-1) - beta(x), for g in S."""
-    if isinstance(beta, FormalSum):
-        _gen_index(beta.group, g)
-        return translate(beta, g) - beta
-    ball = beta.ball
-    j = _gen_index(ball.group, g)
-    nbr = ball.nbr[:, j]
-    ext = nbr == EXTERIOR
-    shifted = np.where(ext, 0.0, beta.values[np.clip(nbr, 0, None)])
-    out = shifted - beta.values
+    (f,), _, lower = _lift([beta])
+    j = _gen_index(f.ball.group, g)
     diag = {}
-    if beta.convention == "ball":
-        out = np.where(ext, 0.0, out)
-        diag["skipped_edges"] = int(ext.sum())
-    return BallFunction(ball, out, beta.convention, diag)
+    if f.convention == "ball":
+        diag["skipped_edges"] = int((f.ball.nbr[:, j] == EXTERIOR).sum())
+    return lower(BallFunction(f.ball, _differences(f)[:, j], f.convention, diag))
 
 
 def laplacian(alpha: Carrier) -> Carrier:
     """(Lap alpha)(x) = sum_{g in S} (alpha(x g^-1) - alpha(x))."""
-    if isinstance(alpha, FormalSum):
-        out = FormalSum(alpha.group)
-        for g in alpha.group.generators:
-            out = out + convolve_diff(alpha, g)
-        return out
-    ball = alpha.ball
-    nbr = ball.nbr
-    ext = nbr == EXTERIOR
-    vals = np.where(ext, 0.0, alpha.values[np.clip(nbr, 0, None)])
-    out = vals.sum(axis=1) - (~ext if alpha.convention == "ball" else
-                              np.ones_like(ext)).sum(axis=1) * alpha.values
-    return BallFunction(ball, out, alpha.convention,
-                        {"valid_mask": ~ext.any(axis=1)})
+    (f,), _, lower = _lift([alpha])
+    return lower(BallFunction(f.ball, _differences(f).sum(axis=1), f.convention,
+                              {"valid_mask": ~(f.ball.nbr == EXTERIOR).any(axis=1)}))
 
 
 # ---------------------------------------------------------------------------
 # norms
 
-def _formal_diff_terms(alpha: FormalSum, g: Element) -> List[complex]:
-    """Nonzero values of alpha*(g-1), without building a FormalSum."""
-    mul = alpha.group.multiply
-    ginv = alpha.group.inverse(g)
-    data = alpha.data
-    terms = []
-    seen = set()
-    for x in data:
-        seen.add(x)
-        d = data.get(mul(x, ginv), 0.0) - data[x]
-        if d != 0:
-            terms.append(d)
-    for x in data:
-        xg = mul(x, g)
-        if xg not in seen:
-            # alpha(xg) = 0 here, alpha(xg g^-1) = alpha(x)
-            terms.append(data[x])
-    return terms
-
-
 def dirichlet_seminorm_pow(alpha: Carrier, p: float) -> float:
     """sum_{g in S} ||alpha*(g-1)||_p^p."""
     p = _check_p(p)
-    if isinstance(alpha, FormalSum):
-        total = 0.0
-        for g in alpha.group.generators:
-            total += sum(abs(d) ** p for d in _formal_diff_terms(alpha, g))
-        return total
-    ball = alpha.ball
-    nbr = ball.nbr
-    ext = nbr == EXTERIOR
-    vals = np.where(ext, 0.0, alpha.values[np.clip(nbr, 0, None)])
-    diffs = np.abs(vals - alpha.values[:, None]) ** p
-    if alpha.convention == "ball":
-        return float(np.where(ext, 0.0, diffs).sum())
-    # implicit zero: in-ball directed pairs, plus the reverse-direction
-    # terms of exterior-incident edges (|f| each, hence counted twice)
-    inball = float(np.where(ext, 0.0, diffs).sum())
-    boundary = float((ext * (np.abs(alpha.values) ** p)[:, None]).sum())
-    return inball + 2.0 * boundary
+    (f,), _, _ = _lift([alpha])
+    return energy_value(f.values, p, *edge_arrays(f.ball), f.convention)
 
 
 def lp_norm(alpha: Carrier, p: float) -> float:
     p = _check_p(p)
-    if isinstance(alpha, FormalSum):
-        return sum(abs(v) ** p for v in alpha.data.values()) ** (1.0 / p)
-    return float((np.abs(alpha.values) ** p).sum() ** (1.0 / p))
+    (f,), _, _ = _lift([alpha], closure=False)
+    return float((np.abs(f.values) ** p).sum() ** (1.0 / p))
 
 
 def value_at_identity(alpha: Carrier):
-    if isinstance(alpha, FormalSum):
-        return alpha(alpha.group.identity())
-    return alpha.values[0]
+    (f,), _, _ = _lift([alpha], closure=False)
+    i = f.ball.index.get(f.ball.group.identity())
+    return 0.0 if i is None else f.values[i]
 
 
 def norms(alpha: Carrier, p: float) -> NormReport:
     """L^p norm, D(p) seminorm, D^p(G) norm and |alpha(e)|."""
     p = _check_p(p)
-    semi_pow = dirichlet_seminorm_pow(alpha, p)
-    ae = abs(value_at_identity(alpha))
+    (f,), _, _ = _lift([alpha])
+    semi_pow = dirichlet_seminorm_pow(f, p)
+    ae = abs(value_at_identity(f))
     return NormReport(
         p=p,
         q=conjugate_index(p),
-        lp=lp_norm(alpha, p),
+        lp=lp_norm(f, p),
         dp_seminorm=semi_pow ** (1.0 / p),
         dp_norm=(semi_pow + ae ** p) ** (1.0 / p),
         at_identity=ae,
@@ -313,39 +320,16 @@ def norms(alpha: Carrier, p: float) -> NormReport:
 class HarmonicityReport:
     harmonic: bool
     max_residual: float
-    alternative_agrees: bool  # |S| a(x) = sum_g a(x g^-1) checked too
 
 
 def is_harmonic(alpha: Carrier, domain, tol: float = 1e-10) -> HarmonicityReport:
-    """max_{x in domain} |Lap alpha(x)| <= tol, cross-checked against the
-    averaged form |S| a(x) = sum_g a(x g^-1)."""
-    if isinstance(alpha, FormalSum):
-        group = alpha.group
-        mul, inv = group.multiply, group.inverse
-        nS = len(group.generators)
-        max_res = 0.0
-        max_alt = 0.0
-        for x in domain:
-            ax = alpha(x)
-            lap = sum(alpha(mul(x, inv(g))) - ax for g in group.generators)
-            avg = sum(alpha(mul(x, inv(g))) for g in group.generators)
-            max_res = max(max_res, abs(lap))
-            max_alt = max(max_alt, abs(avg - nS * ax))
-    else:
-        ball = alpha.ball
-        domain = np.asarray(list(domain), dtype=np.int64)
-        nbr = ball.nbr[domain]
-        if (nbr == EXTERIOR).any():
-            raise ValueError("domain must have all S-neighbors inside the ball")
-        vals = alpha.values[nbr]
-        nS = nbr.shape[1]
-        lap = vals.sum(axis=1) - nS * alpha.values[domain]
-        alt = vals.sum(axis=1) - nS * alpha.values[domain]
-        max_res = float(np.abs(lap).max()) if len(domain) else 0.0
-        max_alt = float(np.abs(alt).max()) if len(domain) else 0.0
-    agrees = abs(max_res - max_alt) <= 1e-12 * (1.0 + max_res)
-    return HarmonicityReport(harmonic=max_res <= tol, max_residual=max_res,
-                             alternative_agrees=agrees)
+    """max_{x in domain} |Lap alpha(x)| <= tol."""
+    (f,), domain, _ = _lift([alpha], domain)
+    if (f.ball.nbr[domain] == EXTERIOR).any():
+        raise ValueError("domain must have all S-neighbors inside the ball")
+    lap = _differences(f)[domain].sum(axis=1)
+    max_res = float(np.abs(lap).max()) if len(domain) else 0.0
+    return HarmonicityReport(harmonic=max_res <= tol, max_residual=max_res)
 
 
 # ---------------------------------------------------------------------------
@@ -358,56 +342,24 @@ def pairing(alpha: Carrier, beta: Carrier, p: float = 2.0) -> complex:
     reporting, the sum is unconditional for finitely supported input.
     """
     _check_p(p)
-    if isinstance(alpha, FormalSum) and isinstance(beta, FormalSum):
-        if alpha.group is not beta.group:
-            raise ValueError("pairing requires functions on the same group")
-        total = 0.0 + 0.0j
-        for g in alpha.group.generators:
-            da = convolve_diff(alpha, g)
-            db = convolve_diff(beta, g)
-            small, big = (da, db) if len(da.data) <= len(db.data) else (db, da)
-            for x, v in small.data.items():
-                w = big.data.get(x)
-                if w is not None:
-                    total += (v * np.conj(w)) if small is da else (w * np.conj(v))
-        return complex(total)
-    if isinstance(alpha, BallFunction) and isinstance(beta, BallFunction):
-        if alpha.ball is not beta.ball:
-            raise ValueError("pairing requires functions on the same ball")
-        ball = alpha.ball
-        nbr = ball.nbr
-        ext = nbr == EXTERIOR
-        fa = np.where(ext, 0.0, alpha.values[np.clip(nbr, 0, None)]) - alpha.values[:, None]
-        fb = np.where(ext, 0.0, beta.values[np.clip(nbr, 0, None)]) - beta.values[:, None]
-        if alpha.convention == "ball" or beta.convention == "ball":
-            fa = np.where(ext, 0.0, fa)
-            fb = np.where(ext, 0.0, fb)
-            inball = complex((fa * np.conj(fb)).sum())
-            return inball
+    (fa, fb), _, _ = _lift([alpha, beta])
+    total = complex((_differences(fa) * np.conj(_differences(fb))).sum())
+    if fa.convention == "zero" and fb.convention == "zero":
         # exterior x with x g^-1 in the ball: diffs are (f(ball end) - 0)
-        inball = complex((fa * np.conj(fb)).sum())
-        boundary = complex((ext * (alpha.values[:, None] * np.conj(beta.values)[:, None])).sum())
-        return inball + boundary
-    raise TypeError("pairing needs two FormalSums or two BallFunctions")
+        ext = (fa.ball.nbr == EXTERIOR).sum(axis=1)
+        total += complex((ext * fa.values * np.conj(fb.values)).sum())
+    return total
 
 
 def harmonicity_via_pairing(alpha: Carrier, domain, tol: float = 1e-10):
     """alpha is harmonic iff <delta_y, alpha> = 0 for all y; returns
     (harmonic, max |<delta_y, alpha>|) over the domain."""
+    (f,), domain, _ = _lift([alpha], domain)
     max_res = 0.0
-    if isinstance(alpha, FormalSum):
-        group = alpha.group
-        for y in domain:
-            val = pairing(FormalSum.delta(group, y), alpha)
-            max_res = max(max_res, abs(val))
-    else:
-        ball = alpha.ball
-        for i in domain:
-            d = BallFunction.zeros(ball, alpha.convention)
-            vals = d.values.copy()
-            vals[i] = 1.0
-            val = pairing(d.copy_with(vals), alpha)
-            max_res = max(max_res, abs(val))
+    for i in domain:
+        delta = np.zeros(f.ball.n_vertices)
+        delta[i] = 1.0
+        max_res = max(max_res, abs(pairing(f.copy_with(delta), f)))
     # <delta_y, alpha> = -2 conj(Lap alpha(y)); same tolerance scale
     return max_res <= 2.0 * tol, max_res
 
@@ -417,7 +369,10 @@ def harmonicity_via_pairing(alpha: Carrier, domain, tol: float = 1e-10):
 
 def cocycle_view(alpha: FormalSum) -> Dict[Element, FormalSum]:
     """The 1-cocycle g -> alpha*(g-1) on the generating set."""
-    return {g: convolve_diff(alpha, g) for g in alpha.group.generators}
+    (f,), _, lower = _lift([alpha])
+    d = _differences(f)
+    return {g: lower(f.copy_with(d[:, j]))
+            for j, g in enumerate(alpha.group.generators)}
 
 
 def cocycle_extend(view: Dict[Element, FormalSum], group: GroupModel,
@@ -467,22 +422,13 @@ def truncate_min(alpha: Carrier, beta: Carrier) -> Carrier:
     """Pointwise min of two non-negative real functions."""
     _require_nonnegative(alpha, "truncate_min")
     _require_nonnegative(beta, "truncate_min")
-    if isinstance(alpha, FormalSum) and isinstance(beta, FormalSum):
-        out = {}
-        for x in set(alpha.data) | set(beta.data):
-            out[x] = min(alpha(x), beta(x))
-        return FormalSum(alpha.group, out)
-    if isinstance(alpha, BallFunction) and isinstance(beta, BallFunction):
-        if alpha.ball is not beta.ball:
-            raise ValueError("mismatched balls")
-        return alpha.copy_with(np.minimum(alpha.values, beta.values))
-    raise TypeError("truncate_min needs carriers of the same kind")
+    (fa, fb), _, lower = _lift([alpha, beta], closure=False)
+    return lower(fa.copy_with(np.minimum(fa.values, fb.values)))
 
 
 def modulus(alpha: Carrier) -> Carrier:
-    if isinstance(alpha, FormalSum):
-        return FormalSum(alpha.group, {x: abs(v) for x, v in alpha.data.items()})
-    return alpha.copy_with(np.abs(alpha.values))
+    (f,), _, lower = _lift([alpha], closure=False)
+    return lower(f.copy_with(np.abs(f.values)))
 
 
 def power(alpha: Carrier, t: float) -> Carrier:
@@ -490,6 +436,5 @@ def power(alpha: Carrier, t: float) -> Carrier:
     if t < 1:
         raise ValueError("power requires t >= 1")
     _require_nonnegative(alpha, "power")
-    if isinstance(alpha, FormalSum):
-        return FormalSum(alpha.group, {x: v ** t for x, v in alpha.data.items()})
-    return alpha.copy_with(np.real(alpha.values) ** t)
+    (f,), _, lower = _lift([alpha], closure=False)
+    return lower(f.copy_with(np.real(f.values) ** t))

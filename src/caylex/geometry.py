@@ -15,9 +15,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 import numpy as np
 
-from .cayley import build_ball, vertex_boundary_elements
-from .funcspace import (FormalSum, dirichlet_seminorm_pow, lp_norm,
-                        modulus, power)
+from .cayley import CayleyBall, build_ball, vertex_boundary_elements
+from .funcspace import (FormalSum, _differences, _lift, dirichlet_seminorm_pow,
+                        lp_norm, modulus, power)
 from .groups import Element, GroupModel, ZdGroup
 
 EXHAUSTIVE_N_MAX = 12
@@ -245,18 +245,31 @@ def tent_function(group: GroupModel, radius: int) -> FormalSum:
     return FormalSum(group, data)
 
 
+def random_formal_sum(ball: CayleyBall, rng: np.random.Generator,
+                      max_support: int = 25, kind: str = "real",
+                      high: float = 1.0) -> FormalSum:
+    """Random function on 1..max_support distinct ball vertices: standard
+    normal values ('real'), normal real and imaginary parts ('complex'), or
+    uniform values in [0, high) ('nonnegative')."""
+    k = int(rng.integers(1, max_support + 1))
+    ids = rng.choice(ball.n_vertices, size=min(k, ball.n_vertices), replace=False)
+    if kind == "nonnegative":
+        vals = rng.uniform(0.0, high, size=len(ids))
+    elif kind == "complex":
+        vals = rng.normal(size=(len(ids), 2)).view(complex).ravel()
+    else:
+        vals = rng.normal(size=len(ids))
+    return FormalSum(ball.group, {ball.elements[i]: v
+                                  for i, v in zip(ids.tolist(), vals.tolist())})
+
+
 def random_nonnegative(group: GroupModel, rng: np.random.Generator,
                        support_radius: int = 5, max_support: int = 40,
                        ball=None) -> FormalSum:
     """Random non-negative finitely supported function in a ball window."""
     if ball is None:
         ball = build_ball(group, support_radius)
-    k = int(rng.integers(1, max_support + 1))
-    ids = rng.choice(ball.n_vertices, size=min(k, ball.n_vertices),
-                     replace=False)
-    vals = rng.uniform(0.0, 1.0, size=len(ids))
-    return FormalSum(group, {ball.elements[i]: float(v)
-                             for i, v in zip(ids, vals) if v > 0})
+    return random_formal_sum(ball, rng, max_support, "nonnegative")
 
 
 def sobolev_test_set(group: GroupModel, d: float, profile: Optional[IsoperimetricProfile],
@@ -328,15 +341,11 @@ def lemma61_check(alpha: FormalSum, t: float) -> PowerEstimateResult:
         raise ValueError("the power estimate needs t >= 2")
     if not alpha.is_nonnegative():
         raise ValueError("alpha must be non-negative real")
-    lhs = dirichlet_seminorm_pow(power(alpha, t), 1.0)
-    group = alpha.group
-    mul = group.multiply
-    inv = group.inverse
-    rhs = 0.0
-    for x, ax in alpha.data.items():
-        s = sum(abs(alpha(mul(x, inv(g))) - ax) for g in group.generators)
-        rhs += (ax ** (t - 1.0)) * s
-    rhs *= 2.0 * t
+    (f,), _, _ = _lift([alpha])
+    lhs = dirichlet_seminorm_pow(power(f, t), 1.0)
+    # alpha^{t-1} vanishes off the support, so the closure rows add 0
+    spread = np.abs(_differences(f)).sum(axis=1)
+    rhs = 2.0 * t * float(np.sum(f.values ** (t - 1.0) * spread))
     return PowerEstimateResult(lhs, rhs, rhs - lhs)
 
 

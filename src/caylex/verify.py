@@ -6,6 +6,7 @@ how the suites are scheduled.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence
 
@@ -17,7 +18,8 @@ from .funcspace import (BallFunction, FormalSum, check_cocycle,
                         dirichlet_seminorm_pow, is_harmonic, laplacian,
                         modulus, norms, pairing, harmonicity_via_pairing,
                         translate, truncate_min)
-from .groups import GroupModel, make_group
+from .geometry import random_formal_sum
+from .groups import make_group
 
 SUITE_NAMES = ["norms", "cocycle", "lemma31", "lemma41", "lemma52",
                "prop53-holder", "lemma61", "prop62", "maxprinciple"]
@@ -44,24 +46,6 @@ class SuiteResult:
 _FAMILIES = ["Z^2", "Z^3", "F_2", "H3"]
 
 
-def _random_formal_sum(group: GroupModel, ball: CayleyBall,
-                       rng: np.random.Generator, max_support: int = 25,
-                       complex_values: bool = False,
-                       nonnegative: bool = False) -> FormalSum:
-    k = int(rng.integers(1, max_support + 1))
-    ids = rng.choice(ball.n_vertices, size=min(k, ball.n_vertices), replace=False)
-    data = {}
-    for i in ids:
-        if nonnegative:
-            v = float(rng.uniform(0.0, 2.0))
-        elif complex_values:
-            v = complex(rng.normal(), rng.normal())
-        else:
-            v = float(rng.normal())
-        data[ball.elements[int(i)]] = v
-    return FormalSum(group, data)
-
-
 def _sample_balls(radius: int = 4) -> Dict[str, CayleyBall]:
     return {name: build_ball(make_group(name), radius) for name in _FAMILIES}
 
@@ -77,9 +61,8 @@ def suite_norms(seed: int, n: int = 200) -> SuiteResult:
     checked = 0
     for i in range(n):
         name = _FAMILIES[i % len(_FAMILIES)]
-        group = balls[name].group
-        alpha = _random_formal_sum(group, balls[name], rng,
-                                   complex_values=bool(i % 2))
+        alpha = random_formal_sum(balls[name], rng,
+                                  kind="complex" if i % 2 else "real")
         for p in (1.5, 2.0, 3.0):
             rep = norms(alpha, p)
             lhs = rep.dp_norm ** p
@@ -104,7 +87,7 @@ def suite_cocycle(seed: int, n: int = 150) -> SuiteResult:
     for i in range(n):
         name = _FAMILIES[i % len(_FAMILIES)]
         group = balls[name].group
-        alpha = _random_formal_sum(group, balls[name], rng)
+        alpha = random_formal_sum(balls[name], rng)
         gens = group.generators
         gl = int(rng.integers(0, 3))
         hl = int(rng.integers(1, 4))
@@ -165,8 +148,7 @@ def suite_lemma41(seed: int, n: int = 1000) -> SuiteResult:
     for i in range(n):
         name = _FAMILIES[i % len(_FAMILIES)]
         ball = balls[name]
-        group = ball.group
-        alpha = _random_formal_sum(group, ball, rng)
+        alpha = random_formal_sum(ball, rng)
         p = float(rng.choice([1.5, 2.0, 3.0]))
         dp = norms(alpha, p).dp_norm
         xi = int(rng.integers(1, ball.n_vertices))
@@ -196,7 +178,7 @@ def suite_lemma52(seed: int, n: int = 1000) -> SuiteResult:
         name = _FAMILIES[i % len(_FAMILIES)]
         ball = balls[name]
         group = ball.group
-        alpha = _random_formal_sum(group, ball, rng, complex_values=bool(i % 2))
+        alpha = random_formal_sum(ball, rng, kind="complex" if i % 2 else "real")
         y = ball.elements[int(rng.integers(0, ball.n_vertices))]
         lap_y = laplacian(alpha)(y)
         val = pairing(FormalSum.delta(group, y), alpha)
@@ -223,9 +205,8 @@ def suite_prop53_holder(seed: int, n: int = 300) -> SuiteResult:
     for i in range(n):
         name = _FAMILIES[i % len(_FAMILIES)]
         ball = balls[name]
-        group = ball.group
-        alpha = _random_formal_sum(group, ball, rng, complex_values=bool(i % 2))
-        beta = _random_formal_sum(group, ball, rng, complex_values=bool(i % 3))
+        alpha = random_formal_sum(ball, rng, kind="complex" if i % 2 else "real")
+        beta = random_formal_sum(ball, rng, kind="complex" if i % 3 else "real")
         for p in (1.5, 2.0, 3.0):
             q = p / (p - 1.0)
             lhs = abs(pairing(alpha, beta, p))
@@ -248,7 +229,7 @@ def suite_lemma61(seed: int, n: int = 1000, n_scalar: int = 100_000) -> SuiteRes
     for i in range(n):
         name = names[i % len(names)]
         ball = balls[name]
-        alpha = _random_formal_sum(ball.group, ball, rng, nonnegative=True)
+        alpha = random_formal_sum(ball, rng, kind="nonnegative", high=2.0)
         t = float(rng.choice([2.0, 2.5, 3.0]))
         res = geometry.lemma61_check(alpha, t)
         checked += 1
@@ -359,7 +340,8 @@ def run_suites(names: Sequence[str], seed: int,
     given order with per-suite seeds, so output is identical for any
     worker count."""
     names = list(names)
-    if workers <= 1 or len(names) <= 1:
+    workers = min(workers, len(names), os.cpu_count() or 1)
+    if workers <= 1:
         return [run_suite(name, seed) for name in names]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from caylex.cayley import (EXTERIOR, BallSizeError, SubsetView, build_ball,
-                           vertex_boundary, vertex_boundary_elements)
+                           vertex_boundary, vertex_boundary_elements, window)
 from caylex.groups import make_group
 
 
@@ -137,3 +137,28 @@ def test_growth_sanity():
     f = make_group("F_2")
     sizes = [build_ball(f, r).n_vertices for r in range(1, 6)]
     assert all(b >= 2 * a for a, b in zip(sizes, sizes[1:]))
+
+
+@pytest.mark.parametrize("spec", ["Z^2", "F_2", "H3"])
+def test_window_closure_table(spec, monkeypatch):
+    group = make_group(spec)
+    seeds = [group.word_element(w) for w in ([], [0], [0, 2], [2, 2, 1], [0])]
+    calls = []
+    mul = group.multiply
+    with monkeypatch.context() as m:
+        m.setattr(group, "multiply", lambda x, y: calls.append(1) or mul(x, y))
+        win = window(group, seeds)
+    n_seeds = len(set(seeds))
+    nS = len(group.generators)
+    assert len(calls) == n_seeds * nS      # closure rows cost no multiplies
+    assert win.elements[:n_seeds] == list(dict.fromkeys(seeds))
+    assert win.sphere_sizes == [n_seeds, win.n_vertices - n_seeds]
+    assert (win.nbr[:n_seeds] != EXTERIOR).all()
+    for i, x in enumerate(win.elements):
+        for j, g in enumerate(group.generators):
+            y = group.multiply(x, group.inverse(g))
+            k = win.nbr[i, j]
+            if i < n_seeds or y in seeds:
+                assert win.elements[k] == y
+            else:                          # closure-to-closure or outside
+                assert k == EXTERIOR

@@ -12,6 +12,7 @@ from caylex.funcspace import (BallFunction, FormalSum, check_cocycle,
                               harmonicity_via_pairing, is_harmonic, laplacian,
                               lp_norm, modulus, norms, pairing, power,
                               translate, truncate_min)
+from caylex.geometry import random_formal_sum
 from caylex.groups import make_group
 
 Z1 = make_group("Z^1")
@@ -124,7 +125,7 @@ def test_harmonicity_linear_function():
     vals = np.array([x[0] for x in ball.elements], dtype=float)
     u = BallFunction(ball, vals, "ball")
     rep = is_harmonic(u, ball.interior_indices())
-    assert rep.harmonic and rep.alternative_agrees
+    assert rep.harmonic
     # delta is not harmonic at the identity
     rep2 = is_harmonic(FormalSum.delta(Z1), [(0,)])
     assert not rep2.harmonic
@@ -265,3 +266,83 @@ def test_ball_function_roundtrip():
     a = FormalSum(Z2, {(0, 0): 1.0, (1, 1): -2.0})
     w = BallFunction.from_formal_sum(ball, a)
     assert w.to_formal_sum() == a
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: each operator as a literal sum over the S-closure of the
+# support times S, with the group's own multiply (no window, no arrays)
+
+def _closure(*alphas):
+    group = alphas[0].group
+    return {group.multiply(x, h) for a in alphas for x in a.data
+            for h in (group.identity(),) + group.generators}
+
+
+def ref_convolve_diff(alpha, g):
+    ginv = alpha.group.inverse(g)
+    return {x: alpha(alpha.group.multiply(x, ginv)) - alpha(x)
+            for x in _closure(alpha)}
+
+
+def ref_laplacian(alpha):
+    group = alpha.group
+    return {x: sum(alpha(group.multiply(x, group.inverse(g))) - alpha(x)
+                   for g in group.generators) for x in _closure(alpha)}
+
+
+def ref_seminorm_pow(alpha, p):
+    return sum(abs(d) ** p for g in alpha.group.generators
+               for d in ref_convolve_diff(alpha, g).values())
+
+
+def ref_pairing(alpha, beta):
+    group = alpha.group
+    total = 0j
+    for x in _closure(alpha, beta):
+        for g in group.generators:
+            y = group.multiply(x, group.inverse(g))
+            total += (alpha(y) - alpha(x)) * np.conj(beta(y) - beta(x))
+    return total
+
+
+def ref_harmonic_residual(alpha, domain):
+    lap = ref_laplacian(alpha)
+    return max((abs(lap.get(x, 0.0)) for x in domain), default=0.0)
+
+
+def _close(got, want, scale):
+    return abs(got - want) <= 1e-12 * (abs(want) + scale)
+
+
+@pytest.mark.parametrize("spec", ["Z^2", "Z^3", "F_2", "H3"])
+def test_window_operators_match_reference(spec):
+    group = make_group(spec)
+    ball = build_ball(group, 3)
+    rng = np.random.default_rng(7)
+    for trial in range(12):
+        kind = "complex" if trial % 2 else "real"
+        alpha, beta = (random_formal_sum(ball, rng, 12, kind) for _ in range(2))
+        scale = max(abs(v) for v in alpha.data.values())
+        # the same sums on the ball itself, whose 'zero' convention must
+        # account for supports touching the outer sphere
+        wa, wb = (BallFunction.from_formal_sum(ball, f) for f in (alpha, beta))
+        for p in (1.0, 1.5, 2.0, 3.0):
+            want = ref_seminorm_pow(alpha, p)
+            assert _close(dirichlet_seminorm_pow(alpha, p), want, 0.0)
+            assert _close(dirichlet_seminorm_pow(wa, p), want, 0.0)
+        lap, want = laplacian(alpha), ref_laplacian(alpha)
+        assert set(lap.data) <= set(want)
+        assert all(_close(lap(x), v, scale) for x, v in want.items())
+        for g in group.generators:
+            diff, want = convolve_diff(alpha, g), ref_convolve_diff(alpha, g)
+            assert set(diff.data) <= set(want)
+            assert all(_close(diff(x), v, scale) for x, v in want.items())
+        want = ref_pairing(alpha, beta)
+        bound = abs(ref_pairing(alpha, alpha) * ref_pairing(beta, beta)) ** 0.5
+        assert _close(pairing(alpha, beta), want, bound)
+        assert _close(pairing(wa, wb), want, bound)
+        domain = [ball.elements[i] for i in rng.integers(0, ball.n_vertices, 6)]
+        want = ref_harmonic_residual(alpha, domain)
+        assert _close(is_harmonic(alpha, domain).max_residual, want, scale)
+        assert _close(harmonicity_via_pairing(alpha, domain)[1], 2.0 * want,
+                      scale)

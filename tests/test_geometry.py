@@ -169,8 +169,9 @@ def test_sobolev_p2_constant_and_identities():
     done = sobolev_p2(rep, group, verification)
     assert done.cprime == pytest.approx(8.0 * rep.constant, rel=1e-15)
     assert done.exponent_identity_residual <= 1e-10
-    with pytest.raises(ValueError):
-        sobolev_p2(sobolev_constant(Z2, 2.0, profile, n_random=5), Z2, [])
+    z2_profile = isoperimetric_profile(Z2, 6, "exhaustive")
+    with pytest.raises(ValueError, match="requires d > 2"):
+        sobolev_p2(sobolev_constant(Z2, 2.0, z2_profile, n_random=5), Z2, [])
 
 
 def test_equivalence_probe():

@@ -36,3 +36,30 @@ def test_suite_reports_counterexample_on_failure():
     res = verify.SuiteResult("demo", 10, ["witness: x=(1,0)"])
     assert not res.passed
     assert "FAIL" in res.line() and "witness" in res.line()
+
+
+@pytest.mark.parametrize("workers,cpus,started",
+                         [(64, 8, [2]), (2, 8, [2]), (64, 1, []), (64, None, [])])
+def test_worker_count_is_clamped(monkeypatch, workers, cpus, started):
+    """The pool gets min(workers, suites, CPUs) processes; no pool for 1."""
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    names = ["lemma31", "maxprinciple"]
+    results = verify.run_suites(names, seed=1, workers=workers)
+    assert seen == started
+    assert [r.name for r in results] == names

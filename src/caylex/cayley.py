@@ -208,11 +208,8 @@ def vertex_boundary(ball: CayleyBall, subset: SubsetView) -> SubsetView:
 
 
 def vertex_boundary_elements(group: GroupModel, A: Set[Element]) -> Set[Element]:
-    """Vertex boundary of an explicit element set, by group arithmetic."""
-    out = set()
-    for x in A:
-        for g in group.generators:
-            if group.multiply(x, g) not in A:
-                out.add(x)
-                break
-    return out
+    """Vertex boundary of an explicit element set: vertex_boundary on the
+    window of A, whose seeds (word length 0) are A itself."""
+    win = window(group, A)
+    seeds = SubsetView(win, win.word_length == 0)
+    return set(vertex_boundary(win, seeds).element_set())

@@ -76,18 +76,17 @@ def _energy_grad(u, p, src, dst, ext_src, convention):
 # ---------------------------------------------------------------------------
 # solvers
 
-def _solve_linear(ball: CayleyBall, constraints: Dict[int, float],
-                  free: np.ndarray, convention: str, edges) -> Tuple[np.ndarray, float]:
+def _solve_linear(u0: np.ndarray, free: np.ndarray, convention: str,
+                  edges) -> Tuple[np.ndarray, float]:
     """Minimize the p=2 energy: solve the graph Laplacian on free vertices.
 
     Under the 'zero' convention every vertex has full degree |S| (missing
     neighbors are pinned to 0); under 'ball' the degree is the in-ball
-    neighbor count.  ``edges`` is edge_arrays(ball).
+    neighbor count.  ``u0`` holds the pinned values and zeros elsewhere;
+    ``edges`` is edge_arrays(ball).
     """
-    n = ball.n_vertices
-    u = np.zeros(n)
-    for i, v in constraints.items():
-        u[i] = v
+    n = len(u0)
+    u = u0.copy()
     if len(free) == 0:
         return u, 0.0
     m = len(free)
@@ -161,44 +160,39 @@ def _descend(u0: np.ndarray, p: float, free: np.ndarray, src, dst, ext_src,
         f"(gradient norm {gn:.3e}, energy {ex:.6e})")
 
 
+def _setup(problem: EnergyProblem):
+    """The pinned start vector (pinned values, zeros elsewhere), the free
+    vertex indices and the edge arrays of a problem."""
+    ball = problem.ball
+    u0 = np.zeros(ball.n_vertices)
+    pinned = np.zeros(ball.n_vertices, dtype=bool)
+    for i, v in problem.constraints.items():
+        u0[i] = v
+        pinned[i] = True
+    return u0, np.where(~pinned)[0], edge_arrays(ball)
+
+
+def _report(problem: EnergyProblem, edges, solver, u, iterations, residual):
+    return SolveReport(BallFunction(problem.ball, u, problem.convention),
+                       energy_value(u, problem.p, *edges, problem.convention),
+                       iterations, residual, solver)
+
+
 def solve(problem: EnergyProblem) -> SolveReport:
     """Minimize the D(p) energy subject to the pinned values."""
-    ball = problem.ball
-    n = ball.n_vertices
-    pinned = np.zeros(n, dtype=bool)
-    for i in problem.constraints:
-        pinned[i] = True
-    free = np.where(~pinned)[0]
-    src, dst, ext_src = edge_arrays(ball)
-    u2, res = _solve_linear(ball, problem.constraints, free, problem.convention,
-                            (src, dst, ext_src))
+    u0, free, edges = _setup(problem)
+    u2, res = _solve_linear(u0, free, problem.convention, edges)
     if problem.p == 2.0:
-        e = energy_value(u2, 2.0, src, dst, ext_src, problem.convention)
-        return SolveReport(BallFunction(ball, u2, problem.convention),
-                           e, 0, res, "direct-linear")
-    u, it, gn = _descend(u2, problem.p, free, src, dst, ext_src,
-                         problem.convention)
-    e = energy_value(u, problem.p, src, dst, ext_src, problem.convention)
-    return SolveReport(BallFunction(ball, u, problem.convention),
-                       e, it, gn, "iterative-convex")
+        return _report(problem, edges, "direct-linear", u2, 0, res)
+    return _report(problem, edges, "iterative-convex",
+                   *_descend(u2, problem.p, free, *edges, problem.convention))
 
 
 def solve_descent_only(problem: EnergyProblem) -> SolveReport:
     """Force the descent route even at p = 2 (cross-validation hook)."""
-    ball = problem.ball
-    pinned = np.zeros(ball.n_vertices, dtype=bool)
-    for i in problem.constraints:
-        pinned[i] = True
-    free = np.where(~pinned)[0]
-    src, dst, ext_src = edge_arrays(ball)
-    u0 = np.zeros(ball.n_vertices)
-    for i, v in problem.constraints.items():
-        u0[i] = v
-    u, it, gn = _descend(u0, problem.p, free, src, dst, ext_src,
-                         problem.convention)
-    e = energy_value(u, problem.p, src, dst, ext_src, problem.convention)
-    return SolveReport(BallFunction(ball, u, problem.convention),
-                       e, it, gn, "iterative-convex")
+    u0, free, edges = _setup(problem)
+    return _report(problem, edges, "iterative-convex",
+                   *_descend(u0, problem.p, free, *edges, problem.convention))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 import numpy as np
 
-from .cayley import CayleyBall, build_ball, vertex_boundary_elements
+from .cayley import (EXTERIOR, CayleyBall, SubsetView, build_ball,
+                     vertex_boundary, vertex_boundary_elements)
 from .funcspace import (FormalSum, _differences, _lift, dirichlet_seminorm_pow,
                         lp_norm, modulus, power)
 from .groups import Element, GroupModel, ZdGroup
@@ -41,47 +42,36 @@ class IsoperimetricProfile:
     truncated_at: Optional[int] = None   # budget cutoff marker, if any
 
 
-def _neighbors(group: GroupModel, x: Element) -> List[Element]:
-    return [group.multiply(x, g) for g in group.generators]
-
-
-def _boundary_size(group: GroupModel, A: Set[Element]) -> int:
-    return len(vertex_boundary_elements(group, A))
-
-
 def _exhaustive_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRecord]:
     """Minimum |dA| over connected subsets containing e, by a
     rooted connected-subgraph enumeration (each subset visited once).
 
     Connectivity plus the translation-invariance of |dA| make 'containing
-    e' lossless; disconnected sets never beat connected ones here."""
-    e = group.identity()
-    # universe: ball of radius n_max - 1 suffices for connected n-sets at e
+    e' lossless; disconnected sets never beat connected ones here.
+    Neighbors x g_j come from the index table of B_{n_max - 1}; per-vertex
+    counts of neighbors inside A keep |dA| = |A| - #{x in A : all inside}."""
     univ_ball = build_ball(group, max(n_max - 1, 0))
     order = univ_ball.elements
-    nbr_ids: List[List[int]] = []
-    for x in order:
-        row = []
-        for y in _neighbors(group, x):
-            j = univ_ball.index.get(y)
-            if j is not None:
-                row.append(j)
-        nbr_ids.append(row)
+    nS = len(group.generators)
+    nbr_ids = [[j for j in row if j != EXTERIOR]
+               for row in univ_ball.nbr[:, group.inverse_gen_index].tolist()]
+    inside = [0] * len(order)       # neighbors of each vertex inside A
+    interior = 0                    # members of A with all nS neighbors in A
     best: Dict[int, Tuple[int, FrozenSet[Element]]] = {}
     current: Set[int] = set()
 
-    def record():
-        n = len(current)
-        cells = {order[i] for i in current}
-        b = _boundary_size(group, cells)
-        if n not in best or b < best[n][0]:
-            best[n] = (b, frozenset(cells))
-
     def extend(candidates: List[int], banned: Set[int]):
+        nonlocal interior
         for i, c in enumerate(candidates):
             current.add(c)
-            record()
-            if len(current) < n_max:
+            interior += inside[c] == nS
+            for j in nbr_ids[c]:
+                inside[j] += 1
+                interior += inside[j] == nS and j in current
+            n = len(current)
+            if n not in best or n - interior < best[n][0]:
+                best[n] = (n - interior, frozenset(order[k] for k in current))
+            if n < n_max:
                 fresh = []
                 seen = banned | current | set(candidates)
                 for j in nbr_ids[c]:
@@ -89,6 +79,10 @@ def _exhaustive_profile(group: GroupModel, n_max: int) -> List[IsoperimetricReco
                         fresh.append(j)
                         seen.add(j)
                 extend(candidates[i + 1:] + fresh, banned | set(candidates[:i + 1]))
+            for j in nbr_ids[c]:
+                interior -= inside[j] == nS and j in current
+                inside[j] -= 1
+            interior -= inside[c] == nS
             current.remove(c)
 
     extend([0], set())
@@ -98,27 +92,34 @@ def _exhaustive_profile(group: GroupModel, n_max: int) -> List[IsoperimetricReco
 
 def _greedy_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRecord]:
     """Grow from {e}, always absorbing the frontier vertex with the most
-    neighbors already inside; an upper-bound heuristic."""
-    e = group.identity()
-    A: Set[Element] = {e}
-    frontier: Dict[Element, int] = {}
-    for y in _neighbors(group, e):
-        frontier[y] = frontier.get(y, 0) + 1
-    records = [IsoperimetricRecord(1, _boundary_size(group, A),
-                                   frozenset(A), "greedy", False)]
-    while len(A) < n_max:
-        # deterministic tie-break on the normal form
-        pick = max(frontier.items(),
-                   key=lambda kv: (kv[1], kv[0]))[0] if frontier else None
-        if pick is None:
-            break
-        del frontier[pick]
+    neighbors already inside, ties broken by the largest normal form; an
+    upper-bound heuristic.
+
+    One dict counts, for A and its frontier, the neighbors inside A; it
+    ranks the frontier and gives |dA| = |A| - #{x in A : count[x] = |S|}.  On
+    Z^d every frontier vertex of a line has one inside neighbor, so the
+    tie-break grows a straight line along +e_1 with |dA| = n (Z^3, n = 500:
+    boundary 500, witness (0..499, 0, 0)).  perfbench/reference.json pins
+    these records, so a better tie-break needs a benchmark re-baseline."""
+    nS = len(group.generators)
+    count: Dict[Element, int] = {}
+    A: Set[Element] = set()
+    interior = 0
+    records = []
+    pick = group.identity()
+    while True:
         A.add(pick)
-        for y in _neighbors(group, pick):
-            if y not in A:
-                frontier[y] = frontier.get(y, 0) + 1
-        records.append(IsoperimetricRecord(len(A), _boundary_size(group, A),
+        interior += count.get(pick, 0) == nS
+        for g in group.generators:
+            y = group.multiply(pick, g)
+            count[y] = count.get(y, 0) + 1
+            interior += count[y] == nS and y in A
+        records.append(IsoperimetricRecord(len(A), len(A) - interior,
                                            frozenset(A), "greedy", False))
+        frontier = [(c, y) for y, c in count.items() if y not in A]
+        if len(A) >= n_max or not frontier:
+            break
+        pick = max(frontier)[1]
     return records
 
 
@@ -129,9 +130,10 @@ def _ball_family_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRec
         ball = build_ball(group, r, max_vertices=max(4 * n_max, 1000))
         if ball.n_vertices > n_max:
             break
-        A = set(ball.elements)
-        records.append(IsoperimetricRecord(len(A), _boundary_size(group, A),
-                                           frozenset(A), "ball-family", False))
+        b = vertex_boundary(ball, SubsetView(ball, np.ones(ball.n_vertices, bool)))
+        records.append(IsoperimetricRecord(ball.n_vertices, len(b),
+                                           frozenset(ball.elements),
+                                           "ball-family", False))
         r += 1
     return records
 
@@ -144,8 +146,9 @@ def _cube_family_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRec
     m = 1
     while m ** d <= n_max:
         A = set(itertools.product(range(m), repeat=d))
-        records.append(IsoperimetricRecord(len(A), _boundary_size(group, A),
-                                           frozenset(A), "cube-family", False))
+        records.append(IsoperimetricRecord(
+            len(A), len(vertex_boundary_elements(group, A)), frozenset(A),
+            "cube-family", False))
         m += 1
     return records
 
@@ -276,6 +279,9 @@ def sobolev_test_set(group: GroupModel, d: float, profile: Optional[Isoperimetri
                      n_random: int, rng: np.random.Generator,
                      support_radius: int = 8,
                      tent_radii: Sequence[int] = (2, 4, 8)) -> List[Tuple[str, FormalSum]]:
+    if profile is not None and profile.group_spec != group.name:
+        raise ValueError(f"profile of {profile.group_spec} given for "
+                         f"group {group.name}")
     out: List[Tuple[str, FormalSum]] = []
     if profile is not None:
         for rec in profile.records:

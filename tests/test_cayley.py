@@ -114,16 +114,31 @@ def test_boundary_empty_and_singleton():
     assert vertex_boundary_elements(group, {(0, 0)}) == {(0, 0)}
 
 
+def ref_vertex_boundary(group, A):
+    """Reference vertex boundary by group arithmetic: the x in A with some
+    x g outside A."""
+    out = set()
+    for x in A:
+        for g in group.generators:
+            if group.multiply(x, g) not in A:
+                out.add(x)
+                break
+    return out
+
+
 def test_subsetview_boundary_agrees_with_element_version():
-    group = make_group("Z^2")
-    ball = build_ball(group, 5)
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        ids = rng.choice(ball.n_vertices, size=12, replace=False)
-        view = SubsetView.from_indices(ball, ids)
-        got = vertex_boundary(ball, view).element_set()
-        want = vertex_boundary_elements(group, {ball.elements[i] for i in ids})
-        assert got == frozenset(want)
+    for spec in ["Z^2", "Z^3", "F_2", "H3"]:
+        group = make_group(spec)
+        ball = build_ball(group, 5 if spec == "Z^2" else 3)
+        for _ in range(20):
+            ids = rng.choice(ball.n_vertices, size=12, replace=False)
+            view = SubsetView.from_indices(ball, ids)
+            A = {ball.elements[i] for i in ids}
+            got = vertex_boundary(ball, view).element_set()
+            want = vertex_boundary_elements(group, A)
+            assert got == frozenset(want)
+            assert want == ref_vertex_boundary(group, A)
 
 
 def test_growth_sanity():

@@ -9,7 +9,8 @@ from caylex.geometry import (check_ISd, indicator_identities,
                              lemma61_check, mean_value_step,
                              random_nonnegative, sobolev_constant, sobolev_p2,
                              tent_function)
-from caylex.groups import make_group
+from caylex.groups import GroupModel, make_group
+from test_cayley import ref_vertex_boundary
 
 Z1 = make_group("Z^1")
 Z2 = make_group("Z^2")
@@ -57,6 +58,71 @@ def test_greedy_upper_bounds_exhaustive():
     for rec in greedy.records:
         assert not rec.exact
         assert rec.boundary_size >= exact[rec.n]
+
+
+@pytest.mark.parametrize("spec,n_exhaustive", [
+    ("Z^1", 8), ("Z^2", 9), ("Z^3", 6), ("F_2", 6), ("H3", 6)])
+def test_profile_boundaries_match_reference(spec, n_exhaustive):
+    group = make_group(spec)
+    for strategy, n_max in [("exhaustive", n_exhaustive), ("greedy", 40)]:
+        profile = isoperimetric_profile(group, n_max, strategy)
+        assert [r.n for r in profile.records] == list(range(1, n_max + 1))
+        for rec in profile.records:
+            assert len(rec.witness) == rec.n
+            assert rec.boundary_size == len(ref_vertex_boundary(group,
+                                                                rec.witness))
+
+
+class Cyclic5(GroupModel):
+    """Z/5 with S = {+1, -1}: small enough that both strategies absorb a
+    vertex whose every neighbor is already inside."""
+
+    name = "Z/5"
+    generators = ((1,), (4,))
+    inverse_gen_index = (1, 0)
+
+    def identity(self):
+        return (0,)
+
+    def multiply(self, x, y):
+        return ((x[0] + y[0]) % 5,)
+
+    def inverse(self, x):
+        return ((-x[0]) % 5,)
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "greedy"])
+def test_profile_on_a_finite_cycle(strategy):
+    group = Cyclic5()
+    profile = isoperimetric_profile(group, 5, strategy)
+    assert [r.boundary_size for r in profile.records] == [1, 2, 2, 2, 0]
+    for rec in profile.records:
+        assert rec.boundary_size == len(ref_vertex_boundary(group, rec.witness))
+
+
+@pytest.mark.parametrize("spec", ["Z^3", "F_2", "H3"])
+def test_exhaustive_minima_brute_force(spec):
+    """Independent brute force: grow every connected set containing e one
+    neighbor at a time, dedupe, and take the least reference boundary."""
+    group = make_group(spec)
+    n_max = 6
+    got = {r.n: r.boundary_size
+           for r in isoperimetric_profile(group, n_max, "exhaustive").records}
+    want = {}
+    level = {frozenset([group.identity()])}
+    for n in range(1, n_max + 1):
+        if n > 1:
+            level = {A | {y} for A in level for x in A
+                     for y in (group.multiply(x, g) for g in group.generators)
+                     if y not in A}
+        want[n] = min(len(ref_vertex_boundary(group, A)) for A in level)
+    assert got == want
+
+
+def test_sobolev_rejects_profile_of_another_group():
+    profile = isoperimetric_profile(make_group("Z^3"), 4)
+    with pytest.raises(ValueError, match=r"Z\^3.*Z\^2"):
+        sobolev_constant(Z2, 3.0, profile, n_random=5)
 
 
 def test_isd_bounded_for_matching_dimension():

@@ -34,9 +34,12 @@ def _vertex_cap(explicit=None) -> int:
     if explicit is not None:
         return int(explicit)
     env = os.environ.get(MAX_VERTICES_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_MAX_VERTICES
+    if not env:
+        return DEFAULT_MAX_VERTICES
+    if not env.strip().isdigit() or int(env) < 1:
+        raise ValueError(f"{MAX_VERTICES_ENV} must be a positive integer, "
+                         f"got {env!r}")
+    return int(env)
 
 
 class CayleyBall:
@@ -174,10 +177,6 @@ class SubsetView:
         for i in indices:
             mask[i] = True
         return cls(ball, mask)
-
-    @classmethod
-    def from_elements(cls, ball: CayleyBall, elems: Iterable[Element]) -> "SubsetView":
-        return cls.from_indices(ball, (ball.index[x] for x in elems))
 
     def indices(self) -> np.ndarray:
         return np.where(self.mask)[0]

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: ball, capacity, royden, iso, sobolev, lemma61, pairing, verify.
-Reports are written atomically (temp file + rename) as schema-versioned JSON
-or as flat CSV (one row per R or n) for plotting.
+lemma61 and pairing run verify's suites (lemma61; lemma52 and
+prop53-holder) on one group and report their worst cases.  Reports are
+written atomically (temp file + rename) as schema-versioned JSON or as
+flat CSV (one row per R or n) for plotting.
 
 Exit codes: 0 ok, 1 verification-suite failure, 2 usage error,
 3 resource/budget exceeded, 4 solver failure.
@@ -23,8 +25,6 @@ import numpy as np
 
 from . import __version__, dirichlet, geometry, verify
 from .cayley import BallSizeError, build_ball
-from .funcspace import (BallFunction, FormalSum, dirichlet_seminorm_pow,
-                        laplacian, pairing)
 from .groups import UnknownFamilyError, make_group
 
 EXIT_OK = 0
@@ -231,73 +231,30 @@ def cmd_sobolev(args) -> int:
 
 def cmd_lemma61(args) -> int:
     group = make_group(args.group)
-    rng = np.random.default_rng(args.seed)
-    ball = build_ball(group, 5)
-    worst = np.inf
-    violations = 0
-    for _ in range(args.samples):
-        alpha = geometry.random_nonnegative(group, rng, ball=ball)
-        t = float(rng.uniform(2.0, 4.0)) if args.t is None else args.t
-        res = geometry.lemma61_check(alpha, t)
-        worst = min(worst, res.margin)
-        if res.margin < -1e-12 * (1.0 + res.rhs):
-            violations += 1
-    r = rng.uniform(0.0, 10.0, size=args.scalar_samples)
-    s = rng.uniform(0.0, 1.0, size=args.scalar_samples) * r
-    tv = rng.uniform(2.0, 5.0, size=args.scalar_samples)
-    margins = geometry.mean_value_step(r, s, tv)
-    scalar_bad = int((margins < -1e-9 * (1.0 + r ** tv)).sum())
-    results = {"samples": args.samples, "violations": violations,
-               "min_margin": float(worst),
-               "scalar_samples": args.scalar_samples,
-               "scalar_violations": scalar_bad}
+    res = verify.suite_lemma61(args.seed, args.samples, args.scalar_samples,
+                               [args.group], args.t)
+    results = {"samples": args.samples, "scalar_samples": args.scalar_samples,
+               **res.stats}
     _emit(_report("lemma61", group.name,
                   {"t": args.t, "samples": args.samples, "seed": args.seed,
                    "scalar_samples": args.scalar_samples}, results),
           args.out, _fmt_from_args(args))
-    print(f"{group.name}: {violations} violations / {args.samples}",
+    print(f"{group.name}: {res.stats['violations']} violations / {args.samples}",
           file=sys.stderr)
-    return EXIT_OK if violations == 0 and scalar_bad == 0 else EXIT_SUITE_FAILURE
+    return EXIT_OK if res.passed else EXIT_SUITE_FAILURE
 
 
 def cmd_pairing(args) -> int:
     group = make_group(args.group)
-    rng = np.random.default_rng(args.seed)
-    ball = build_ball(group, 4)
-    max_identity = 0.0
-    holder_bad = 0
-    max_leak = 0.0
-    for i in range(args.samples):
-        alpha = geometry.random_formal_sum(ball, rng, 19,
-                                           "complex" if i % 2 else "real")
-        beta = geometry.random_formal_sum(ball, rng, 19,
-                                          "complex" if i % 3 else "real")
-        y = ball.elements[int(rng.integers(0, ball.n_vertices))]
-        lap_y = laplacian(alpha)(y)
-        res = abs(pairing(FormalSum.delta(group, y), alpha)
-                  + 2.0 * np.conj(lap_y)) / (1.0 + abs(lap_y))
-        max_identity = max(max_identity, res)
-        p = args.p
-        q = p / (p - 1.0)
-        lhs = abs(pairing(alpha, beta, p))
-        rhs = dirichlet_seminorm_pow(alpha, p) ** (1 / p) * \
-            dirichlet_seminorm_pow(beta, q) ** (1 / q)
-        if lhs > rhs * (1.0 + 1e-10) + 1e-12:
-            holder_bad += 1
-        # edge leakage of the ball-windowed pairing against the exact one
-        wa = BallFunction.from_formal_sum(ball, alpha, "ball")
-        wb = BallFunction.from_formal_sum(ball, beta, "ball")
-        max_leak = max(max_leak,
-                       abs(pairing(wa, wb, p) - pairing(alpha, beta, p)))
+    suites = [verify.suite_lemma52(args.seed, args.samples, [args.group]),
+              verify.suite_prop53_holder(args.seed, args.samples, [args.group],
+                                         [args.p])]
     results = {"p": args.p, "samples": args.samples,
-               "max_identity_residual": max_identity,
-               "holder_violations": holder_bad,
-               "max_window_edge_leakage": max_leak}
+               **suites[0].stats, **suites[1].stats}
     _emit(_report("pairing", group.name,
                   {"p": args.p, "samples": args.samples, "seed": args.seed},
                   results), args.out, _fmt_from_args(args))
-    return EXIT_OK if holder_bad == 0 and max_identity <= 1e-12 \
-        else EXIT_SUITE_FAILURE
+    return EXIT_OK if all(r.passed for r in suites) else EXIT_SUITE_FAILURE
 
 
 def cmd_verify(args) -> int:
@@ -322,6 +279,33 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# argument types: out-of-range values are usage errors (exit 2)
+
+def _p_value(text: str) -> float:
+    """An exponent p in (1, 16]: the library's range without p = 1, whose
+    conjugate exponent is infinite."""
+    try:
+        p = float(text)
+    except ValueError:
+        p = 0.0
+    if not 1.0 < p <= 16.0:
+        raise argparse.ArgumentTypeError(f"p must lie in (1, 16], got {text!r}")
+    return p
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _out_path(text: str) -> str:
+    d = os.path.dirname(os.path.abspath(text))
+    if not os.path.isdir(d):
+        raise argparse.ArgumentTypeError(f"no such directory: {d}")
+    return text
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -334,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, radii=False):
         p.add_argument("--group", required=True,
                        help="group spec: Z^d, F_k, or H3")
-        p.add_argument("--out", "-o", help="output path (atomic write)")
+        p.add_argument("--out", "-o", type=_out_path,
+                       help="output path (atomic write)")
         p.add_argument("--format", choices=["json", "csv"],
                        help="default: by --out extension, else json")
         if radii:
@@ -350,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="p-capacity scan of the identity")
     common(p, radii=True)
-    p.add_argument("--p", type=float, default=2.0)
+    p.add_argument("--p", type=_p_value, default=2.0)
     p.set_defaults(fn=cmd_capacity)
 
     p = sub.add_parser("royden", help="harmonic-extension energy trends")
@@ -363,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iso", help="isoperimetric profile")
     common(p)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_positive_int, required=True)
     p.add_argument("--strategy", default="exhaustive",
                    choices=sorted(geometry._STRATEGIES))
     p.set_defaults(fn=cmd_iso)
@@ -373,24 +358,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--nmax", type=_positive_int, default=6)
     p.add_argument("--strategy", default="exhaustive",
                    choices=sorted(geometry._STRATEGIES))
     p.set_defaults(fn=cmd_sobolev)
 
-    p = sub.add_parser("lemma61", help="D(1) power-estimate sampling")
+    p = sub.add_parser("lemma61", help="the lemma61 suite on one group")
     common(p)
     p.add_argument("--t", type=float, default=None,
-                   help="fixed exponent; default samples t in [2,4]")
-    p.add_argument("--samples", type=int, default=1000)
+                   help="fixed exponent; default draws t from {2, 2.5, 3}")
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--scalar-samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_lemma61)
 
-    p = sub.add_parser("pairing", help="duality pairing identities")
+    p = sub.add_parser("pairing",
+                       help="the lemma52 and prop53-holder suites on one group")
     common(p)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--p", type=_p_value, default=2.0)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_pairing)
 
@@ -399,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one of %s or 'all'" % ", ".join(verify.SUITE_NAMES))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", "-o")
+    p.add_argument("--out", "-o", type=_out_path)
     p.set_defaults(fn=cmd_verify)
 
     return parser

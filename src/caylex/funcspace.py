@@ -5,12 +5,12 @@ pairing, cocycle extension, truncation and pointwise powers.
 Every operator has one dense implementation, on a BallFunction: a vector
 over a CayleyBall's vertex indices with an explicit exterior convention.
 'zero' extends the function by 0 outside the ball (so norms match the
-globally extended function), 'ball' restricts sums to in-ball edges and
-counts skipped ones.  FormalSum is the sparse public value, a finitely
-supported function on the whole group; an operator lifts a FormalSum
-argument onto the 'zero'-convention window of its support (the support
-and its S-closure, see cayley.window), where the dense result is exact,
-and lowers a function-valued result back to a FormalSum.
+globally extended function), 'ball' restricts sums to in-ball edges.
+FormalSum is the sparse public value, a finitely supported function on
+the whole group; an operator lifts a FormalSum argument onto the
+'zero'-convention window of its support (the support and its S-closure,
+see cayley.window), where the dense result is exact, and lowers a
+function-valued result back to a FormalSum.
 """
 
 from __future__ import annotations
@@ -45,15 +45,9 @@ class FormalSum:
 
     __slots__ = ("group", "data")
 
-    def __init__(self, group: GroupModel, data: Optional[Dict[Element, complex]] = None,
-                 prune_eps: float = 0.0):
+    def __init__(self, group: GroupModel, data: Optional[Dict[Element, complex]] = None):
         self.group = group
-        if data is None:
-            data = {}
-        if prune_eps > 0.0:
-            self.data = {x: v for x, v in data.items() if abs(v) > prune_eps}
-        else:
-            self.data = {x: v for x, v in data.items() if v != 0}
+        self.data = {x: v for x, v in (data or {}).items() if v != 0}
 
     @classmethod
     def delta(cls, group: GroupModel, x: Optional[Element] = None) -> "FormalSum":
@@ -125,10 +119,9 @@ class FormalSum:
 class BallFunction:
     """Dense scalar function over a ball's vertex indices."""
 
-    __slots__ = ("ball", "values", "convention", "diagnostics")
+    __slots__ = ("ball", "values", "convention")
 
-    def __init__(self, ball: CayleyBall, values, convention: str = "zero",
-                 diagnostics: Optional[dict] = None):
+    def __init__(self, ball: CayleyBall, values, convention: str = "zero"):
         if convention not in ("zero", "ball"):
             raise ValueError(f"unknown exterior convention {convention!r}")
         values = np.asarray(values)
@@ -137,7 +130,6 @@ class BallFunction:
         self.ball = ball
         self.values = values
         self.convention = convention
-        self.diagnostics = diagnostics if diagnostics is not None else {}
 
     @classmethod
     def from_formal_sum(cls, ball: CayleyBall, alpha: FormalSum,
@@ -262,17 +254,13 @@ def convolve_diff(beta: Carrier, g: Element) -> Carrier:
     """beta * (g - 1): result(x) = beta(x g^-1) - beta(x), for g in S."""
     (f,), _, lower = _lift([beta])
     j = _gen_index(f.ball.group, g)
-    diag = {}
-    if f.convention == "ball":
-        diag["skipped_edges"] = int((f.ball.nbr[:, j] == EXTERIOR).sum())
-    return lower(BallFunction(f.ball, _differences(f)[:, j], f.convention, diag))
+    return lower(f.copy_with(_differences(f)[:, j]))
 
 
 def laplacian(alpha: Carrier) -> Carrier:
     """(Lap alpha)(x) = sum_{g in S} (alpha(x g^-1) - alpha(x))."""
     (f,), _, lower = _lift([alpha])
-    return lower(BallFunction(f.ball, _differences(f).sum(axis=1), f.convention,
-                              {"valid_mask": ~(f.ball.nbr == EXTERIOR).any(axis=1)}))
+    return lower(f.copy_with(_differences(f).sum(axis=1)))
 
 
 # ---------------------------------------------------------------------------

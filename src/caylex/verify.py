@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ class SuiteResult:
     name: str
     checked: int
     failures: List[str] = field(default_factory=list)
+    stats: Dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -43,11 +44,16 @@ class SuiteResult:
         return out
 
 
-_FAMILIES = ["Z^2", "Z^3", "F_2", "H3"]
+_FAMILIES = ("Z^2", "Z^3", "F_2", "H3")
 
 
-def _sample_balls(radius: int = 4) -> Dict[str, CayleyBall]:
-    return {name: build_ball(make_group(name), radius) for name in _FAMILIES}
+def _cycle_balls(groups: Sequence[str], n: int,
+                 radius: int = 4) -> Iterator[Tuple[int, CayleyBall]]:
+    """(i, ball) for i < n, cycling through the radius balls of the given
+    group specs."""
+    balls = [build_ball(make_group(spec), radius) for spec in groups]
+    for i in range(n):
+        yield i, balls[i % len(balls)]
 
 
 # ---------------------------------------------------------------------------
@@ -56,13 +62,11 @@ def suite_norms(seed: int, n: int = 200) -> SuiteResult:
     """Norm identity ||a||_{D^p}^p = ||a||_{D(p)}^p + |a(e)|^p and the
     modulus contraction ||(|a|)||_D(p) <= ||a||_D(p)."""
     rng = np.random.default_rng(seed)
-    balls = _sample_balls()
     fails = []
     checked = 0
-    for i in range(n):
-        name = _FAMILIES[i % len(_FAMILIES)]
-        alpha = random_formal_sum(balls[name], rng,
-                                  kind="complex" if i % 2 else "real")
+    for i, ball in _cycle_balls(_FAMILIES, n):
+        name = ball.group.name
+        alpha = random_formal_sum(ball, rng, kind="complex" if i % 2 else "real")
         for p in (1.5, 2.0, 3.0):
             rep = norms(alpha, p)
             lhs = rep.dp_norm ** p
@@ -81,13 +85,12 @@ def suite_cocycle(seed: int, n: int = 150) -> SuiteResult:
     """delta(gh) = (delta(g))h + delta(h) for coboundaries, words len <= 4,
     plus translation homomorphism translate(translate(a,g),h) = translate(a,gh)."""
     rng = np.random.default_rng(seed)
-    balls = _sample_balls()
     fails = []
     checked = 0
-    for i in range(n):
-        name = _FAMILIES[i % len(_FAMILIES)]
-        group = balls[name].group
-        alpha = random_formal_sum(balls[name], rng)
+    for i, ball in _cycle_balls(_FAMILIES, n):
+        group = ball.group
+        name = group.name
+        alpha = random_formal_sum(ball, rng)
         gens = group.generators
         gl = int(rng.integers(0, 3))
         hl = int(rng.integers(1, 4))
@@ -142,12 +145,10 @@ def suite_lemma41(seed: int, n: int = 1000) -> SuiteResult:
     """Word-length bound |a(x)| <= n^{(p-1)/p} ||a||_{D^p}, plus the scalar
     power-mean inequality (a_1+...+a_n)^p <= n^{p-1} (a_1^p+...+a_n^p)."""
     rng = np.random.default_rng(seed)
-    balls = _sample_balls(5)
     fails = []
     checked = 0
-    for i in range(n):
-        name = _FAMILIES[i % len(_FAMILIES)]
-        ball = balls[name]
+    for i, ball in _cycle_balls(_FAMILIES, n, radius=5):
+        name = ball.group.name
         alpha = random_formal_sum(ball, rng)
         p = float(rng.choice([1.5, 2.0, 3.0]))
         dp = norms(alpha, p).dp_norm
@@ -167,23 +168,27 @@ def suite_lemma41(seed: int, n: int = 1000) -> SuiteResult:
     return SuiteResult("lemma41", checked, fails)
 
 
-def suite_lemma52(seed: int, n: int = 1000) -> SuiteResult:
+def suite_lemma52(seed: int, n: int = 1000,
+                  groups: Sequence[str] = _FAMILIES) -> SuiteResult:
     """Pairing identity <delta_y, a> = -2 conj(Lap a(y)), and agreement of
-    the pairing-based harmonicity test with the direct one."""
+    the pairing-based harmonicity test with the direct one.  Reports the
+    largest identity residual
+    |<delta_y, a> + 2 conj(Lap a(y))| / (1 + |Lap a(y)|)."""
     rng = np.random.default_rng(seed)
-    balls = _sample_balls()
     fails = []
     checked = 0
-    for i in range(n):
-        name = _FAMILIES[i % len(_FAMILIES)]
-        ball = balls[name]
+    max_residual = 0.0
+    for i, ball in _cycle_balls(groups, n):
         group = ball.group
+        name = group.name
         alpha = random_formal_sum(ball, rng, kind="complex" if i % 2 else "real")
         y = ball.elements[int(rng.integers(0, ball.n_vertices))]
         lap_y = laplacian(alpha)(y)
         val = pairing(FormalSum.delta(group, y), alpha)
+        residual = abs(val + 2.0 * np.conj(lap_y)) / (1.0 + abs(lap_y))
+        max_residual = max(max_residual, residual)
         checked += 1
-        if abs(val + 2.0 * np.conj(lap_y)) > 1e-12 * (1.0 + abs(lap_y)):
+        if residual > 1e-12:
             fails.append(f"pairing identity: {name} sample {i}")
         if i % 10 == 0:
             domain = [ball.elements[int(j)]
@@ -193,57 +198,66 @@ def suite_lemma52(seed: int, n: int = 1000) -> SuiteResult:
             checked += 1
             if direct != via:
                 fails.append(f"harmonicity disagreement: {name} sample {i}")
-    return SuiteResult("lemma52", checked, fails)
+    return SuiteResult("lemma52", checked, fails,
+                       {"max_identity_residual": float(max_residual)})
 
 
-def suite_prop53_holder(seed: int, n: int = 300) -> SuiteResult:
-    """|<a, b>| <= ||a||_D(p) ||b||_D(q)."""
+def suite_prop53_holder(seed: int, n: int = 300,
+                        groups: Sequence[str] = _FAMILIES,
+                        ps: Sequence[float] = (1.5, 2.0, 3.0)) -> SuiteResult:
+    """|<a, b>| <= ||a||_D(p) ||b||_D(q).  Also reports the largest edge
+    leakage |<a, b>_ball - <a, b>| of the pairing restricted to in-ball
+    edges."""
     rng = np.random.default_rng(seed)
-    balls = _sample_balls()
     fails = []
-    checked = 0
-    for i in range(n):
-        name = _FAMILIES[i % len(_FAMILIES)]
-        ball = balls[name]
+    max_leak = 0.0
+    for i, ball in _cycle_balls(groups, n):
+        name = ball.group.name
         alpha = random_formal_sum(ball, rng, kind="complex" if i % 2 else "real")
         beta = random_formal_sum(ball, rng, kind="complex" if i % 3 else "real")
-        for p in (1.5, 2.0, 3.0):
+        exact = pairing(alpha, beta)    # the same for every p
+        windowed = pairing(BallFunction.from_formal_sum(ball, alpha, "ball"),
+                           BallFunction.from_formal_sum(ball, beta, "ball"))
+        max_leak = max(max_leak, abs(windowed - exact))
+        for p in ps:
             q = p / (p - 1.0)
-            lhs = abs(pairing(alpha, beta, p))
             rhs = dirichlet_seminorm_pow(alpha, p) ** (1 / p) * \
                 dirichlet_seminorm_pow(beta, q) ** (1 / q)
-            checked += 1
-            if lhs > rhs * (1.0 + 1e-10) + 1e-12:
+            if abs(exact) > rhs * (1.0 + 1e-10) + 1e-12:
                 fails.append(f"Hoelder: {name} sample {i} p={p}")
-    return SuiteResult("prop53-holder", checked, fails)
+    return SuiteResult("prop53-holder", n * len(ps), fails,
+                       {"holder_violations": len(fails),
+                        "max_window_edge_leakage": max_leak})
 
 
-def suite_lemma61(seed: int, n: int = 1000, n_scalar: int = 100_000) -> SuiteResult:
-    """The D(1) power estimate on random non-negative functions, and its
-    scalar mean-value step on random (r, s, t)."""
+def suite_lemma61(seed: int, n: int = 1000, n_scalar: int = 100_000,
+                  groups: Sequence[str] = ("Z^2", "Z^3", "F_2"),
+                  t: Optional[float] = None) -> SuiteResult:
+    """The D(1) power estimate on random non-negative functions, with t
+    fixed or drawn from {2, 2.5, 3}, and its scalar mean-value step on
+    random (r, s, t).  Reports the violation counts and the smallest
+    margin of the power estimate."""
     rng = np.random.default_rng(seed)
-    names = ["Z^2", "Z^3", "F_2"]
-    balls = {name: build_ball(make_group(name), 4) for name in names}
     fails = []
-    checked = 0
-    for i in range(n):
-        name = names[i % len(names)]
-        ball = balls[name]
+    min_margin = np.inf
+    for i, ball in _cycle_balls(groups, n):
         alpha = random_formal_sum(ball, rng, kind="nonnegative", high=2.0)
-        t = float(rng.choice([2.0, 2.5, 3.0]))
-        res = geometry.lemma61_check(alpha, t)
-        checked += 1
+        ti = float(rng.choice([2.0, 2.5, 3.0])) if t is None else t
+        res = geometry.lemma61_check(alpha, ti)
+        min_margin = min(min_margin, res.margin)
         if res.margin < -1e-12 * (1.0 + res.rhs):
-            fails.append(f"power estimate: {name} sample {i} t={t}")
+            fails.append(f"power estimate: {ball.group.name} sample {i} t={ti}")
+    violations = len(fails)
     r = rng.uniform(0.0, 10.0, size=n_scalar)
     s = rng.uniform(0.0, 1.0, size=n_scalar) * r
-    t = rng.uniform(2.0, 5.0, size=n_scalar)
-    margins = geometry.mean_value_step(r, s, t)
-    checked += n_scalar
-    bad = int((margins < -1e-9 * (1.0 + r ** t)).sum())
+    tv = rng.uniform(2.0, 5.0, size=n_scalar)
+    margins = geometry.mean_value_step(r, s, tv)
+    bad = int((margins < -1e-9 * (1.0 + r ** tv)).sum())
     if bad:
         fails.append(f"mean-value step: {bad} scalar violations")
-    return SuiteResult("lemma61", checked, fails)
+    return SuiteResult("lemma61", n + n_scalar, fails,
+                       {"violations": violations, "min_margin": float(min_margin),
+                        "scalar_violations": bad})
 
 
 def suite_prop62(seed: int, n_verify: int = 200) -> SuiteResult:

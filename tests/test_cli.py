@@ -6,8 +6,9 @@ import sys
 import jsonschema
 import pytest
 
-from caylex.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, UsageError,
-                        main, parse_radii)
+from caylex import geometry, verify
+from caylex.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_SUITE_FAILURE, EXIT_USAGE,
+                        UsageError, main, parse_radii)
 
 try:
     from importlib.resources import files
@@ -123,6 +124,69 @@ def test_lemma61_and_pairing_commands(tmp_path):
                  "--out", str(tmp_path / "p.json")]) == EXIT_OK
     for name in ("l.json", "p.json"):
         jsonschema.validate(json.loads((tmp_path / name).read_text()), SCHEMA)
+
+
+def test_thin_commands_report_suite_stats(tmp_path):
+    """lemma61 and pairing report exactly the stats of verify's suites run
+    on the one group with the same seed."""
+    out = tmp_path / "l.json"
+    assert main(["lemma61", "--group", "H3", "--samples", "30", "--t", "2.5",
+                 "--scalar-samples", "500", "--seed", "4",
+                 "--out", str(out)]) == EXIT_OK
+    suite = verify.suite_lemma61(4, 30, 500, ["H3"], 2.5)
+    assert json.loads(out.read_text())["results"] == \
+        {"samples": 30, "scalar_samples": 500, **suite.stats}
+    out = tmp_path / "p.json"
+    assert main(["pairing", "--group", "Z^3", "--samples", "25", "--p", "3",
+                 "--seed", "4", "--out", str(out)]) == EXIT_OK
+    identity = verify.suite_lemma52(4, 25, ["Z^3"])
+    holder = verify.suite_prop53_holder(4, 25, ["Z^3"], [3.0])
+    assert json.loads(out.read_text())["results"] == \
+        {"p": 3.0, "samples": 25, **identity.stats, **holder.stats}
+
+
+def test_thin_commands_exit_1_on_failed_check(tmp_path, monkeypatch):
+    monkeypatch.setattr(geometry, "lemma61_check",
+                        lambda alpha, t: geometry.PowerEstimateResult(1.0, 0.5, -0.5))
+    out = tmp_path / "l.json"
+    assert main(["lemma61", "--group", "Z^2", "--samples", "5",
+                 "--scalar-samples", "10", "--out", str(out)]) == EXIT_SUITE_FAILURE
+    assert json.loads(out.read_text())["results"]["violations"] == 5
+    out = tmp_path / "p.json"
+    with monkeypatch.context() as m:
+        m.setattr(verify, "laplacian", lambda alpha: 3.0 * alpha)
+        assert main(["pairing", "--group", "Z^2", "--samples", "5",
+                     "--out", str(out)]) == EXIT_SUITE_FAILURE
+        assert json.loads(out.read_text())["results"]["max_identity_residual"] > 1e-12
+    monkeypatch.setattr(verify, "dirichlet_seminorm_pow", lambda alpha, p: 0.0)
+    assert main(["pairing", "--group", "Z^2", "--samples", "5",
+                 "--out", str(out)]) == EXIT_SUITE_FAILURE
+    assert json.loads(out.read_text())["results"]["holder_violations"] > 0
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (["pairing", "--group", "Z^2", "--p", "1"], None),
+    (["capacity", "--group", "Z^1", "--radii", "4:8", "--p", "40"], None),
+    (["lemma61", "--group", "Z^2", "--samples", "0"], None),
+    (["pairing", "--group", "Z^2", "--samples", "0"], None),
+    (["iso", "--group", "Z^2", "--nmax", "0"], None),
+    (["iso", "--group", "Z^2", "--nmax", "-3"], None),
+    (["sobolev", "--group", "Z^3", "--d", "3", "--nmax", "0"], None),
+    (["ball", "--group", "Z^2", "--radius", "2", "--out", "MISSING/x.json"], None),
+    (["ball", "--group", "Z^2", "--radius", "2"], "-5"),
+    (["ball", "--group", "Z^2", "--radius", "2"], "abc"),
+])
+def test_bad_input_is_a_usage_error(argv, cap, tmp_path, monkeypatch, capsys):
+    """Out-of-range flags, a missing output directory and a bad vertex cap
+    exit 2 with an error line (an exception would fail the test)."""
+    argv = [a.replace("MISSING", str(tmp_path / "missing")) for a in argv]
+    if cap is not None:
+        monkeypatch.setenv("CAYLEX_MAX_VERTICES", cap)
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if cap is not None:
+        assert "CAYLEX_MAX_VERTICES" in err
 
 
 def test_verify_single_suite(tmp_path):

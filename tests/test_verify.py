@@ -7,11 +7,32 @@ def test_suite_names_cover_registry():
     assert set(verify.SUITE_NAMES) == set(verify._SUITES)
 
 
+# checks per suite; seed-independent, so a dropped or added check shows
+CHECKED = {"norms": 1200, "cocycle": 300, "lemma31": 5, "lemma41": 1200,
+           "lemma52": 1100, "prop53-holder": 900, "lemma61": 101000,
+           "prop62": 202, "maxprinciple": 31}
+
+
 @pytest.mark.parametrize("name", verify.SUITE_NAMES)
 def test_each_suite_passes(name):
     res = verify.run_suite(name, seed=0)
     assert res.passed, res.failures[:3]
     assert res.checked > 0
+    assert res.checked == CHECKED[name]
+
+
+def test_parametrised_suites_on_other_groups():
+    """The suites behind the lemma61 and pairing commands hold on groups
+    outside their default families, with a fixed t and other exponents."""
+    groups = ["Z^1", "Z^4", "F_3"]
+    results = [verify.suite_lemma61(5, 60, 1000, groups),
+               verify.suite_lemma61(5, 60, 1000, groups, t=4.0),
+               verify.suite_lemma52(5, 60, groups),
+               verify.suite_prop53_holder(5, 60, groups, ps=(1.25, 2.0, 4.0))]
+    for res in results:
+        assert res.passed, (res.name, res.failures[:3])
+    assert [r.checked for r in results] == [1060, 1060, 66, 180]
+    assert results[0].stats["min_margin"] >= 0.0
 
 
 def test_unknown_suite():

@@ -293,6 +293,25 @@ def _p_value(text: str) -> float:
     return p
 
 
+def _pairing_p(text: str) -> float:
+    """A p in (1, 16] whose conjugate q = p/(p - 1), computed as the
+    Hoelder suite computes it, is also at most 16."""
+    p = _p_value(text)
+    q = p / (p - 1.0)
+    if q > 16.0:
+        raise argparse.ArgumentTypeError(
+            f"the conjugate q = p/(p - 1) must be at most 16, got q = {q!r} "
+            f"for p = {text!r}")
+    return p
+
+
+def _nonnegative_int(text: str) -> int:
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(
@@ -356,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sobolev", help="empirical Sobolev constants")
     common(p)
     p.add_argument("--d", type=float, required=True)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--samples", type=_positive_int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nmax", type=_positive_int, default=6)
     p.add_argument("--strategy", default="exhaustive",
@@ -368,14 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None,
                    help="fixed exponent; default draws t from {2, 2.5, 3}")
     p.add_argument("--samples", type=_positive_int, default=1000)
-    p.add_argument("--scalar-samples", type=int, default=100_000)
+    p.add_argument("--scalar-samples", type=_nonnegative_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_lemma61)
 
     p = sub.add_parser("pairing",
                        help="the lemma52 and prop53-holder suites on one group")
     common(p)
-    p.add_argument("--p", type=_p_value, default=2.0)
+    p.add_argument("--p", type=_pairing_p, default=2.0)
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_pairing)

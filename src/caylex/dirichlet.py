@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +27,8 @@ from .groups import Element, FreeGroup, GroupModel, ZdGroup
 LINEAR_RESIDUAL_TOL = 1e-10
 DESCENT_GRAD_TOL = 1e-8
 DESCENT_MAX_ITER = 500_000
+TREND_THETA_SMALL = 0.05      # a parabolic trend ends below this capacity
+TREND_THETA_LARGE = 0.2       # a non-parabolic trend levels off above it
 
 
 class SolverFailure(RuntimeError):
@@ -116,8 +118,7 @@ def _solve_linear(u0: np.ndarray, free: np.ndarray, convention: str,
 
 
 def _descend(u0: np.ndarray, p: float, free: np.ndarray, src, dst, ext_src,
-             convention: str, grad_tol: float = DESCENT_GRAD_TOL,
-             max_iter: int = DESCENT_MAX_ITER) -> Tuple[np.ndarray, int, float]:
+             convention: str) -> Tuple[np.ndarray, int, float]:
     """Accelerated gradient descent (FISTA-style momentum with adaptive
     restart) with backtracking line search, on the free coordinates."""
     x = u0.copy()
@@ -126,7 +127,7 @@ def _descend(u0: np.ndarray, p: float, free: np.ndarray, src, dst, ext_src,
     lip = 1.0
     it = 0
     check_every = 10
-    while it < max_iter:
+    while it < DESCENT_MAX_ITER:
         it += 1
         ey, gy = _energy_grad(y, p, src, dst, ext_src, convention)
         gf = gy[free]
@@ -149,14 +150,14 @@ def _descend(u0: np.ndarray, p: float, free: np.ndarray, src, dst, ext_src,
         if it % check_every == 0:
             ex, gx = _energy_grad(x, p, src, dst, ext_src, convention)
             gn = float(np.linalg.norm(gx[free]))
-            if gn <= grad_tol * (1.0 + ex):
+            if gn <= DESCENT_GRAD_TOL * (1.0 + ex):
                 return x, it, gn
     ex, gx = _energy_grad(x, p, src, dst, ext_src, convention)
     gn = float(np.linalg.norm(gx[free]))
-    if gn <= grad_tol * (1.0 + ex):
+    if gn <= DESCENT_GRAD_TOL * (1.0 + ex):
         return x, it, gn
     raise SolverFailure(
-        f"descent did not converge in {max_iter} iterations "
+        f"descent did not converge in {DESCENT_MAX_ITER} iterations "
         f"(gradient norm {gn:.3e}, energy {ex:.6e})")
 
 
@@ -212,8 +213,7 @@ def harmonic_extension(problem: EnergyProblem) -> SolveReport:
 # ---------------------------------------------------------------------------
 # capacity
 
-def capacity(group: GroupModel, p: float, radius: int,
-             max_vertices=None, ball: Optional[CayleyBall] = None):
+def capacity(group: GroupModel, p: float, radius: int):
     """p-capacity of the identity at scale R: minimize the D(p)-energy over
     functions with u(e) = 1 that vanish on the sphere of radius R and
     outside the ball (implicit-zero convention).
@@ -224,8 +224,7 @@ def capacity(group: GroupModel, p: float, radius: int,
         raise ValueError("capacity requires p > 1")
     if radius < 1:
         raise ValueError("capacity requires R >= 1")
-    if ball is None:
-        ball = build_ball(group, radius, max_vertices)
+    ball = build_ball(group, radius)
     constraints = {0: 1.0}
     for i in ball.sphere_indices(radius):
         constraints[int(i)] = 0.0
@@ -243,8 +242,6 @@ class CapacityScan:
     verdict: str                       # parabolic-trend | non-parabolic-trend
     minimizers: List[BallFunction]     #   | inconclusive
     diagnostics: List[dict] = field(default_factory=list)
-    theta_small: float = 0.05
-    theta_large: float = 0.2
 
 
 def _loglog_slope(radii: Sequence[int], caps: Sequence[float]) -> float:
@@ -257,23 +254,20 @@ def _loglog_slope(radii: Sequence[int], caps: Sequence[float]) -> float:
     return float(np.polyfit(r, np.log(c), 1)[0])
 
 
-def trend_verdict(radii: Sequence[int], caps: Sequence[float],
-                  theta_small: float = 0.05, theta_large: float = 0.2) -> str:
+def trend_verdict(radii: Sequence[int], caps: Sequence[float]) -> str:
     if len(caps) < 2:
         return "inconclusive"
     slope = _loglog_slope(radii, caps)
     last_rel = abs(caps[-1] - caps[-2]) / caps[-2] if caps[-2] > 0 else 0.0
-    if caps[-1] < theta_small and slope <= -0.1:
+    if caps[-1] < TREND_THETA_SMALL and slope <= -0.1:
         return "parabolic-trend"
-    if last_rel < 0.01 and caps[-1] > theta_large:
+    if last_rel < 0.01 and caps[-1] > TREND_THETA_LARGE:
         return "non-parabolic-trend"
     return "inconclusive"
 
 
 def parabolicity_scan(group: GroupModel, p: float, radii: Sequence[int],
-                      theta_small: float = 0.05, theta_large: float = 0.2,
-                      keep_minimizers: bool = True,
-                      max_vertices=None) -> CapacityScan:
+                      keep_minimizers: bool = True) -> CapacityScan:
     """Capacity over a strictly increasing radius schedule, with a trend
     verdict.  Capacities are checked to be nonincreasing (nested feasible
     sets)."""
@@ -284,7 +278,7 @@ def parabolicity_scan(group: GroupModel, p: float, radii: Sequence[int],
     mins: List[BallFunction] = []
     diags: List[dict] = []
     for R in radii:
-        c, m, rep = capacity(group, p, R, max_vertices=max_vertices)
+        c, m, rep = capacity(group, p, R)
         if caps and c > caps[-1] * (1.0 + 1e-9):
             raise SolverFailure(
                 f"capacity increased from R={radii[len(caps)-1]} to R={R}")
@@ -292,10 +286,9 @@ def parabolicity_scan(group: GroupModel, p: float, radii: Sequence[int],
         mins.append(m)
         diags.append({"R": R, "iterations": rep.iterations,
                       "residual": rep.residual, "solver": rep.solver})
-    verdict = trend_verdict(radii, caps, theta_small, theta_large)
+    verdict = trend_verdict(radii, caps)
     return CapacityScan(group.name, p, radii, caps, verdict,
-                        mins if keep_minimizers else [], diags,
-                        theta_small, theta_large)
+                        mins if keep_minimizers else [], diags)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +308,7 @@ class NullSequenceTerm:
     beta_seminorm: float
 
 
-def null_sequence(scan: CapacityScan, p: Optional[float] = None) -> List[NullSequenceTerm]:
+def null_sequence(scan: CapacityScan) -> List[NullSequenceTerm]:
     """Rescaled minimizers beta_n = n * alpha_k(n), subsampled so that
     ||alpha_k(n)||_D(p) < 1/n^2, hence ||beta_n||_D(p) <= 1/n."""
     if scan.verdict != "parabolic-trend":
@@ -323,8 +316,7 @@ def null_sequence(scan: CapacityScan, p: Optional[float] = None) -> List[NullSeq
             f"scan verdict is {scan.verdict!r}, need parabolic-trend")
     if not scan.minimizers:
         raise NullSequenceError("scan was run without keep_minimizers")
-    p = scan.p if p is None else p
-    seminorms = [c ** (1.0 / p) for c in scan.capacities]
+    seminorms = [c ** (1.0 / scan.p) for c in scan.capacities]
     terms: List[NullSequenceTerm] = []
     n = 1
     while True:
@@ -425,17 +417,14 @@ def _royden_verdict(radii, energies) -> str:
 
 
 def royden_split(group: GroupModel, source: str, radii: Sequence[int],
-                 p: float = 2.0, damping: float = 0.5,
-                 max_vertices=None) -> RoydenReport:
+                 damping: float = 0.5) -> RoydenReport:
     """For each R, pin the source on the sphere of radius R and solve the
-    Dirichlet problem on the interior; report the (ball-only) energy trend
-    of the harmonic extensions."""
-    if p != 2.0:
-        raise ValueError("royden_split is a p = 2 experiment")
+    p = 2 Dirichlet problem on the interior; report the (ball-only) energy
+    trend of the harmonic extensions."""
     f = royden_source(group, source, damping)
     entries: List[RoydenEntry] = []
     for R in radii:
-        ball = build_ball(group, R, max_vertices)
+        ball = build_ball(group, R)
         constraints = {int(i): f(ball.elements[i])
                        for i in ball.sphere_indices(R)}
         rep = harmonic_extension(EnergyProblem(ball, 2.0, constraints, "ball"))

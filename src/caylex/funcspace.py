@@ -62,9 +62,6 @@ class FormalSum:
     def __call__(self, x: Element):
         return self.data.get(x, 0.0)
 
-    def support(self):
-        return self.data.keys()
-
     def is_real(self) -> bool:
         return all(not isinstance(v, complex) or v.imag == 0 for v in self.data.values())
 
@@ -323,13 +320,12 @@ def is_harmonic(alpha: Carrier, domain, tol: float = 1e-10) -> HarmonicityReport
 # ---------------------------------------------------------------------------
 # pairing
 
-def pairing(alpha: Carrier, beta: Carrier, p: float = 2.0) -> complex:
+def pairing(alpha: Carrier, beta: Carrier) -> complex:
     """<alpha, beta> = sum_x sum_g (alpha*(g-1))(x) conj((beta*(g-1))(x)).
 
-    Sesquilinear exactly as displayed; p (and q = p/(p-1)) matter only for
-    reporting, the sum is unconditional for finitely supported input.
+    Sesquilinear exactly as displayed.  The D^p/D^q pairing is this same
+    sum for every p; it is unconditional for finitely supported input.
     """
-    _check_p(p)
     (fa, fb), _, _ = _lift([alpha, beta])
     total = complex((_differences(fa) * np.conj(_differences(fb))).sum())
     if fa.convention == "zero" and fb.convention == "zero":
@@ -339,7 +335,7 @@ def pairing(alpha: Carrier, beta: Carrier, p: float = 2.0) -> complex:
     return total
 
 
-def harmonicity_via_pairing(alpha: Carrier, domain, tol: float = 1e-10):
+def harmonicity_via_pairing(alpha: Carrier, domain):
     """alpha is harmonic iff <delta_y, alpha> = 0 for all y; returns
     (harmonic, max |<delta_y, alpha>|) over the domain."""
     (f,), domain, _ = _lift([alpha], domain)
@@ -348,8 +344,8 @@ def harmonicity_via_pairing(alpha: Carrier, domain, tol: float = 1e-10):
         delta = np.zeros(f.ball.n_vertices)
         delta[i] = 1.0
         max_res = max(max_res, abs(pairing(f.copy_with(delta), f)))
-    # <delta_y, alpha> = -2 conj(Lap alpha(y)); same tolerance scale
-    return max_res <= 2.0 * tol, max_res
+    # <delta_y, alpha> = -2 conj(Lap alpha(y)): twice is_harmonic's 1e-10
+    return max_res <= 2.0 * 1e-10, max_res
 
 
 # ---------------------------------------------------------------------------

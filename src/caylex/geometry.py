@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -267,18 +267,17 @@ def random_formal_sum(ball: CayleyBall, rng: np.random.Generator,
 
 
 def random_nonnegative(group: GroupModel, rng: np.random.Generator,
-                       support_radius: int = 5, max_support: int = 40,
-                       ball=None) -> FormalSum:
-    """Random non-negative finitely supported function in a ball window."""
+                       support_radius: int = 5, ball=None) -> FormalSum:
+    """Random non-negative function on 1..40 vertices of a ball window."""
     if ball is None:
         ball = build_ball(group, support_radius)
-    return random_formal_sum(ball, rng, max_support, "nonnegative")
+    return random_formal_sum(ball, rng, 40, "nonnegative")
 
 
 def sobolev_test_set(group: GroupModel, d: float, profile: Optional[IsoperimetricProfile],
-                     n_random: int, rng: np.random.Generator,
-                     support_radius: int = 8,
-                     tent_radii: Sequence[int] = (2, 4, 8)) -> List[Tuple[str, FormalSum]]:
+                     n_random: int, rng: np.random.Generator) -> List[Tuple[str, FormalSum]]:
+    """Indicators of the profile witnesses, tents of radius 2, 4 and 8, and
+    n_random random non-negative functions in the radius-8 ball."""
     if profile is not None and profile.group_spec != group.name:
         raise ValueError(f"profile of {profile.group_spec} given for "
                          f"group {group.name}")
@@ -287,9 +286,9 @@ def sobolev_test_set(group: GroupModel, d: float, profile: Optional[Isoperimetri
         for rec in profile.records:
             out.append((f"indicator-n{rec.n}",
                         FormalSum.indicator(group, rec.witness)))
-    for r in tent_radii:
+    for r in (2, 4, 8):
         out.append((f"tent-R{r}", tent_function(group, r)))
-    ball = build_ball(group, support_radius)
+    ball = build_ball(group, 8)
     for i in range(n_random):
         out.append((f"random-{i}",
                     random_nonnegative(group, rng, ball=ball)))
@@ -299,7 +298,6 @@ def sobolev_test_set(group: GroupModel, d: float, profile: Optional[Isoperimetri
 def sobolev_constant(group: GroupModel, d: float,
                      profile: Optional[IsoperimetricProfile] = None,
                      n_random: int = 500, seed: int = 0,
-                     support_radius: int = 8,
                      test_set: Optional[List[Tuple[str, FormalSum]]] = None) -> SobolevReport:
     """Empirical max of ||a||_{d/(d-1)} / ||a||_D(1) over the test set
     (indicators of profile witnesses, tents, random non-negative functions);
@@ -308,8 +306,7 @@ def sobolev_constant(group: GroupModel, d: float,
         raise ValueError("sobolev_constant requires d > 1")
     if test_set is None:
         rng = np.random.default_rng(seed)
-        test_set = sobolev_test_set(group, d, profile, n_random, rng,
-                                    support_radius)
+        test_set = sobolev_test_set(group, d, profile, n_random, rng)
     q = d / (d - 1.0)
     best = 0.0
     best_kind = ""
@@ -365,12 +362,11 @@ def mean_value_step(r, s, t):
 
 
 def sobolev_p2(report: SobolevReport, group: GroupModel,
-               verification_set: Iterable[FormalSum],
-               identity_samples: int = 20,
-               rng: Optional[np.random.Generator] = None) -> SobolevReport:
+               verification_set: Iterable[FormalSum]) -> SobolevReport:
     """Complete the report with C' = 2 C (2d-2)/(d-2) and check the p = 2
-    inequality ||a||_{2d/(d-2)} <= C' ||a||_D(2) on the verification set.
-    Violations are counted, not hidden."""
+    inequality ||a||_{2d/(d-2)} <= C' ||a||_D(2) on the verification set,
+    and the exponent identities on its first 20 functions.  Violations are
+    counted, not hidden."""
     d = report.d
     if d <= 2:
         raise ValueError("the p = 2 bootstrap requires d > 2")
@@ -393,7 +389,7 @@ def sobolev_p2(report: SobolevReport, group: GroupModel,
         worst = min(worst, margin)
         if margin < -1e-12 * (1 + rhs):
             violations += 1
-        if count <= identity_samples:
+        if count <= 20:
             # ||a^{(2d-2)/(d-2)}||_{d/(d-1)} = ||a^{2d/(d-2)}||_1^{(d-1)/d}
             # ||a^{d/(d-2)}||_2 = ||a^{2d/(d-2)}||_1^{1/2}
             t = (2.0 * d - 2.0) / (d - 2.0)
@@ -425,14 +421,13 @@ class EquivalenceProbe:
 
 
 def is_equivalence_probe(group: GroupModel, d: float, n_max: int = 10,
-                         strategy: str = "exhaustive", n_random: int = 100,
-                         seed: int = 0) -> EquivalenceProbe:
+                         n_random: int = 100) -> EquivalenceProbe:
     """Run the isoperimetric and Sobolev estimates on the same group and d,
     and report the indicator bridge: for indicators, ||1_A||_{d/(d-1)} =
     |A|^{(d-1)/d} while ||1_A||_D(1) is between 2|dA| and 2|S||dA|, so the
     two conditions track each other up to that bounded factor."""
-    profile = isoperimetric_profile(group, n_max, strategy)
-    sob = sobolev_constant(group, d, profile, n_random=n_random, seed=seed)
+    profile = isoperimetric_profile(group, n_max)
+    sob = sobolev_constant(group, d, profile, n_random=n_random)
     factors = []
     for rec in profile.records:
         ind = FormalSum.indicator(group, set(rec.witness))

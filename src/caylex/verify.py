@@ -58,13 +58,13 @@ def _cycle_balls(groups: Sequence[str], n: int,
 
 # ---------------------------------------------------------------------------
 
-def suite_norms(seed: int, n: int = 200) -> SuiteResult:
+def suite_norms(seed: int) -> SuiteResult:
     """Norm identity ||a||_{D^p}^p = ||a||_{D(p)}^p + |a(e)|^p and the
     modulus contraction ||(|a|)||_D(p) <= ||a||_D(p)."""
     rng = np.random.default_rng(seed)
     fails = []
     checked = 0
-    for i, ball in _cycle_balls(_FAMILIES, n):
+    for i, ball in _cycle_balls(_FAMILIES, 200):
         name = ball.group.name
         alpha = random_formal_sum(ball, rng, kind="complex" if i % 2 else "real")
         for p in (1.5, 2.0, 3.0):
@@ -81,13 +81,13 @@ def suite_norms(seed: int, n: int = 200) -> SuiteResult:
     return SuiteResult("norms", checked, fails)
 
 
-def suite_cocycle(seed: int, n: int = 150) -> SuiteResult:
+def suite_cocycle(seed: int) -> SuiteResult:
     """delta(gh) = (delta(g))h + delta(h) for coboundaries, words len <= 4,
     plus translation homomorphism translate(translate(a,g),h) = translate(a,gh)."""
     rng = np.random.default_rng(seed)
     fails = []
     checked = 0
-    for i, ball in _cycle_balls(_FAMILIES, n):
+    for i, ball in _cycle_balls(_FAMILIES, 150):
         group = ball.group
         name = group.name
         alpha = random_formal_sum(ball, rng)
@@ -110,14 +110,14 @@ def suite_cocycle(seed: int, n: int = 150) -> SuiteResult:
     return SuiteResult("cocycle", checked, fails)
 
 
-def suite_lemma31(seed: int, tent_radius: int = 20,
-                  scan_radii: Sequence[int] = (4, 8, 16, 32, 64, 128, 256, 512),
-                  tol: float = 1e-3) -> SuiteResult:
-    """Truncation against rescaled capacity minimizers on Z^1 at p = 2:
-    the truncation error must fall below tol within the scan."""
+def suite_lemma31(seed: int) -> SuiteResult:
+    """Truncation of the radius-20 tent against rescaled capacity
+    minimizers on Z^1 at p = 2: the truncation error must fall below 0.001
+    within the scan."""
     group = make_group("Z^1")
-    alpha = geometry.tent_function(group, tent_radius)
-    scan = dirichlet.parabolicity_scan(group, 2.0, list(scan_radii))
+    alpha = geometry.tent_function(group, 20)
+    scan = dirichlet.parabolicity_scan(group, 2.0,
+                                       [4, 8, 16, 32, 64, 128, 256, 512])
     fails = []
     checked = 0
     try:
@@ -132,8 +132,8 @@ def suite_lemma31(seed: int, tent_radius: int = 20,
         if term.beta_seminorm > 1.0 / term.n + 1e-12:
             fails.append(f"beta_{term.n} seminorm {term.beta_seminorm:.3e} > 1/n")
     checked += 1
-    if not errors or min(errors) > tol:
-        fails.append(f"truncation error floor {min(errors, default=np.inf):.3e} > {tol}")
+    if not errors or min(errors) > 0.001:
+        fails.append(f"truncation error floor {min(errors, default=np.inf):.3e} > 0.001")
     tail = [e for e in errors if e <= errors[0] + 1e-12]
     checked += 1
     if len(tail) != len(errors):
@@ -141,13 +141,13 @@ def suite_lemma31(seed: int, tent_radius: int = 20,
     return SuiteResult("lemma31", checked, fails)
 
 
-def suite_lemma41(seed: int, n: int = 1000) -> SuiteResult:
+def suite_lemma41(seed: int) -> SuiteResult:
     """Word-length bound |a(x)| <= n^{(p-1)/p} ||a||_{D^p}, plus the scalar
     power-mean inequality (a_1+...+a_n)^p <= n^{p-1} (a_1^p+...+a_n^p)."""
     rng = np.random.default_rng(seed)
     fails = []
     checked = 0
-    for i, ball in _cycle_balls(_FAMILIES, n, radius=5):
+    for i, ball in _cycle_balls(_FAMILIES, 1000, radius=5):
         name = ball.group.name
         alpha = random_formal_sum(ball, rng)
         p = float(rng.choice([1.5, 2.0, 3.0]))
@@ -194,7 +194,7 @@ def suite_lemma52(seed: int, n: int = 1000,
             domain = [ball.elements[int(j)]
                       for j in rng.integers(0, ball.n_vertices, 5)]
             direct = is_harmonic(alpha, domain, tol=1e-10).harmonic
-            via, _ = harmonicity_via_pairing(alpha, domain, tol=1e-10)
+            via, _ = harmonicity_via_pairing(alpha, domain)
             checked += 1
             if direct != via:
                 fails.append(f"harmonicity disagreement: {name} sample {i}")
@@ -260,7 +260,7 @@ def suite_lemma61(seed: int, n: int = 1000, n_scalar: int = 100_000,
                         "scalar_violations": bad})
 
 
-def suite_prop62(seed: int, n_verify: int = 200) -> SuiteResult:
+def suite_prop62(seed: int) -> SuiteResult:
     """The p = 2 bootstrap on Z^3: C' = 2C(2d-2)/(d-2) = 8C at d = 3, zero
     violations on random non-negative functions, exponent identities."""
     rng = np.random.default_rng(seed)
@@ -269,9 +269,8 @@ def suite_prop62(seed: int, n_verify: int = 200) -> SuiteResult:
     profile = geometry.isoperimetric_profile(group, 6, "exhaustive")
     ball = build_ball(group, 8)
     verification = [geometry.random_nonnegative(group, rng, ball=ball)
-                    for _ in range(n_verify)]
-    test_set = geometry.sobolev_test_set(group, d, profile, 100, rng,
-                                         support_radius=8)
+                    for _ in range(200)]
+    test_set = geometry.sobolev_test_set(group, d, profile, 100, rng)
     # the bootstrap argument applies the L^1 inequality to alpha^t; include
     # those powers in the empirical test set so C covers them
     from .funcspace import power
@@ -281,7 +280,7 @@ def suite_prop62(seed: int, n_verify: int = 200) -> SuiteResult:
     rep = geometry.sobolev_constant(group, d, profile, test_set=test_set)
     done = geometry.sobolev_p2(rep, group, verification)
     fails = []
-    checked = n_verify + 2
+    checked = len(verification) + 2
     if abs(done.cprime - 8.0 * rep.constant) > 1e-15 * done.cprime:
         fails.append(f"C' != 8C: {done.cprime} vs {8 * rep.constant}")
     if done.violation_count:
@@ -292,7 +291,7 @@ def suite_prop62(seed: int, n_verify: int = 200) -> SuiteResult:
     return SuiteResult("prop62", checked, fails)
 
 
-def suite_maxprinciple(seed: int, n: int = 40) -> SuiteResult:
+def suite_maxprinciple(seed: int) -> SuiteResult:
     """Harmonic extensions of random boundary data attain their extrema on
     the outermost sphere."""
     rng = np.random.default_rng(seed)
@@ -301,7 +300,7 @@ def suite_maxprinciple(seed: int, n: int = 40) -> SuiteResult:
     for name, radius in (("Z^2", 5), ("H3", 4), ("F_2", 4)):
         ball = build_ball(make_group(name), radius)
         sphere = ball.sphere_indices(radius)
-        for i in range(n // 4):
+        for i in range(10):
             data = rng.normal(size=len(sphere))
             constraints = {int(j): float(v) for j, v in zip(sphere, data)}
             rep = dirichlet.harmonic_extension(

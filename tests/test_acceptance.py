@@ -124,7 +124,7 @@ def test_criterion_04_pairing_identity():
             dom = [ball.elements[int(j)]
                    for j in rng.integers(0, ball.n_vertices, 5)]
             ok &= (is_harmonic(alpha, dom, 1e-10).harmonic
-                   == harmonicity_via_pairing(alpha, dom, 1e-10)[0])
+                   == harmonicity_via_pairing(alpha, dom)[0])
     assert _verdict("4 pairing/Laplacian identity, 10^3 cases", ok)
 
 
@@ -166,7 +166,7 @@ def test_criterion_07_l2_sobolev_bootstrap():
     verification = [random_nonnegative(group, rng, ball=ball)
                     for _ in range(500)]
     profile = isoperimetric_profile(group, 6, "exhaustive")
-    test_set = sobolev_test_set(group, d, profile, 200, rng, support_radius=8)
+    test_set = sobolev_test_set(group, d, profile, 200, rng)
     # the bootstrap applies the L^1 inequality to alpha^{(2d-2)/(d-2)}; the
     # empirical C must cover those powers over the same support region
     t = (2 * d - 2) / (d - 2)

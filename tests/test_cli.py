@@ -175,6 +175,10 @@ def test_thin_commands_exit_1_on_failed_check(tmp_path, monkeypatch):
     (["ball", "--group", "Z^2", "--radius", "2", "--out", "MISSING/x.json"], None),
     (["ball", "--group", "Z^2", "--radius", "2"], "-5"),
     (["ball", "--group", "Z^2", "--radius", "2"], "abc"),
+    (["pairing", "--group", "Z^2", "--p", "1.01"], None),
+    (["sobolev", "--group", "Z^3", "--d", "3", "--samples", "0"], None),
+    (["sobolev", "--group", "Z^3", "--d", "3", "--samples", "-1"], None),
+    (["lemma61", "--group", "Z^2", "--scalar-samples", "-1"], None),
 ])
 def test_bad_input_is_a_usage_error(argv, cap, tmp_path, monkeypatch, capsys):
     """Out-of-range flags, a missing output directory and a bad vertex cap
@@ -187,6 +191,16 @@ def test_bad_input_is_a_usage_error(argv, cap, tmp_path, monkeypatch, capsys):
     assert "error:" in err
     if cap is not None:
         assert "CAYLEX_MAX_VERTICES" in err
+
+
+def test_range_errors_name_the_value(tmp_path, capsys):
+    # p = 16/15 rounds to q = 16.000000000000004, past the library's 16
+    for argv, named in [(["pairing", "--p", repr(16 / 15)], "conjugate q"),
+                        (["lemma61", "--scalar-samples", "-1"], "--scalar-samples")]:
+        assert main([*argv, "--group", "Z^2"]) == EXIT_USAGE
+        assert named in capsys.readouterr().err
+    assert main(["pairing", "--group", "Z^2", "--p", "1.07", "--samples", "5",
+                 "--out", str(tmp_path / "p.json")]) == EXIT_OK
 
 
 def test_verify_single_suite(tmp_path):

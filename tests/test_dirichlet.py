@@ -152,6 +152,17 @@ def test_null_sequence_z1():
         null_sequence(short)
 
 
+def test_null_sequence_z1_p3():
+    # cap_3(R) = 4 R^{-2}: the seminorms are taken at the scan's p = 3
+    scan = parabolicity_scan(Z1, 3.0, [4, 8, 16, 32, 64])
+    terms = null_sequence(scan)
+    assert [(t.n, t.radius) for t in terms] == [(1, 4), (2, 32), (3, 64)]
+    for t in terms:
+        assert t.beta_seminorm < 1.0 / t.n
+        assert t.alpha_seminorm == pytest.approx(
+            (4.0 * t.radius ** -2.0) ** (1.0 / 3.0), rel=1e-9)
+
+
 def test_royden_sources():
     f = royden_source(make_group("Z^3"), "green-like")
     assert f((0, 0, 0)) == 1.0
@@ -180,11 +191,6 @@ def test_royden_coordinate_diverges():
     energies = [e.energy for e in rep.entries]
     assert energies[-1] > energies[0]
     assert rep.verdict == "energy-divergent"
-
-
-def test_royden_p_restriction():
-    with pytest.raises(ValueError):
-        royden_split(make_group("Z^2"), "constant", [3, 4], p=3.0)
 
 
 def test_maximum_principle():

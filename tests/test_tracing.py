@@ -19,3 +19,13 @@ def test_tracer_layer_functions_resolve(monkeypatch):
         module = importlib.import_module(f"caylex.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_tracer_patch_targets_exist():
+    """``install`` also wraps the scipy solver that dirichlet calls and
+    counts ``multiply`` where a family class defines it itself."""
+    from caylex import dirichlet
+    from caylex.groups import FreeGroup, HeisenbergGroup, ZdGroup
+    assert callable(dirichlet.spla.spsolve)
+    for cls in (ZdGroup, FreeGroup, HeisenbergGroup):
+        assert "multiply" in vars(cls), cls.__name__

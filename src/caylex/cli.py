@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -281,42 +282,33 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument types: out-of-range values are usage errors (exit 2)
 
-def _p_value(text: str) -> float:
-    """An exponent p in (1, 16]: the library's range without p = 1, whose
-    conjugate exponent is infinite."""
-    try:
-        p = float(text)
-    except ValueError:
-        p = 0.0
-    if not 1.0 < p <= 16.0:
-        raise argparse.ArgumentTypeError(f"p must lie in (1, 16], got {text!r}")
-    return p
+def _number_in(cast, ok, what: str):
+    """An argument type: cast(text) where ok holds (never for NaN)."""
+    def parse(text: str):
+        try:
+            x = cast(text)
+        except ValueError:
+            x = math.nan
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"{what}, got {text!r}")
+        return x
+    return parse
 
 
-def _pairing_p(text: str) -> float:
-    """A p in (1, 16] whose conjugate q = p/(p - 1), computed as the
-    Hoelder suite computes it, is also at most 16."""
-    p = _p_value(text)
-    q = p / (p - 1.0)
-    if q > 16.0:
-        raise argparse.ArgumentTypeError(
-            f"the conjugate q = p/(p - 1) must be at most 16, got q = {q!r} "
-            f"for p = {text!r}")
-    return p
-
-
-def _nonnegative_int(text: str) -> int:
-    if not text.strip().isdigit():
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {text!r}")
-    return int(text)
-
-
-def _positive_int(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
-    return int(text)
+# p = 1 is left out: its conjugate exponent is infinite
+_p_value = _number_in(float, lambda p: 1.0 < p <= 16.0, "p must lie in (1, 16]")
+# q is computed as the Hoelder suite computes it
+_pairing_p = _number_in(float, lambda p: 1.0 < p <= 16.0 and p / (p - 1.0) <= 16.0,
+                        "p must lie in (1, 16] and its conjugate q = p/(p - 1) "
+                        "must be at most 16")
+_t_value = _number_in(float, lambda t: 2.0 <= t < math.inf,
+                      "t must be finite and >= 2")
+# damping >= 1 makes the end-separating source unbounded
+_damping = _number_in(float, lambda d: 0.0 <= d < 1.0,
+                      "damping must lie in [0, 1)")
+_nonnegative_int = _number_in(int, lambda n: n >= 0,
+                              "must be a non-negative integer")
+_positive_int = _number_in(int, lambda n: n >= 1, "must be a positive integer")
 
 
 def _out_path(text: str) -> str:
@@ -362,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True,
                    choices=["green-like", "coordinate", "end-separating",
                             "constant"])
-    p.add_argument("--damping", type=float, default=0.5)
+    p.add_argument("--damping", type=_damping, default=0.5)
     p.set_defaults(fn=cmd_royden)
 
     p = sub.add_parser("iso", help="isoperimetric profile")
@@ -384,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lemma61", help="the lemma61 suite on one group")
     common(p)
-    p.add_argument("--t", type=float, default=None,
+    p.add_argument("--t", type=_t_value, default=None,
                    help="fixed exponent; default draws t from {2, 2.5, 3}")
     p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--scalar-samples", type=_nonnegative_int, default=100_000)

@@ -340,7 +340,7 @@ class PowerEstimateResult:
 
 
 def lemma61_check(alpha: FormalSum, t: float) -> PowerEstimateResult:
-    if t < 2:
+    if not t >= 2:
         raise ValueError("the power estimate needs t >= 2")
     if not alpha.is_nonnegative():
         raise ValueError("alpha must be non-negative real")

@@ -6,9 +6,9 @@ import sys
 import jsonschema
 import pytest
 
-from caylex import geometry, verify
-from caylex.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_SUITE_FAILURE, EXIT_USAGE,
-                        UsageError, main, parse_radii)
+from caylex import dirichlet, geometry, verify
+from caylex.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_SOLVER, EXIT_SUITE_FAILURE,
+                        EXIT_USAGE, UsageError, main, parse_radii)
 
 try:
     from importlib.resources import files
@@ -179,6 +179,17 @@ def test_thin_commands_exit_1_on_failed_check(tmp_path, monkeypatch):
     (["sobolev", "--group", "Z^3", "--d", "3", "--samples", "0"], None),
     (["sobolev", "--group", "Z^3", "--d", "3", "--samples", "-1"], None),
     (["lemma61", "--group", "Z^2", "--scalar-samples", "-1"], None),
+    (["lemma61", "--group", "Z^2", "--t", "nan"], None),
+    (["lemma61", "--group", "Z^2", "--t", "inf"], None),
+    (["lemma61", "--group", "Z^2", "--t", "1.5"], None),
+    (["royden", "--group", "F_2", "--source", "end-separating", "--radii", "3:4",
+      "--damping", "nan"], None),
+    (["royden", "--group", "F_2", "--source", "end-separating", "--radii", "3:4",
+      "--damping", "2"], None),
+    (["royden", "--group", "F_2", "--source", "end-separating", "--radii", "3:4",
+      "--damping", "1"], None),
+    (["royden", "--group", "F_2", "--source", "end-separating", "--radii", "3:4",
+      "--damping", "-0.1"], None),
 ])
 def test_bad_input_is_a_usage_error(argv, cap, tmp_path, monkeypatch, capsys):
     """Out-of-range flags, a missing output directory and a bad vertex cap
@@ -196,11 +207,29 @@ def test_bad_input_is_a_usage_error(argv, cap, tmp_path, monkeypatch, capsys):
 def test_range_errors_name_the_value(tmp_path, capsys):
     # p = 16/15 rounds to q = 16.000000000000004, past the library's 16
     for argv, named in [(["pairing", "--p", repr(16 / 15)], "conjugate q"),
-                        (["lemma61", "--scalar-samples", "-1"], "--scalar-samples")]:
+                        (["lemma61", "--scalar-samples", "-1"], "--scalar-samples"),
+                        (["lemma61", "--t", "nan"], "--t"),
+                        (["royden", "--source", "end-separating", "--radii", "3:4",
+                          "--damping", "2"], "--damping")]:
         assert main([*argv, "--group", "Z^2"]) == EXIT_USAGE
         assert named in capsys.readouterr().err
     assert main(["pairing", "--group", "Z^2", "--p", "1.07", "--samples", "5",
                  "--out", str(tmp_path / "p.json")]) == EXIT_OK
+
+
+def test_damping_and_t_in_range_run(tmp_path):
+    assert main(["royden", "--group", "F_2", "--source", "end-separating",
+                 "--radii", "3:4", "--damping", "0", "--out",
+                 str(tmp_path / "r.json")]) == EXIT_OK
+    assert main(["lemma61", "--group", "Z^2", "--t", "2", "--samples", "5",
+                 "--scalar-samples", "10", "--out", str(tmp_path / "l.json")]) == EXIT_OK
+
+
+def test_capacity_solver_failure_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(dirichlet, "NEWTON_MAX_ITER", 1)
+    assert main(["capacity", "--group", "Z^2", "--p", "3", "--radii", "8:8"]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "error: capacity of Z^2 at p=3.0, R=8: Newton did not converge in 1 " in err
 
 
 def test_verify_single_suite(tmp_path):

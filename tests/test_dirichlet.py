@@ -63,7 +63,7 @@ def test_p_must_exceed_one():
         EnergyProblem(ball, 1.0, {0: 1.0})
 
 
-@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
 @pytest.mark.parametrize("R", [4, 8, 16, 32])
 def test_capacity_closed_form_z1(p, R):
     cap, minimizer, rep = capacity(Z1, p, R)
@@ -73,6 +73,25 @@ def test_capacity_closed_form_z1(p, R):
     for i, x in enumerate(ball.elements):
         assert minimizer.values[i] == pytest.approx(1.0 - abs(x[0]) / R,
                                                     abs=1e-6)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
+@pytest.mark.parametrize("R", [2, 3, 4, 5])
+def test_capacity_closed_form_f2(p, R):
+    # the minimizer is radial: the flow through the N_r = 4 3^r edges from
+    # sphere r to r + 1 is a series of parallel resistors
+    series = sum((4.0 * 3.0 ** r) ** (-1.0 / (p - 1.0)) for r in range(R))
+    cap, _, rep = capacity(make_group("F_2"), p, R)
+    assert rep.solver == "iterative-convex"
+    assert cap == pytest.approx(2.0 * series ** (1.0 - p), rel=1e-9)
+
+
+def test_capacity_z2_p15_converges():
+    group = make_group("Z^2")
+    cap16, m, _ = capacity(group, 1.5, 16)
+    assert cap16 <= capacity(group, 1.5, 8)[0]
+    assert m.values.min() >= -1e-10
+    assert m.values.max() <= 1.0 + 1e-10
 
 
 def test_capacity_radius_one_is_2S():
@@ -117,6 +136,17 @@ def test_descent_agrees_with_linear_solver():
     assert descent.solver == "iterative-convex"
     assert np.allclose(direct.minimizer.values, descent.minimizer.values,
                        atol=1e-7)
+
+
+@pytest.mark.parametrize("convention", ["ball", "zero"])
+def test_newton_solves_p2_in_one_step(convention):
+    # at p = 2 the Hessian is exact, so one full step lands on the minimizer;
+    # half the sphere is free, so under 'zero' exterior slots enter it
+    ball = build_ball(make_group("H3"), 3)
+    rng = np.random.default_rng(3)
+    data = {int(i): float(rng.normal()) for i in ball.sphere_indices(3)[::2]}
+    problem = EnergyProblem(ball, 2.0, {0: 1.0, **data}, convention)
+    assert solve_descent_only(problem).iterations == 1
 
 
 def test_trend_verdicts():

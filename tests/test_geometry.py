@@ -201,6 +201,8 @@ def test_lemma61_zero_and_guards():
     with pytest.raises(ValueError):
         lemma61_check(FormalSum.delta(Z1), 1.5)
     with pytest.raises(ValueError):
+        lemma61_check(FormalSum.delta(Z1), float("nan"))
+    with pytest.raises(ValueError):
         lemma61_check(FormalSum(Z1, {(0,): -1.0}), 2.0)
 
 

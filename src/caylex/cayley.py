@@ -1,19 +1,20 @@
-"""Indexed word-metric balls of a Cayley graph, built by BFS, and indexed
-windows around finite seed sets.
+"""Indexed word-metric balls of a Cayley graph, expanded sphere by sphere
+with array arithmetic, and indexed windows around finite seed sets.
 
 Vertex 0 of a ball is the identity; vertices are indexed in BFS discovery
 order with the generator index as tie-break, so two builds of the same ball
 are identical.  The neighbor table stores, for vertex i and generator index
 j, the index of x_i * g_j^-1, or EXTERIOR when that element lies outside the
 ball.  A window stores a seed set and its 1-step S-closure in the same
-format.
+format.  A ball keeps its elements as arrays and builds the element tuples
+and the element -> index dict only when they are first read.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import FrozenSet, Iterable, Set
 
 import numpy as np
@@ -22,6 +23,13 @@ from .groups import Element, GroupModel
 
 EXTERIOR = -1
 
+# Measured on F_2 R = 12 (1,062,881 vertices, |S| = 4, CPython 3.11, numpy
+# 2.4): a ball keeps 57 bytes per vertex (neighbor table 32, word length 8,
+# interior mask 1, tree links 16) and building it peaks at about 102 bytes
+# per vertex, so `caylex ball --group F_2 --radius 12` peaks at 163 MB RSS,
+# 60 MB of it the interpreter with numpy and scipy.  Reading ``elements``
+# adds about 235 bytes per vertex for these words.  At the cap a build
+# stays near 0.5 GB (|S| = 4); the cap is left at 5e6.
 DEFAULT_MAX_VERTICES = 5_000_000
 MAX_VERTICES_ENV = "CAYLEX_MAX_VERTICES"
 
@@ -44,14 +52,20 @@ def _vertex_cap(explicit=None) -> int:
 
 class CayleyBall:
     """The ball B_R of (G, S), with neighbor table, word lengths, the
-    interior {|x| < R}, and per-radius sphere sizes."""
+    interior {|x| < R}, and per-radius sphere sizes.
+
+    ``elements`` (index -> Element) and ``index`` (Element -> index) may be
+    given, or left None with ``make_elements`` returning the element list;
+    either way they are built on first read and then cached."""
 
     def __init__(self, group: GroupModel, radius: int, elements, index,
-                 nbr: np.ndarray, word_length: np.ndarray):
+                 nbr: np.ndarray, word_length: np.ndarray,
+                 make_elements=None):
         self.group = group
         self.radius = radius
-        self.elements = elements          # list: index -> Element
-        self.index = index                # dict: Element -> index
+        self._elements = elements
+        self._index = index
+        self._make_elements = make_elements
         self.nbr = nbr                    # (n, |S|) int array, EXTERIOR marks
         self.word_length = word_length    # (n,) int array
         self.interior = word_length < radius if radius > 0 else word_length < 0
@@ -59,8 +73,21 @@ class CayleyBall:
         self.sphere_sizes = [int(c) for c in counts]
 
     @property
+    def elements(self):
+        if self._elements is None:
+            self._elements = self._make_elements()
+            self._make_elements = None
+        return self._elements
+
+    @property
+    def index(self):
+        if self._index is None:
+            self._index = {x: i for i, x in enumerate(self.elements)}
+        return self._index
+
+    @property
     def n_vertices(self) -> int:
-        return len(self.elements)
+        return len(self.word_length)
 
     def neighbor(self, i: int, j: int) -> int:
         """Index of x_i * g_j^-1, or EXTERIOR."""
@@ -77,48 +104,115 @@ class CayleyBall:
                 f"n={self.n_vertices}>")
 
 
+def _row_ranks(rows: np.ndarray) -> np.ndarray:
+    """Dense ranks of the rows of an int array under a lexicographic sort
+    (last column first): equal rows, and only they, share a rank.  Coordinates are compared
+    column by column, never packed into one key, so nothing overflows."""
+    order = np.lexsort(rows.T)
+    s = rows[order]
+    step = np.zeros(len(rows), dtype=np.int64)
+    step[1:] = np.any(s[1:] != s[:-1], axis=1)
+    ranks = np.empty_like(step)
+    ranks[order] = np.cumsum(step)
+    return ranks
+
+
+def _lookup_sphere(group, spheres, starts, r):
+    """Neighbor rows of sphere r by lookup.  Each product x g_j^-1 lies in
+    sphere r - 1, r or r + 1; it is found among the rows of spheres r - 1
+    and r, and the rest are the new sphere, deduplicated and ordered by
+    first occurrence in (vertex, generator) order."""
+    m = len(spheres[r])
+    prods = group.right_products(spheres[r]).reshape(m * len(group.generators), -1)
+    lo = max(r - 1, 0)
+    known = np.concatenate(spheres[lo:r + 1])
+    ranks = _row_ranks(np.concatenate([known, prods]))
+    index_of = np.full(len(ranks), EXTERIOR, dtype=np.int64)
+    index_of[ranks[:len(known)]] = np.arange(starts[lo], starts[r + 1])
+    ranks = ranks[len(known):]
+    slots = index_of[ranks]
+    unknown = np.flatnonzero(slots == EXTERIOR)
+    first = np.sort(np.unique(ranks[unknown], return_index=True)[1])
+    new = unknown[first]
+
+    def assign():
+        index_of[ranks[new]] = starts[r + 1] + np.arange(len(new))
+        slots[unknown] = index_of[ranks[unknown]]
+        return prods[new]
+
+    return slots.reshape(m, -1), len(new), assign
+
+
+def _tree_sphere(group, spheres, starts, r):
+    """Neighbor rows of sphere r in a tree.  A vertex is stored as (parent,
+    slot) with x = x_parent g_slot^-1; its only neighbor nearer e is the
+    parent, across the inverse slot, and every other product is new."""
+    parent, slot = spheres[r].T
+    nbr = np.full((len(parent), len(group.generators)), EXTERIOR, dtype=np.int64)
+    fresh = np.ones(nbr.shape, dtype=bool)
+    rows = np.flatnonzero(parent != EXTERIOR)      # all but the identity
+    back = np.asarray(group.inverse_gen_index)[slot[rows]]
+    nbr[rows, back] = parent[rows]
+    fresh[rows, back] = False
+    n_new = nbr.size - len(rows)
+
+    def assign():
+        nbr[fresh] = starts[r + 1] + np.arange(n_new)
+        i, j = np.nonzero(fresh)
+        return np.stack([starts[r] + i, j], axis=1)
+
+    return nbr, n_new, assign
+
+
+def _row_elements(group, spheres):
+    return list(map(tuple, np.concatenate(spheres).tolist()))
+
+
+def _tree_elements(group, spheres):
+    """Normal forms from (parent, slot) pairs: x = x_parent + g_slot^-1."""
+    inv = [group.generators[k] for k in group.inverse_gen_index]
+    elements = [group.identity()]
+    for p, j in np.concatenate(spheres)[1:].tolist():
+        elements.append(elements[p] + inv[j])
+    return elements
+
+
 def build_ball(group: GroupModel, radius: int, max_vertices=None) -> CayleyBall:
-    """BFS enumeration of B_R from the identity."""
+    """B_R from the identity, one sphere at a time.
+
+    Sphere r + 1 is the set of products x g_j^-1 (x in sphere r) that lie
+    in no earlier sphere, taken in (x, j) order, so indices, neighbor
+    table and word lengths are those of a BFS with generator tie-break.
+    Lookup groups find products among the rows that group.right_products
+    returns; tree groups (group.tree) need no lookup.  The vertex cap is
+    checked before a sphere is allocated.  Elements are built on first
+    read of ``elements`` or ``index``."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     cap = _vertex_cap(max_vertices)
-    gens = group.generators
-    inv_gens = [group.inverse(g) for g in gens]
-    nS = len(gens)
-    e = group.identity()
-    elements = [e]
-    index = {e: 0}
-    wl = [0]
-    nbr_rows = []
-    mul = group.multiply
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        x = elements[i]
-        n = wl[i]
-        row = np.full(nS, EXTERIOR, dtype=np.int64)
-        for j in range(nS):
-            y = mul(x, inv_gens[j])
-            k = index.get(y)
-            if k is None:
-                if n < radius:
-                    k = len(elements)
-                    if k >= cap:
-                        raise BallSizeError(
-                            f"ball {group.name} R={radius} exceeds vertex cap "
-                            f"{cap}; lower R or raise {MAX_VERTICES_ENV}")
-                    index[y] = k
-                    elements.append(y)
-                    wl.append(n + 1)
-                    queue.append(k)
-                    row[j] = k
-                # else: y is at distance R+1, leave EXTERIOR
-            else:
-                row[j] = k
-        nbr_rows.append(row)
-    nbr = np.vstack(nbr_rows) if nbr_rows else np.zeros((0, nS), dtype=np.int64)
-    return CayleyBall(group, radius, elements, index, nbr,
-                      np.array(wl, dtype=np.int64))
+    if group.tree:
+        expand, decode = _tree_sphere, _tree_elements
+        sphere = np.array([[EXTERIOR, EXTERIOR]])
+    else:
+        expand, decode = _lookup_sphere, _row_elements
+        sphere = np.array([group.identity()], dtype=np.int64)
+    spheres, starts, blocks = [sphere], [0, 1], []
+    for r in range(radius + 1):
+        # sphere r's neighbor rows, the size of sphere r + 1, and assign(),
+        # which numbers sphere r + 1 in those rows and returns its rows
+        nbr, n_new, assign = expand(group, spheres, starts, r)
+        blocks.append(nbr)
+        if r == radius or n_new == 0:
+            break
+        if starts[-1] + n_new > cap:
+            raise BallSizeError(
+                f"ball {group.name} R={radius} exceeds vertex cap "
+                f"{cap}; lower R or raise {MAX_VERTICES_ENV}")
+        spheres.append(assign())
+        starts.append(starts[-1] + n_new)
+    word_length = np.repeat(np.arange(len(blocks)), np.diff(starts))
+    return CayleyBall(group, radius, None, None, np.concatenate(blocks),
+                      word_length, partial(decode, group, spheres))
 
 
 def window(group: GroupModel, seeds: Iterable[Element]) -> CayleyBall:
@@ -132,8 +226,10 @@ def window(group: GroupModel, seeds: Iterable[Element]) -> CayleyBall:
     index of g_j^-1, so no further multiplies are made; a closure row keeps
     EXTERIOR where its neighbor is not a seed.  Every function supported on
     the seeds therefore has exact differences, Laplacian and pairings here.
+    Seeds of the wrong shape for the group raise ValueError.
     """
     index = {x: i for i, x in enumerate(dict.fromkeys(seeds))}
+    group.check_elements(index)
     n_seeds = len(index)
     gens = group.generators
     back = group.inverse_gen_index

@@ -306,6 +306,9 @@ _t_value = _number_in(float, lambda t: 2.0 <= t < math.inf,
 # damping >= 1 makes the end-separating source unbounded
 _damping = _number_in(float, lambda d: 0.0 <= d < 1.0,
                       "damping must lie in [0, 1)")
+# check_ISd and sobolev_constant need d > 1
+_d_value = _number_in(float, lambda d: 1.0 < d < math.inf,
+                      "d must be finite and > 1")
 _nonnegative_int = _number_in(int, lambda n: n >= 0,
                               "must be a non-negative integer")
 _positive_int = _number_in(int, lambda n: n >= 1, "must be a positive integer")
@@ -366,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sobolev", help="empirical Sobolev constants")
     common(p)
-    p.add_argument("--d", type=float, required=True)
+    p.add_argument("--d", type=_d_value, required=True)
     p.add_argument("--samples", type=_positive_int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nmax", type=_positive_int, default=6)

@@ -236,6 +236,7 @@ def energy_value(u: np.ndarray, p: float, src, dst, ext_src, convention: str) ->
 
 def translate(alpha: FormalSum, g: Element) -> FormalSum:
     """Right translation: result(x) = alpha(x g^-1)."""
+    alpha.group.check_elements([g, *alpha.data])
     mul = alpha.group.multiply
     return FormalSum(alpha.group, {mul(x, g): v for x, v in alpha.data.items()})
 

@@ -274,7 +274,7 @@ def random_nonnegative(group: GroupModel, rng: np.random.Generator,
     return random_formal_sum(ball, rng, 40, "nonnegative")
 
 
-def sobolev_test_set(group: GroupModel, d: float, profile: Optional[IsoperimetricProfile],
+def sobolev_test_set(group: GroupModel, profile: Optional[IsoperimetricProfile],
                      n_random: int, rng: np.random.Generator) -> List[Tuple[str, FormalSum]]:
     """Indicators of the profile witnesses, tents of radius 2, 4 and 8, and
     n_random random non-negative functions in the radius-8 ball."""
@@ -306,7 +306,7 @@ def sobolev_constant(group: GroupModel, d: float,
         raise ValueError("sobolev_constant requires d > 1")
     if test_set is None:
         rng = np.random.default_rng(seed)
-        test_set = sobolev_test_set(group, d, profile, n_random, rng)
+        test_set = sobolev_test_set(group, profile, n_random, rng)
     q = d / (d - 1.0)
     best = 0.0
     best_kind = ""

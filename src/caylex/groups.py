@@ -2,13 +2,19 @@
 
 Three families are shipped: Z^d (free abelian), F_k (free), and the
 discrete Heisenberg group H3.  Elements are plain tuples in a canonical
-normal form, so equality and hashing are byte-for-byte.
+normal form, so equality and hashing are byte-for-byte.  Z^d and H3 also
+multiply whole arrays of elements at once (``right_products``), which ball
+building uses; F_k needs no products there, since its Cayley graph is a
+tree.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional, Sequence, Tuple
+from operator import add
+from typing import Iterable, Optional, Sequence, Tuple
+
+import numpy as np
 
 Element = Tuple[int, ...]
 
@@ -30,6 +36,10 @@ class GroupModel:
     central_element: Optional[Element]
     # polynomial growth degree, None for exponential growth
     growth_degree: Optional[int]
+    # True when S is a free basis and its inverses: the Cayley graph is a
+    # tree, and for g in S the normal form of x g is the tuple x + g unless
+    # x ends in g^-1 (then x g is x's parent, one step nearer e)
+    tree = False
 
     def identity(self) -> Element:
         raise NotImplementedError
@@ -45,6 +55,26 @@ class GroupModel:
 
     def parse_element(self, s: str) -> Element:
         raise NotImplementedError
+
+    def check_elements(self, elements: Iterable[Element]) -> None:
+        """Raise ValueError, naming the group, at the first element that
+        does not have this group's normal-form shape."""
+        for x in elements:
+            if not self._is_element(x):
+                raise ValueError(f"{x!r} is not an element of {self.name}")
+
+    def _is_element(self, x) -> bool:
+        return isinstance(x, tuple) and len(x) == len(self.identity())
+
+    def right_products(self, rows: np.ndarray) -> np.ndarray:
+        """The batched step of ball building: for elements given as the
+        int64 rows of an (m, w) array, the (m, |S|, w) array of the
+        products x g_j^-1.  This default multiplies element by element;
+        families with coordinate arithmetic override it."""
+        inv = [self.inverse(g) for g in self.generators]
+        mul = self.multiply
+        prods = [mul(x, h) for x in map(tuple, rows.tolist()) for h in inv]
+        return np.array(prods, dtype=np.int64).reshape(len(rows), len(inv), -1)
 
     def word_element(self, gen_indices: Sequence[int]) -> Element:
         """Product of generators by index, left to right."""
@@ -79,6 +109,13 @@ class ZdGroup(GroupModel):
         self.inverse_gen_index = tuple(j ^ 1 for j in range(2 * d))
         self.central_element = self.generators[0]
         self.growth_degree = d
+        self._inv_rows = -np.array(self.generators, dtype=np.int64)
+
+    def _is_element(self, x):
+        return isinstance(x, tuple) and len(x) == self.d
+
+    def right_products(self, rows):
+        return rows[:, None, :] + self._inv_rows
 
     def identity(self):
         return (0,) * self.d
@@ -107,6 +144,7 @@ class FreeGroup(GroupModel):
     tuple of nonzero signed letter indices (-i encodes a_i^-1)."""
 
     family = "F_k"
+    tree = True
 
     def __init__(self, k: int):
         if k < 1:
@@ -124,6 +162,11 @@ class FreeGroup(GroupModel):
         # F_1 = Z has its generator central; for k >= 2 the center is trivial
         self.central_element = self.generators[0] if k == 1 else None
         self.growth_degree = 1 if k == 1 else None
+        self._letters = frozenset(c for g in gens for c in g)
+
+    def _is_element(self, x):
+        return (isinstance(x, tuple) and self._letters.issuperset(x)
+                and 0 not in map(add, x, x[1:]))       # freely reduced
 
     def identity(self):
         return ()
@@ -178,6 +221,17 @@ class HeisenbergGroup(GroupModel):
         self.inverse_gen_index = (1, 0, 3, 2)
         self.central_element = (0, 0, 1)
         self.growth_degree = 4
+        self._inv_rows = np.array([self.inverse(g) for g in self.generators],
+                                  dtype=np.int64)
+
+    def _is_element(self, x):
+        return isinstance(x, tuple) and len(x) == 3
+
+    def right_products(self, rows):
+        h = self._inv_rows
+        out = rows[:, None, :] + h
+        out[:, :, 2] += rows[:, :1] * h[:, 1]      # z gains x * b
+        return out
 
     def identity(self):
         return (0, 0, 0)

@@ -166,7 +166,7 @@ def test_criterion_07_l2_sobolev_bootstrap():
     verification = [random_nonnegative(group, rng, ball=ball)
                     for _ in range(500)]
     profile = isoperimetric_profile(group, 6, "exhaustive")
-    test_set = sobolev_test_set(group, d, profile, 200, rng)
+    test_set = sobolev_test_set(group, profile, 200, rng)
     # the bootstrap applies the L^1 inequality to alpha^{(2d-2)/(d-2)}; the
     # empirical C must cover those powers over the same support region
     t = (2 * d - 2) / (d - 2)

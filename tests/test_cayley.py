@@ -1,9 +1,103 @@
+import tracemalloc
+from collections import deque
+
 import numpy as np
 import pytest
 
-from caylex.cayley import (EXTERIOR, BallSizeError, SubsetView, build_ball,
-                           vertex_boundary, vertex_boundary_elements, window)
-from caylex.groups import make_group
+from caylex import cli
+from caylex.cayley import (EXTERIOR, BallSizeError, CayleyBall, SubsetView,
+                           build_ball, vertex_boundary,
+                           vertex_boundary_elements, window)
+from caylex.groups import GroupModel, make_group
+
+
+class Cyclic5(GroupModel):
+    """Z/5 with S = {+1, -1}: a finite group with no array arithmetic, so
+    balls use the element-by-element default step, and small enough that
+    both isoperimetric strategies absorb a vertex whose every neighbor is
+    already inside."""
+
+    name = "Z/5"
+    generators = ((1,), (4,))
+    inverse_gen_index = (1, 0)
+
+    def identity(self):
+        return (0,)
+
+    def multiply(self, x, y):
+        return ((x[0] + y[0]) % 5,)
+
+    def inverse(self, x):
+        return ((-x[0]) % 5,)
+
+
+def ref_build_ball(group, radius):
+    """Reference builder: a BFS from the identity with one multiply, one
+    dict lookup and one neighbor row per vertex, generators in index order."""
+    inv_gens = [group.inverse(g) for g in group.generators]
+    elements = [group.identity()]
+    index = {elements[0]: 0}
+    wl = [0]
+    rows = []
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        row = np.full(len(inv_gens), EXTERIOR, dtype=np.int64)
+        for j, h in enumerate(inv_gens):
+            y = group.multiply(elements[i], h)
+            k = index.get(y)
+            if k is None and wl[i] < radius:
+                k = index[y] = len(elements)
+                elements.append(y)
+                wl.append(wl[i] + 1)
+                queue.append(k)
+            if k is not None:
+                row[j] = k
+        rows.append(row)
+    return CayleyBall(group, radius, elements, index, np.vstack(rows),
+                      np.array(wl, dtype=np.int64))
+
+
+@pytest.mark.parametrize("group,R", [
+    *[(make_group(spec), R)
+      for spec in ["Z^1", "Z^2", "Z^3", "Z^4", "H3", "F_1", "F_2", "F_3"]
+      for R in range(7)],
+    *[(Cyclic5(), R) for R in (0, 1, 2, 3, 6)],
+    (make_group("Z^40"), 1),     # 3^40 > 2^63: a packed base-3 key overflows
+], ids=lambda v: getattr(v, "name", v))
+def test_build_ball_matches_reference_bfs(group, R):
+    got, want = build_ball(group, R), ref_build_ball(group, R)
+    assert got.elements == want.elements
+    assert got.index == want.index
+    assert got.nbr.dtype == want.nbr.dtype
+    assert np.array_equal(got.nbr, want.nbr)
+    assert got.word_length.dtype == want.word_length.dtype
+    assert np.array_equal(got.word_length, want.word_length)
+    assert got.sphere_sizes == want.sphere_sizes
+
+
+def test_vertex_cap_checked_before_a_sphere_is_built():
+    """|B_30(F_2)| is about 4e14; the cap stops the build at sphere 4 with
+    next to nothing allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(BallSizeError, match="exceeds vertex cap 100"):
+            build_ball(make_group("F_2"), 30, max_vertices=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("spec,R", [("F_2", 5), ("H3", 4)])
+def test_ball_neighbors_json_matches_reference(spec, R, tmp_path, monkeypatch):
+    argv = ["ball", "--group", spec, "--radius", str(R), "--neighbors",
+            "--out"]
+    assert cli.main([*argv, str(tmp_path / "got.json")]) == cli.EXIT_OK
+    monkeypatch.setattr(cli, "build_ball", ref_build_ball)
+    assert cli.main([*argv, str(tmp_path / "want.json")]) == cli.EXIT_OK
+    assert ((tmp_path / "got.json").read_text()
+            == (tmp_path / "want.json").read_text())
 
 
 @pytest.mark.parametrize("R", [0, 1, 4, 10])

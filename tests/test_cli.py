@@ -178,6 +178,9 @@ def test_thin_commands_exit_1_on_failed_check(tmp_path, monkeypatch):
     (["pairing", "--group", "Z^2", "--p", "1.01"], None),
     (["sobolev", "--group", "Z^3", "--d", "3", "--samples", "0"], None),
     (["sobolev", "--group", "Z^3", "--d", "3", "--samples", "-1"], None),
+    (["sobolev", "--group", "Z^3", "--d", "nan"], None),
+    (["sobolev", "--group", "Z^3", "--d", "1"], None),
+    (["sobolev", "--group", "Z^3", "--d", "-1"], None),
     (["lemma61", "--group", "Z^2", "--scalar-samples", "-1"], None),
     (["lemma61", "--group", "Z^2", "--t", "nan"], None),
     (["lemma61", "--group", "Z^2", "--t", "inf"], None),
@@ -209,6 +212,7 @@ def test_range_errors_name_the_value(tmp_path, capsys):
     for argv, named in [(["pairing", "--p", repr(16 / 15)], "conjugate q"),
                         (["lemma61", "--scalar-samples", "-1"], "--scalar-samples"),
                         (["lemma61", "--t", "nan"], "--t"),
+                        (["sobolev", "--d", "nan"], "--d"),
                         (["royden", "--source", "end-separating", "--radii", "3:4",
                           "--damping", "2"], "--damping")]:
         assert main([*argv, "--group", "Z^2"]) == EXIT_USAGE

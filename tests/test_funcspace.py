@@ -33,6 +33,21 @@ def test_translate_noncommutative_order():
     assert translate(translate(alpha, g), h) == translate(alpha, F2.multiply(g, h))
 
 
+def test_wrong_shape_element_names_the_group():
+    """zip in multiply would cut a Z^3 key short on Z^2; the window and
+    translate reject it instead."""
+    alpha = FormalSum(Z2, {(0, 0): 1.0, (1, 0, 0): 2.0})
+    with pytest.raises(ValueError, match=r"\(1, 0, 0\) is not an element of Z\^2"):
+        norms(alpha, 2.0)
+    with pytest.raises(ValueError, match="Z\\^2"):
+        translate(alpha, (1, 0))
+    with pytest.raises(ValueError, match="Z\\^2"):
+        translate(FormalSum.delta(Z2), (1, 0, 0))
+    for word in [(1, -1), (3,), (0,)]:      # unreduced, letter out of range
+        with pytest.raises(ValueError, match="F_2"):
+            laplacian(FormalSum(F2, {word: 1.0}))
+
+
 def test_convolve_diff_delta():
     d = FormalSum.delta(Z1)
     out = convolve_diff(d, (1,))

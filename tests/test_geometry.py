@@ -9,8 +9,8 @@ from caylex.geometry import (check_ISd, indicator_identities,
                              lemma61_check, mean_value_step,
                              random_nonnegative, sobolev_constant, sobolev_p2,
                              tent_function)
-from caylex.groups import GroupModel, make_group
-from test_cayley import ref_vertex_boundary
+from caylex.groups import make_group
+from test_cayley import Cyclic5, ref_vertex_boundary
 
 Z1 = make_group("Z^1")
 Z2 = make_group("Z^2")
@@ -71,24 +71,6 @@ def test_profile_boundaries_match_reference(spec, n_exhaustive):
             assert len(rec.witness) == rec.n
             assert rec.boundary_size == len(ref_vertex_boundary(group,
                                                                 rec.witness))
-
-
-class Cyclic5(GroupModel):
-    """Z/5 with S = {+1, -1}: small enough that both strategies absorb a
-    vertex whose every neighbor is already inside."""
-
-    name = "Z/5"
-    generators = ((1,), (4,))
-    inverse_gen_index = (1, 0)
-
-    def identity(self):
-        return (0,)
-
-    def multiply(self, x, y):
-        return ((x[0] + y[0]) % 5,)
-
-    def inverse(self, x):
-        return ((-x[0]) % 5,)
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "greedy"])

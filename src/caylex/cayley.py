@@ -55,17 +55,17 @@ class CayleyBall:
     interior {|x| < R}, and per-radius sphere sizes.
 
     ``elements`` (index -> Element) and ``index`` (Element -> index) may be
-    given, or left None with ``make_elements`` returning the element list;
-    either way they are built on first read and then cached."""
+    given, or left None with ``decode_sphere`` returning the element list of
+    one sphere; either way they are built on first read and then cached."""
 
     def __init__(self, group: GroupModel, radius: int, elements, index,
                  nbr: np.ndarray, word_length: np.ndarray,
-                 make_elements=None):
+                 decode_sphere=None):
         self.group = group
         self.radius = radius
         self._elements = elements
         self._index = index
-        self._make_elements = make_elements
+        self._decode_sphere = decode_sphere
         self.nbr = nbr                    # (n, |S|) int array, EXTERIOR marks
         self.word_length = word_length    # (n,) int array
         self.interior = word_length < radius if radius > 0 else word_length < 0
@@ -75,9 +75,18 @@ class CayleyBall:
     @property
     def elements(self):
         if self._elements is None:
-            self._elements = self._make_elements()
-            self._make_elements = None
+            self._elements = [x for r, m in enumerate(self.sphere_sizes) if m
+                              for x in self._decode_sphere(r)]
+            self._decode_sphere = None
         return self._elements
+
+    def sphere_elements(self, r: int):
+        """The elements of sphere r in index order.  While ``elements`` is
+        unread, only sphere r is decoded."""
+        indices = self.sphere_indices(r)
+        if self._elements is None and len(indices):
+            return self._decode_sphere(r)
+        return [self._elements[i] for i in indices]
 
     @property
     def index(self):
@@ -164,17 +173,27 @@ def _tree_sphere(group, spheres, starts, r):
     return nbr, n_new, assign
 
 
-def _row_elements(group, spheres):
-    return list(map(tuple, np.concatenate(spheres).tolist()))
+def _tuples(rows: np.ndarray):
+    """The rows of a 2-d int array as tuples of Python ints."""
+    return list(zip(*rows.T.tolist())) if rows.shape[1] else [()] * len(rows)
 
 
-def _tree_elements(group, spheres):
-    """Normal forms from (parent, slot) pairs: x = x_parent + g_slot^-1."""
-    inv = [group.generators[k] for k in group.inverse_gen_index]
-    elements = [group.identity()]
-    for p, j in np.concatenate(spheres)[1:].tolist():
-        elements.append(elements[p] + inv[j])
-    return elements
+def _row_elements(group, spheres, r):
+    return _tuples(spheres[r])
+
+
+def _tree_elements(group, spheres, r):
+    """Normal forms of sphere r from (parent, slot) pairs: x = x_parent +
+    g_slot^-1, so the last of the r letters is that of g_slot^-1 and the
+    rest are the parent's, read by walking the links back to e."""
+    links = np.concatenate(spheres[:r + 1])
+    letters = np.array([group.generators[k][0] for k in group.inverse_gen_index])
+    words = np.empty((len(spheres[r]), r), dtype=np.int64)
+    at = spheres[r]
+    for k in range(r - 1, -1, -1):
+        words[:, k] = letters[at[:, 1]]
+        at = links[at[:, 0]]
+    return _tuples(words)
 
 
 def build_ball(group: GroupModel, radius: int, max_vertices=None) -> CayleyBall:
@@ -186,7 +205,7 @@ def build_ball(group: GroupModel, radius: int, max_vertices=None) -> CayleyBall:
     Lookup groups find products among the rows that group.right_products
     returns; tree groups (group.tree) need no lookup.  The vertex cap is
     checked before a sphere is allocated.  Elements are built on first
-    read of ``elements`` or ``index``."""
+    read of ``elements``, ``index`` or ``sphere_elements``."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     cap = _vertex_cap(max_vertices)

@@ -6,9 +6,10 @@ from capacity minimizers, the Royden-split experiment, and a maximum
 principle check.
 
 The p = 2 route assembles the (SPD) graph Laplacian on free vertices and
-solves it directly; other exponents run damped Newton steps on the D(p)
-energy (the same Laplacian with |d|^(p-2) weights, Armijo backtracking),
-warm-started from the p = 2 solution.
+solves it by Jacobi-preconditioned conjugate gradients, with sparse LU as
+the fallback; other exponents run damped Newton steps on the D(p) energy
+(the same Laplacian with |d|^(p-2) weights, the same inner solve, Armijo
+backtracking), warm-started from the p = 2 solution.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .funcspace import BallFunction, FormalSum, energy_value, is_harmonic
 from .groups import Element, FreeGroup, GroupModel, ZdGroup
 
 LINEAR_RESIDUAL_TOL = 1e-10
+CG_RTOL = 1e-12               # CG stop: |L x - b| <= CG_RTOL |b|
 DESCENT_GRAD_TOL = 1e-8
 # The slowest measured capacity (Z^2, Z^3, F_2, H3; p in {1.25, 1.5, 3, 6})
 # that converges at a Newton rate takes 122 steps (Z^3, p = 1.5, R = 8).
@@ -57,8 +59,9 @@ class SolveReport:
     minimizer: BallFunction
     energy: float                     # D(p) seminorm^p under the convention
     iterations: int
-    residual: float                   # linear rel. residual or gradient norm
-    solver: str                       # 'direct-linear' | 'iterative-convex'
+    residual: float                   # p = 2: |Lx - b| / |b|; else |g_free|
+    solver: str                       # 'direct-linear' (p = 2 system, CG or
+                                      # LU) | 'iterative-convex' (Newton)
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +103,22 @@ def _laplacian(u, free, edges, w, w_ext):
     return L, b
 
 
+def _solve_spd(L, b: np.ndarray) -> np.ndarray:
+    """Solve the SPD system L x = b by conjugate gradients with the Jacobi
+    preconditioner, at most one iteration per unknown; if CG stops early,
+    by sparse LU instead.  The caller certifies the answer."""
+    x, info = spla.cg(L, b, rtol=CG_RTOL, atol=0.0, maxiter=L.shape[0],
+                      M=sp.diags(1.0 / L.diagonal()))
+    if info != 0:
+        x = spla.spsolve(L.tocsc(), b)
+    return x
+
+
 def _solve_linear(u0: np.ndarray, free: np.ndarray, convention: str,
                   edges) -> Tuple[np.ndarray, float]:
-    """Minimize the p=2 energy: solve the graph Laplacian on free vertices.
+    """Minimize the p=2 energy: solve the graph Laplacian on free vertices
+    by _solve_spd and certify |Lx - b| <= LINEAR_RESIDUAL_TOL |b|, else
+    raise SolverFailure.
 
     Under the 'zero' convention every vertex has full degree |S| (missing
     neighbors are pinned to 0); under 'ball' the degree is the in-ball
@@ -113,7 +129,7 @@ def _solve_linear(u0: np.ndarray, free: np.ndarray, convention: str,
         return u, 0.0
     L, b = _laplacian(u, free, edges, np.ones(len(edges[0])),
                       np.full(len(edges[2]), float(convention == "zero")))
-    x = spla.spsolve(L.tocsc(), b)
+    x = _solve_spd(L, b)
     res = np.linalg.norm(L @ x - b)
     scale = np.linalg.norm(b) if np.linalg.norm(b) > 0 else 1.0
     if not np.all(np.isfinite(x)) or res > LINEAR_RESIDUAL_TOL * scale:
@@ -128,8 +144,9 @@ def _newton(u0: np.ndarray, p: float, free: np.ndarray, edges,
 
     The Hessian is 2 L with slot weights p(p-1) |d|^(p-2), |d| floored at
     eps = |g|^2 clamped to [1e-12, 1e-2] (g the free gradient): the floor
-    bounds the weights for p < 2 and keeps L definite for p > 2.  A step
-    that is not finite or not a descent direction becomes -g.
+    bounds the weights for p < 2 and keeps L definite for p > 2.  The step
+    solves 2 L s = -g by _solve_spd; one that is not finite or not a descent
+    direction becomes -g.
     """
     src, dst, ext_src = edges
     c = p * (p - 1.0)
@@ -145,7 +162,7 @@ def _newton(u0: np.ndarray, p: float, free: np.ndarray, edges,
         L, _ = _laplacian(u, free, edges,
                           c * np.maximum(np.abs(u[dst] - u[src]), eps) ** (p - 2.0),
                           c_ext * np.maximum(np.abs(u[ext_src]), eps) ** (p - 2.0))
-        step = spla.spsolve(L.tocsc(), -0.5 * gf)
+        step = _solve_spd(L, -0.5 * gf)
         slope = float(gf @ step)
         if not (np.all(np.isfinite(step)) and slope < 0.0):
             step, slope = -gf, -gn * gn
@@ -430,9 +447,14 @@ def royden_split(group: GroupModel, source: str, radii: Sequence[int],
     entries: List[RoydenEntry] = []
     for R in radii:
         ball = build_ball(group, R)
-        constraints = {int(i): f(ball.elements[i])
-                       for i in ball.sphere_indices(R)}
-        rep = harmonic_extension(EnergyProblem(ball, 2.0, constraints, "ball"))
+        constraints = dict(zip(ball.sphere_indices(R).tolist(),
+                               map(f, ball.sphere_elements(R))))
+        try:
+            rep = harmonic_extension(
+                EnergyProblem(ball, 2.0, constraints, "ball"))
+        except SolverFailure as exc:
+            raise SolverFailure(f"royden split of {group.name} at R={R}: "
+                                f"{exc}") from exc
         vals = rep.minimizer.values
         entries.append(RoydenEntry(R, rep.energy, float(vals.max()),
                                    float(vals.min())))

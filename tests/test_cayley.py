@@ -76,6 +76,23 @@ def test_build_ball_matches_reference_bfs(group, R):
     assert got.sphere_sizes == want.sphere_sizes
 
 
+@pytest.mark.parametrize("group,R", [
+    *[(make_group(spec), R) for spec in ["Z^2", "H3", "F_1", "F_2", "F_3"]
+      for R in (0, 1, 4)],
+    (Cyclic5(), 6),              # spheres 3..6 of Z/5 are empty
+], ids=lambda v: getattr(v, "name", v))
+def test_sphere_elements_decode_only_their_sphere(group, R):
+    want = ref_build_ball(group, R)
+    for r in range(R + 1):
+        ball = build_ball(group, R)
+        assert ball.sphere_elements(r) == [want.elements[i]
+                                           for i in want.sphere_indices(r)]
+        assert ball._elements is None
+        assert ball.elements == want.elements
+        assert ball.sphere_elements(r) == [want.elements[i]
+                                           for i in want.sphere_indices(r)]
+
+
 def test_vertex_cap_checked_before_a_sphere_is_built():
     """|B_30(F_2)| is about 4e14; the cap stops the build at sphere 4 with
     next to nothing allocated."""

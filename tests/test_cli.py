@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 from caylex import dirichlet, geometry, verify
@@ -234,6 +235,15 @@ def test_capacity_solver_failure_exit_code(monkeypatch, capsys):
     assert main(["capacity", "--group", "Z^2", "--p", "3", "--radii", "8:8"]) == EXIT_SOLVER
     err = capsys.readouterr().err
     assert "error: capacity of Z^2 at p=3.0, R=8: Newton did not converge in 1 " in err
+
+
+def test_royden_solver_failure_names_the_radius(monkeypatch, capsys):
+    monkeypatch.setattr(dirichlet, "_solve_spd",
+                        lambda L, b: np.full(len(b), 7.0))
+    assert main(["royden", "--group", "F_2", "--source", "end-separating",
+                 "--radii", "3:4"]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "error: royden split of F_2 at R=3: linear solve residual " in err
 
 
 def test_verify_single_suite(tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from caylex import dirichlet
 from caylex.cayley import build_ball
 from caylex.dirichlet import (EnergyProblem, NullSequenceError,
                               capacity, harmonic_extension,
@@ -147,6 +149,66 @@ def test_newton_solves_p2_in_one_step(convention):
     data = {int(i): float(rng.normal()) for i in ball.sphere_indices(3)[::2]}
     problem = EnergyProblem(ball, 2.0, {0: 1.0, **data}, convention)
     assert solve_descent_only(problem).iterations == 1
+
+
+def _p2_problem(spec, R, convention):
+    """'zero': the capacity problem of B_R; 'ball': harmonic extension of
+    random sphere data."""
+    ball = build_ball(make_group(spec), R)
+    sphere = ball.sphere_indices(R)
+    if convention == "zero":
+        return EnergyProblem(ball, 2.0, {0: 1.0, **dict.fromkeys(
+            sphere.tolist(), 0.0)}, "zero")
+    rng = np.random.default_rng(4)
+    return EnergyProblem(ball, 2.0, dict(zip(sphere.tolist(),
+                                             rng.normal(size=len(sphere)))),
+                         "ball")
+
+
+def _spsolve_spd(L, b):
+    return spla.spsolve(L.tocsc(), b)
+
+
+P2_SYSTEMS = [("Z^3", 8, "zero"), ("H3", 6, "zero"),
+              ("F_2", 5, "ball"), ("Z^2", 16, "ball")]
+
+
+@pytest.mark.parametrize("spec,R,convention", P2_SYSTEMS)
+def test_cg_route_agrees_with_sparse_lu(spec, R, convention, monkeypatch):
+    problem = _p2_problem(spec, R, convention)
+    rep = solve(problem)
+    assert rep.solver == "direct-linear"
+    assert rep.residual <= 1e-10
+    monkeypatch.setattr(dirichlet, "_solve_spd", _spsolve_spd)
+    want = solve(problem).minimizer.values
+    got = rep.minimizer.values
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("spec,R,convention", P2_SYSTEMS)
+def test_sparse_lu_fallback_when_cg_stops_early(spec, R, convention,
+                                                monkeypatch):
+    problem = _p2_problem(spec, R, convention)
+    want = solve(problem).minimizer.values
+    calls, lu = [], spla.spsolve
+
+    def spsolve(A, b):
+        calls.append(A.shape)
+        return lu(A, b)
+
+    monkeypatch.setattr(spla, "cg", lambda A, b, **kw: (np.ones_like(b), 1))
+    monkeypatch.setattr(spla, "spsolve", spsolve)
+    rep = solve(problem)
+    assert len(calls) == 1
+    assert rep.residual <= 1e-10
+    got = rep.minimizer.values
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_capacity_z3_r16_unchanged_by_cg():
+    # the value of the sparse LU route, before CG
+    assert capacity(make_group("Z^3"), 2.0, 16)[0] == pytest.approx(
+        8.163002773376352, rel=1e-12)
 
 
 def test_trend_verdicts():

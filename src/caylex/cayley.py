@@ -33,6 +33,10 @@ EXTERIOR = -1
 DEFAULT_MAX_VERTICES = 5_000_000
 MAX_VERTICES_ENV = "CAYLEX_MAX_VERTICES"
 
+# Window seed rows are int64 for right_products; with every coordinate
+# below 2^62 in absolute value no product x g^-1 of Z^d or H3 overflows.
+COORD_LIMIT = 1 << 62
+
 
 class BallSizeError(RuntimeError):
     """The requested ball exceeds the vertex cap."""
@@ -234,38 +238,61 @@ def build_ball(group: GroupModel, radius: int, max_vertices=None) -> CayleyBall:
                       word_length, partial(decode, group, spheres))
 
 
+def _seed_products(group: GroupModel, seeds) -> list:
+    """x g_j^-1 for every seed x and generator j, in (seed, generator)
+    order: one group.right_products call on the seed rows, or one multiply
+    per product on a tree group, whose words have no fixed width."""
+    if group.tree:
+        gens, mul = group.generators, group.multiply
+        return [mul(x, gens[k]) for x in seeds for k in group.inverse_gen_index]
+    width = len(group.identity())
+    try:
+        rows = np.array(seeds, dtype=np.int64).reshape(-1, width)
+        ok = not rows.size or -COORD_LIMIT < rows.min() <= rows.max() < COORD_LIMIT
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{group.name} window seeds need coordinates "
+                         f"below 2^62 in absolute value")
+    return _tuples(group.right_products(rows).reshape(-1, width))
+
+
 def window(group: GroupModel, seeds: Iterable[Element]) -> CayleyBall:
     """The seed set and its 1-step S-closure, in the CayleyBall format.
 
     Seeds come first (given order, repeats dropped) with word length 0,
     then the new elements x g^-1 in discovery order with word length 1, so
     the window has radius 1, its interior is the seed set and its sphere
-    the closure.  Seed rows come from group.multiply.  Closure rows are the
+    the closure.  Seed rows come from _seed_products.  Closure rows are the
     transpose of the seed rows: y = x g_j^-1 has x = y g_k^-1 for k the
-    index of g_j^-1, so no further multiplies are made; a closure row keeps
+    index of g_j^-1, so no further products are made; a closure row keeps
     EXTERIOR where its neighbor is not a seed.  Every function supported on
     the seeds therefore has exact differences, Laplacian and pairings here.
-    Seeds of the wrong shape for the group raise ValueError.
+    funcspace lifts onto this window for function-valued differences, and
+    onto _window(group, seeds, False), the seeds alone with their seed rows,
+    for everything else: there an EXTERIOR slot stands for a neighbor off
+    the support, valued 0.  Seeds of the wrong shape raise ValueError.
     """
+    return _window(group, seeds, True)
+
+
+def _window(group, seeds, closure):
     index = {x: i for i, x in enumerate(dict.fromkeys(seeds))}
     group.check_elements(index)
-    n_seeds = len(index)
-    gens = group.generators
-    back = group.inverse_gen_index
-    mul = group.multiply
-    prods = [mul(x, gens[k]) for x in list(index) for k in back]
-    for y in prods:
-        index.setdefault(y, len(index))
-    elements = list(index)
-    seed_rows = np.array([index[y] for y in prods],
-                         dtype=np.int64).reshape(n_seeds, len(gens))
-    nbr = np.full((len(elements), len(gens)), EXTERIOR, dtype=np.int64)
-    nbr[:n_seeds] = seed_rows
-    i, j = np.nonzero(seed_rows >= n_seeds)
-    nbr[seed_rows[i, j], np.asarray(back)[j]] = i
-    word_length = np.zeros(len(elements), dtype=np.int64)
-    word_length[n_seeds:] = 1
-    return CayleyBall(group, 1, elements, index, nbr, word_length)
+    n_seeds, n_gens = len(index), len(group.generators)
+    prods = _seed_products(group, list(index))
+    if closure:
+        for y in prods:
+            index.setdefault(y, len(index))
+    nbr = np.full((len(index), n_gens), EXTERIOR, dtype=np.int64)
+    nbr[:n_seeds] = np.array([index.get(y, EXTERIOR) for y in prods],
+                             dtype=np.int64).reshape(n_seeds, n_gens)
+    word_length = np.zeros(len(index), dtype=np.int64)
+    if closure:
+        i, j = np.nonzero(nbr[:n_seeds] >= n_seeds)
+        nbr[nbr[i, j], np.asarray(group.inverse_gen_index)[j]] = i
+        word_length[n_seeds:] = 1
+    return CayleyBall(group, 1, list(index), index, nbr, word_length)
 
 
 def edge_arrays(ball: CayleyBall):

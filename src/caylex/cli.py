@@ -187,10 +187,11 @@ def cmd_royden(args) -> int:
 def cmd_iso(args) -> int:
     group = make_group(args.group)
     profile = geometry.isoperimetric_profile(group, args.nmax, args.strategy)
+    names = {x: group.format_element(x)
+             for x in set().union(*(r.witness for r in profile.records))}
     entries = [{"n": r.n, "boundary_size": r.boundary_size,
                 "exact": r.exact,
-                "witness": sorted(group.format_element(x)
-                                  for x in r.witness)}
+                "witness": sorted(map(names.__getitem__, r.witness))}
                for r in profile.records]
     results = {"strategy": profile.strategy, "entries": entries,
                "truncated_at": profile.truncated_at}

@@ -7,10 +7,13 @@ over a CayleyBall's vertex indices with an explicit exterior convention.
 'zero' extends the function by 0 outside the ball (so norms match the
 globally extended function), 'ball' restricts sums to in-ball edges.
 FormalSum is the sparse public value, a finitely supported function on
-the whole group; an operator lifts a FormalSum argument onto the
-'zero'-convention window of its support (the support and its S-closure,
-see cayley.window), where the dense result is exact, and lowers a
-function-valued result back to a FormalSum.
+the whole group; an operator lifts a FormalSum argument onto a
+'zero'-convention window of its support (see cayley.window), where the
+dense result is exact, and lowers a function-valued result back to a
+FormalSum.  The difference operators that return functions and the
+harmonicity tests lift onto the support plus its 1-step S-closure; every
+other operator lifts onto the support alone with its adjacency, where an
+exterior slot reads the 0 that alpha holds off its support.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from .cayley import EXTERIOR, CayleyBall, edge_arrays, window
+from .cayley import EXTERIOR, CayleyBall, _window, edge_arrays
 from .groups import Element, GroupModel
 
 P_MIN, P_MAX = 1.0, 16.0
@@ -61,9 +64,6 @@ class FormalSum:
 
     def __call__(self, x: Element):
         return self.data.get(x, 0.0)
-
-    def is_real(self) -> bool:
-        return all(not isinstance(v, complex) or v.imag == 0 for v in self.data.values())
 
     def is_nonnegative(self) -> bool:
         return all((not isinstance(v, complex) or v.imag == 0)
@@ -131,12 +131,15 @@ class BallFunction:
     @classmethod
     def from_formal_sum(cls, ball: CayleyBall, alpha: FormalSum,
                         convention: str = "zero") -> "BallFunction":
-        """Values of alpha on the ball's vertices; the rest is dropped."""
+        """Values of alpha on the ball's vertices; the rest is dropped.  Real
+        unless a value of alpha has a nonzero imaginary part."""
         index = ball.index
-        ids = [index[x] for x in alpha.data if x in index]
-        vals = [v for x, v in alpha.data.items() if x in index]
-        out = np.zeros(ball.n_vertices, dtype=float if alpha.is_real() else complex)
-        out[ids] = np.real(vals) if out.dtype == float else vals
+        ids = np.array([index.get(x, -1) for x in alpha.data], dtype=np.int64)
+        vals = np.array(list(alpha.data.values()))
+        real = not np.iscomplexobj(vals) or not vals.imag.any()
+        out = np.zeros(ball.n_vertices, dtype=float if real else complex)
+        keep = ids >= 0
+        out[ids[keep]] = (np.real(vals) if real else vals)[keep]
         return cls(ball, out, convention)
 
     def to_formal_sum(self) -> FormalSum:
@@ -175,15 +178,16 @@ class NormReport:
 # ---------------------------------------------------------------------------
 # the dense view
 
-def _lift(fs, domain=None, closure: bool = True):
+def _lift(fs, domain=None, closure: bool = False):
     """The one carrier dispatch: dense views of the operands on one index.
 
     BallFunctions pass through (they must share a ball) and ``domain`` is
     read as vertex indices.  FormalSums (on one group) are lifted onto one
     'zero'-convention window seeded by their supports and the ``domain``
-    elements: with its S-closure by default, on the seeds alone when the
-    caller is pointwise.  Returns (dense operands, domain indices, lower),
-    where lower maps a dense result back to the operands' carrier.
+    elements: on the seeds alone with their adjacency by default, with the
+    S-closure when the caller reads values or neighbors off the support.
+    Returns (dense operands, domain indices, lower), where lower maps a
+    dense result back to the operands' carrier.
     """
     if all(isinstance(f, BallFunction) for f in fs):
         if any(f.ball is not fs[0].ball for f in fs):
@@ -196,16 +200,7 @@ def _lift(fs, domain=None, closure: bool = True):
     if any(f.group is not group for f in fs):
         raise ValueError("functions live on different groups")
     domain = [] if domain is None else list(domain)
-    seeds = [x for f in fs for x in f.data] + domain
-    if closure:
-        ball = window(group, seeds)
-    else:
-        elements = list(dict.fromkeys(seeds))
-        n = len(elements)
-        ball = CayleyBall(group, 0, elements,
-                          {x: i for i, x in enumerate(elements)},
-                          np.full((n, len(group.generators)), EXTERIOR, dtype=np.int64),
-                          np.zeros(n, dtype=np.int64))
+    ball = _window(group, [x for f in fs for x in f.data] + domain, closure)
     idx = np.array([ball.index[x] for x in domain], dtype=np.int64)
     return ([BallFunction.from_formal_sum(ball, f) for f in fs], idx,
             BallFunction.to_formal_sum)
@@ -250,14 +245,14 @@ def _gen_index(group: GroupModel, g: Element) -> int:
 
 def convolve_diff(beta: Carrier, g: Element) -> Carrier:
     """beta * (g - 1): result(x) = beta(x g^-1) - beta(x), for g in S."""
-    (f,), _, lower = _lift([beta])
+    (f,), _, lower = _lift([beta], closure=True)
     j = _gen_index(f.ball.group, g)
     return lower(f.copy_with(_differences(f)[:, j]))
 
 
 def laplacian(alpha: Carrier) -> Carrier:
     """(Lap alpha)(x) = sum_{g in S} (alpha(x g^-1) - alpha(x))."""
-    (f,), _, lower = _lift([alpha])
+    (f,), _, lower = _lift([alpha], closure=True)
     return lower(f.copy_with(_differences(f).sum(axis=1)))
 
 
@@ -273,12 +268,12 @@ def dirichlet_seminorm_pow(alpha: Carrier, p: float) -> float:
 
 def lp_norm(alpha: Carrier, p: float) -> float:
     p = _check_p(p)
-    (f,), _, _ = _lift([alpha], closure=False)
+    (f,), _, _ = _lift([alpha])
     return float((np.abs(f.values) ** p).sum() ** (1.0 / p))
 
 
 def value_at_identity(alpha: Carrier):
-    (f,), _, _ = _lift([alpha], closure=False)
+    (f,), _, _ = _lift([alpha])
     i = f.ball.index.get(f.ball.group.identity())
     return 0.0 if i is None else f.values[i]
 
@@ -310,7 +305,7 @@ class HarmonicityReport:
 
 def is_harmonic(alpha: Carrier, domain, tol: float = 1e-10) -> HarmonicityReport:
     """max_{x in domain} |Lap alpha(x)| <= tol."""
-    (f,), domain, _ = _lift([alpha], domain)
+    (f,), domain, _ = _lift([alpha], domain, closure=True)
     if (f.ball.nbr[domain] == EXTERIOR).any():
         raise ValueError("domain must have all S-neighbors inside the ball")
     lap = _differences(f)[domain].sum(axis=1)
@@ -339,7 +334,7 @@ def pairing(alpha: Carrier, beta: Carrier) -> complex:
 def harmonicity_via_pairing(alpha: Carrier, domain):
     """alpha is harmonic iff <delta_y, alpha> = 0 for all y; returns
     (harmonic, max |<delta_y, alpha>|) over the domain."""
-    (f,), domain, _ = _lift([alpha], domain)
+    (f,), domain, _ = _lift([alpha], domain, closure=True)
     max_res = 0.0
     for i in domain:
         delta = np.zeros(f.ball.n_vertices)
@@ -354,7 +349,7 @@ def harmonicity_via_pairing(alpha: Carrier, domain):
 
 def cocycle_view(alpha: FormalSum) -> Dict[Element, FormalSum]:
     """The 1-cocycle g -> alpha*(g-1) on the generating set."""
-    (f,), _, lower = _lift([alpha])
+    (f,), _, lower = _lift([alpha], closure=True)
     d = _differences(f)
     return {g: lower(f.copy_with(d[:, j]))
             for j, g in enumerate(alpha.group.generators)}
@@ -407,12 +402,12 @@ def truncate_min(alpha: Carrier, beta: Carrier) -> Carrier:
     """Pointwise min of two non-negative real functions."""
     _require_nonnegative(alpha, "truncate_min")
     _require_nonnegative(beta, "truncate_min")
-    (fa, fb), _, lower = _lift([alpha, beta], closure=False)
+    (fa, fb), _, lower = _lift([alpha, beta])
     return lower(fa.copy_with(np.minimum(fa.values, fb.values)))
 
 
 def modulus(alpha: Carrier) -> Carrier:
-    (f,), _, lower = _lift([alpha], closure=False)
+    (f,), _, lower = _lift([alpha])
     return lower(f.copy_with(np.abs(f.values)))
 
 
@@ -421,5 +416,5 @@ def power(alpha: Carrier, t: float) -> Carrier:
     if t < 1:
         raise ValueError("power requires t >= 1")
     _require_nonnegative(alpha, "power")
-    (f,), _, lower = _lift([alpha], closure=False)
+    (f,), _, lower = _lift([alpha])
     return lower(f.copy_with(np.real(f.values) ** t))

@@ -314,8 +314,9 @@ def sobolev_constant(group: GroupModel, d: float,
     for kind, alpha in test_set:
         if not alpha.data:
             continue   # zero function excluded
-        d1 = dirichlet_seminorm_pow(alpha, 1.0)
-        ratio = lp_norm(alpha, q) / d1
+        (f,), _, _ = _lift([alpha])
+        d1 = dirichlet_seminorm_pow(f, 1.0)
+        ratio = lp_norm(f, q) / d1
         count += 1
         if ratio > best:
             best = ratio
@@ -346,7 +347,7 @@ def lemma61_check(alpha: FormalSum, t: float) -> PowerEstimateResult:
         raise ValueError("alpha must be non-negative real")
     (f,), _, _ = _lift([alpha])
     lhs = dirichlet_seminorm_pow(power(f, t), 1.0)
-    # alpha^{t-1} vanishes off the support, so the closure rows add 0
+    # on the support alone an exterior slot reads 0, as alpha does off it
     spread = np.abs(_differences(f)).sum(axis=1)
     rhs = 2.0 * t * float(np.sum(f.values ** (t - 1.0) * spread))
     return PowerEstimateResult(lhs, rhs, rhs - lhs)
@@ -381,9 +382,10 @@ def sobolev_p2(report: SobolevReport, group: GroupModel,
         if not alpha.data:
             continue
         count += 1
-        lhs = lp_norm(alpha, p_star)
+        (f,), _, _ = _lift([alpha])
+        lhs = lp_norm(f, p_star)
         # D(2) norm (seminorm + identity term), as in the target inequality
-        semi = dirichlet_seminorm_pow(alpha, 2.0)
+        semi = dirichlet_seminorm_pow(f, 2.0)
         rhs = cprime * (semi ** 0.5)
         margin = rhs - lhs
         worst = min(worst, margin)
@@ -393,11 +395,11 @@ def sobolev_p2(report: SobolevReport, group: GroupModel,
             # ||a^{(2d-2)/(d-2)}||_{d/(d-1)} = ||a^{2d/(d-2)}||_1^{(d-1)/d}
             # ||a^{d/(d-2)}||_2 = ||a^{2d/(d-2)}||_1^{1/2}
             t = (2.0 * d - 2.0) / (d - 2.0)
-            a_t = power(modulus(alpha), t)
-            big = power(modulus(alpha), 2.0 * d / (d - 2.0))
-            l1 = sum(v for v in big.data.values())
+            a_t = power(modulus(f), t)
+            big = power(modulus(f), 2.0 * d / (d - 2.0))
+            l1 = sum(big.values.tolist())
             r1 = abs(lp_norm(a_t, d / (d - 1.0)) - l1 ** ((d - 1.0) / d))
-            half = power(modulus(alpha), d / (d - 2.0))
+            half = power(modulus(f), d / (d - 2.0))
             r2 = abs(lp_norm(half, 2.0) - l1 ** 0.5)
             scale = 1.0 + l1
             max_id_res = max(max_id_res, r1 / scale, r2 / scale)

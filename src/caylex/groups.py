@@ -74,7 +74,8 @@ class GroupModel:
         inv = [self.inverse(g) for g in self.generators]
         mul = self.multiply
         prods = [mul(x, h) for x in map(tuple, rows.tolist()) for h in inv]
-        return np.array(prods, dtype=np.int64).reshape(len(rows), len(inv), -1)
+        return np.array(prods, dtype=np.int64).reshape(len(rows), len(inv),
+                                                       rows.shape[1])
 
     def word_element(self, gen_indices: Sequence[int]) -> Element:
         """Product of generators by index, left to right."""

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dirichlet, geometry
 from .cayley import CayleyBall, build_ball
-from .funcspace import (BallFunction, FormalSum, check_cocycle,
+from .funcspace import (BallFunction, FormalSum, _lift, check_cocycle,
                         dirichlet_seminorm_pow, is_harmonic, laplacian,
                         modulus, norms, pairing, harmonicity_via_pairing,
                         translate, truncate_min)
@@ -67,14 +67,15 @@ def suite_norms(seed: int) -> SuiteResult:
     for i, ball in _cycle_balls(_FAMILIES, 200):
         name = ball.group.name
         alpha = random_formal_sum(ball, rng, kind="complex" if i % 2 else "real")
+        (f,), _, _ = _lift([alpha])
         for p in (1.5, 2.0, 3.0):
-            rep = norms(alpha, p)
+            rep = norms(f, p)
             lhs = rep.dp_norm ** p
             rhs = rep.dp_seminorm ** p + rep.at_identity ** p
             checked += 1
             if abs(lhs - rhs) > 1e-12 * (1.0 + abs(rhs)):
                 fails.append(f"norm identity: {name} sample {i} p={p}")
-            semi_mod = dirichlet_seminorm_pow(modulus(alpha), p) ** (1 / p)
+            semi_mod = dirichlet_seminorm_pow(modulus(f), p) ** (1 / p)
             checked += 1
             if semi_mod > rep.dp_seminorm * (1.0 + 1e-12) + 1e-12:
                 fails.append(f"modulus contraction: {name} sample {i} p={p}")
@@ -215,14 +216,15 @@ def suite_prop53_holder(seed: int, n: int = 300,
         name = ball.group.name
         alpha = random_formal_sum(ball, rng, kind="complex" if i % 2 else "real")
         beta = random_formal_sum(ball, rng, kind="complex" if i % 3 else "real")
-        exact = pairing(alpha, beta)    # the same for every p
+        (fa, fb), _, _ = _lift([alpha, beta])
+        exact = pairing(fa, fb)         # the same for every p
         windowed = pairing(BallFunction.from_formal_sum(ball, alpha, "ball"),
                            BallFunction.from_formal_sum(ball, beta, "ball"))
         max_leak = max(max_leak, abs(windowed - exact))
         for p in ps:
             q = p / (p - 1.0)
-            rhs = dirichlet_seminorm_pow(alpha, p) ** (1 / p) * \
-                dirichlet_seminorm_pow(beta, q) ** (1 / q)
+            rhs = dirichlet_seminorm_pow(fa, p) ** (1 / p) * \
+                dirichlet_seminorm_pow(fb, q) ** (1 / q)
             if abs(exact) > rhs * (1.0 + 1e-10) + 1e-12:
                 fails.append(f"Hoelder: {name} sample {i} p={p}")
     return SuiteResult("prop53-holder", n * len(ps), fails,

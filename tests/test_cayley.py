@@ -6,7 +6,7 @@ import pytest
 
 from caylex import cli
 from caylex.cayley import (EXTERIOR, BallSizeError, CayleyBall, SubsetView,
-                           build_ball, vertex_boundary,
+                           _window, build_ball, vertex_boundary,
                            vertex_boundary_elements, window)
 from caylex.groups import GroupModel, make_group
 
@@ -269,14 +269,19 @@ def test_growth_sanity():
 def test_window_closure_table(spec, monkeypatch):
     group = make_group(spec)
     seeds = [group.word_element(w) for w in ([], [0], [0, 2], [2, 2, 1], [0])]
-    calls = []
-    mul = group.multiply
-    with monkeypatch.context() as m:
-        m.setattr(group, "multiply", lambda x, y: calls.append(1) or mul(x, y))
-        win = window(group, seeds)
     n_seeds = len(set(seeds))
     nS = len(group.generators)
-    assert len(calls) == n_seeds * nS      # closure rows cost no multiplies
+    # products are counted on both routes: one per multiply, and |S| per
+    # row handed to the batched right_products
+    calls = []
+    mul, right_products = group.multiply, group.right_products
+    with monkeypatch.context() as m:
+        m.setattr(group, "multiply", lambda x, y: calls.append(1) or mul(x, y))
+        m.setattr(group, "right_products",
+                  lambda rows: calls.extend([1] * (len(rows) * nS))
+                  or right_products(rows))
+        win = window(group, seeds)
+    assert len(calls) == n_seeds * nS      # closure rows cost no products
     assert win.elements[:n_seeds] == list(dict.fromkeys(seeds))
     assert win.sphere_sizes == [n_seeds, win.n_vertices - n_seeds]
     assert (win.nbr[:n_seeds] != EXTERIOR).all()
@@ -288,3 +293,45 @@ def test_window_closure_table(spec, monkeypatch):
                 assert win.elements[k] == y
             else:                          # closure-to-closure or outside
                 assert k == EXTERIOR
+
+
+def ref_window(group, seeds, closure=True):
+    """Reference window: one multiply per (seed, generator), closure
+    elements numbered in discovery order, closure rows by multiply too."""
+    index = {x: i for i, x in enumerate(dict.fromkeys(seeds))}
+    n_seeds = len(index)
+    inv = [group.inverse(g) for g in group.generators]
+    prods = [group.multiply(x, h) for x in list(index) for h in inv]
+    if closure:
+        for y in prods:
+            index.setdefault(y, len(index))
+    seedset = set(list(index)[:n_seeds])
+    nbr = [[index[y] if y in index and (i < n_seeds or y in seedset)
+            else EXTERIOR for y in (group.multiply(x, h) for h in inv)]
+           for i, x in enumerate(index)]
+    return list(index), np.array(nbr, dtype=np.int64).reshape(len(index), len(inv))
+
+
+@pytest.mark.parametrize("group", [make_group(s) for s in
+                                   ("Z^1", "Z^2", "Z^3", "F_1", "F_2", "H3")]
+                         + [Cyclic5()], ids=lambda g: g.name)
+def test_window_matches_reference(group):
+    """window (seeds plus closure) and the support-only window of _window
+    are byte-identical to the multiply-based reference: element order,
+    index and neighbor table, for seed sets that touch, repeat or are
+    empty."""
+    ball = build_ball(group, 3)
+    rng = np.random.default_rng(5)
+    seed_sets = [[], [group.identity()], list(ball.elements)]
+    seed_sets += [[ball.elements[i] for i in rng.integers(0, ball.n_vertices, k)]
+                  for k in (1, 2, 6, 15, 40)]
+    for seeds in seed_sets:
+        for closure in (True, False):
+            win = window(group, seeds) if closure else _window(group, seeds, False)
+            elements, nbr = ref_window(group, seeds, closure)
+            assert win.elements == elements
+            assert win.index == {x: i for i, x in enumerate(elements)}
+            assert np.array_equal(win.nbr, nbr) and win.nbr.dtype == np.int64
+            n_seeds = len(set(seeds))
+            assert list(win.word_length) == \
+                [0] * n_seeds + [1] * (len(elements) - n_seeds)

@@ -274,3 +274,62 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     main(["ball", "--group", "Z^2", "--radius", "2", "--out", str(out)])
     leftovers = [p for p in tmp_path.iterdir() if p.name != "ball.json"]
     assert leftovers == []
+
+
+# Results of the suite-style commands at --seed 1, recorded before lifts
+# moved onto the support alone for scalar results.  Floats match to 1e-12
+# relative and counts exactly.  max_identity_residual is the rounding noise
+# of an identity that holds exactly (<delta_y, a> = -2 conj(Lap a(y))), so
+# its last bits follow the summation order: it is held to 1e-15 absolute,
+# a thousandth of the suite's own 1e-12 bound.
+PINNED_RESULTS = [
+    (["lemma61", "--group", "Z^2", "--samples", "150",
+      "--scalar-samples", "2000"],
+     {"min_margin": 0.3305041490659326, "samples": 150, "scalar_samples": 2000,
+      "scalar_violations": 0, "violations": 0}),
+    (["pairing", "--group", "H3", "--samples", "100"],
+     {"holder_violations": 0, "max_identity_residual": 0.0,
+      "max_window_edge_leakage": 32.05118795074198, "p": 2.0,
+      "samples": 100}),
+    (["sobolev", "--group", "Z^3", "--d", "3", "--samples", "40"],
+     {"constant": 0.08333333333333333, "cprime": 0.6666666666666666,
+      "d": 3.0, "exponent_identity_residual": 1.088503835406941e-16,
+      "isd_constant": 1.0,
+      "isd_verdict": "consistent with dimension-3.0 profile, C = 1 "
+                     "(empirical lower bound)",
+      "maximizer": "indicator-n1", "samples": 49, "violation_count": 0,
+      "worst_margin": 1.3006416266719079}),
+]
+
+PINNED_VERIFY_ALL = """\
+suite=norms pass checked=1200 failures=0
+suite=cocycle pass checked=300 failures=0
+suite=lemma31 pass checked=5 failures=0
+suite=lemma41 pass checked=1200 failures=0
+suite=lemma52 pass checked=1100 failures=0
+suite=prop53-holder pass checked=900 failures=0
+suite=lemma61 pass checked=101000 failures=0
+suite=prop62 pass checked=202 failures=0
+suite=maxprinciple pass checked=31 failures=0
+"""
+
+
+@pytest.mark.parametrize("argv,want", PINNED_RESULTS,
+                         ids=[a[0] + "-" + a[2] for a, _ in PINNED_RESULTS])
+def test_suite_command_results_pinned(argv, want, tmp_path):
+    out = tmp_path / "r.json"
+    assert main([*argv, "--seed", "1", "--out", str(out)]) == EXIT_OK
+    got = json.loads(out.read_text())["results"]
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if key == "max_identity_residual":
+            assert abs(got[key] - value) <= 1e-15, key
+        elif isinstance(value, float):
+            assert abs(got[key] - value) <= 1e-12 * abs(value), key
+        else:
+            assert got[key] == value and type(got[key]) is type(value), key
+
+
+def test_verify_all_stdout_pinned(capsys):
+    assert main(["verify", "--suite", "all", "--seed", "1"]) == EXIT_OK
+    assert capsys.readouterr().out == PINNED_VERIFY_ALL

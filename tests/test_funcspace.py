@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caylex import funcspace
 from caylex.cayley import build_ball
 from caylex.funcspace import (BallFunction, FormalSum, check_cocycle,
                               cocycle_extend, cocycle_view, conjugate_index,
@@ -12,7 +13,7 @@ from caylex.funcspace import (BallFunction, FormalSum, check_cocycle,
                               harmonicity_via_pairing, is_harmonic, laplacian,
                               lp_norm, modulus, norms, pairing, power,
                               translate, truncate_min)
-from caylex.geometry import random_formal_sum
+from caylex.geometry import lemma61_check, random_formal_sum
 from caylex.groups import make_group
 
 Z1 = make_group("Z^1")
@@ -46,6 +47,21 @@ def test_wrong_shape_element_names_the_group():
     for word in [(1, -1), (3,), (0,)]:      # unreduced, letter out of range
         with pytest.raises(ValueError, match="F_2"):
             laplacian(FormalSum(F2, {word: 1.0}))
+
+
+def test_window_rejects_coordinates_past_int64_products():
+    """Window products run on int64 rows: a coordinate of 2^62 or more
+    raises ValueError instead of overflowing or wrapping around."""
+    H3 = make_group("H3")
+    for group, x in ((Z2, (2 ** 70, 0)), (Z2, (2 ** 63 - 1, 0)),
+                     (Z2, (0, -2 ** 62)), (H3, (1, 2, 2 ** 62))):
+        for op in (laplacian, lambda a: norms(a, 2.0)):
+            with pytest.raises(ValueError, match="2\\^62"):
+                op(FormalSum(group, {x: 1.0}))
+    big = 2 ** 62 - 1
+    x = (big, 0, -big)
+    assert laplacian(FormalSum(H3, {x: 1.0})).data == ref_laplacian(
+        FormalSum(H3, {x: 1.0}))
 
 
 def test_convolve_diff_delta():
@@ -283,6 +299,22 @@ def test_ball_function_roundtrip():
     assert w.to_formal_sum() == a
 
 
+def test_ball_function_dtype_from_values():
+    """Real unless some value has a nonzero imaginary part; values off the
+    ball are dropped but still decide the type, as they always have."""
+    ball = build_ball(Z2, 1)
+    far = (5, 5)
+    for data, dtype in (({(0, 0): 1 + 0j, (1, 0): 2}, float),
+                        ({(0, 0): 3}, float),
+                        ({}, float),
+                        ({(0, 0): 1.0, (0, 1): 2j}, complex),
+                        ({(0, 0): 1.0, far: 1j}, complex)):
+        w = BallFunction.from_formal_sum(ball, FormalSum(Z2, data))
+        assert w.values.dtype == dtype
+        assert w.to_formal_sum() == FormalSum(
+            Z2, {x: v for x, v in data.items() if x != far})
+
+
 # ---------------------------------------------------------------------------
 # reference oracle: each operator as a literal sum over the S-closure of the
 # support times S, with the group's own multiply (no window, no arrays)
@@ -361,3 +393,62 @@ def test_window_operators_match_reference(spec):
         assert _close(is_harmonic(alpha, domain).max_residual, want, scale)
         assert _close(harmonicity_via_pairing(alpha, domain)[1], 2.0 * want,
                       scale)
+
+
+def _support_only_cases(group, rng):
+    """(alpha, beta) pairs: a path of adjacent seeds with complex values, a
+    real pair supported on the outer sphere of B_2 with overlapping
+    supports, random complex and real sums, and the zero sum."""
+    gens = group.generators
+    path = [group.word_element(w) for w in ([], [0], [0, 0], [0, 0, 2], [2])]
+    yield (FormalSum(group, {x: complex(k + 1, k - 1) for k, x in enumerate(path)}),
+           FormalSum(group, {x: 1.0 - k for k, x in enumerate(path[1:])}))
+    ball = build_ball(group, 2)
+    sphere = ball.sphere_elements(2)
+    yield (FormalSum(group, {x: 1.0 + k for k, x in enumerate(sphere)}),
+           FormalSum(group, {x: -0.5 * k for k, x in enumerate(sphere[::2])}
+                     | {gens[0]: 2.0}))
+    for kind in ("complex", "real"):
+        yield tuple(random_formal_sum(build_ball(group, 3), rng, 15, kind)
+                    for _ in range(2))
+    yield FormalSum(group), FormalSum.delta(group)
+
+
+@pytest.mark.parametrize("spec", ["Z^2", "Z^3", "F_2", "H3"])
+def test_support_only_lift_matches_reference(spec, monkeypatch):
+    """Norms, seminorms and pairings lift a FormalSum onto its support
+    alone, with no closure vertex, and still match the literal sums over
+    the S-closure."""
+    group = make_group(spec)
+    built = []
+    window_fn = funcspace._window
+
+    def recording_window(group, seeds, closure):
+        seeds = list(seeds)
+        ball = window_fn(group, seeds, closure)
+        built.append((ball.n_vertices, len(set(seeds))))
+        return ball
+
+    monkeypatch.setattr(funcspace, "_window", recording_window)
+    for alpha, beta in _support_only_cases(group, np.random.default_rng(11)):
+        at_e = abs(alpha(group.identity()))
+        for p in (1.0, 1.5, 2.0, 3.0):
+            want = ref_seminorm_pow(alpha, p)
+            assert _close(dirichlet_seminorm_pow(alpha, p), want, 0.0)
+            rep = norms(alpha, p)
+            assert _close(rep.dp_seminorm ** p, want, 0.0)
+            assert _close(rep.dp_norm ** p, want + at_e ** p, 0.0)
+            assert rep.at_identity == at_e
+            lp = sum(abs(v) ** p for v in alpha.data.values()) ** (1.0 / p)
+            assert _close(lp_norm(alpha, p), lp, 0.0)
+        bound = abs(ref_pairing(alpha, alpha) * ref_pairing(beta, beta)) ** 0.5
+        for a, b in ((alpha, beta), (beta, alpha), (alpha, alpha)):
+            assert _close(pairing(a, b), ref_pairing(a, b), bound)
+        mod = modulus(alpha)
+        assert _close(lemma61_check(mod, 2.5).lhs,
+                      ref_seminorm_pow(power(mod, 2.5), 1.0), 0.0)
+    # every lift above was support-only: |support ∪ domain| vertices
+    assert built and all(n == seeds for n, seeds in built)
+    # while a function-valued difference operator builds the closure
+    laplacian(FormalSum.delta(group))
+    assert built[-1] == (1 + len(group.generators), 1)

@@ -60,21 +60,28 @@ class CayleyBall:
 
     ``elements`` (index -> Element) and ``index`` (Element -> index) may be
     given, or left None with ``decode_sphere`` returning the element list of
-    one sphere; either way they are built on first read and then cached."""
+    one sphere; either way they are built on first read and then cached.
+    ``nbr`` is the table or a function that returns it on first read."""
 
     def __init__(self, group: GroupModel, radius: int, elements, index,
-                 nbr: np.ndarray, word_length: np.ndarray,
-                 decode_sphere=None):
+                 nbr, word_length: np.ndarray, decode_sphere=None):
         self.group = group
         self.radius = radius
         self._elements = elements
         self._index = index
         self._decode_sphere = decode_sphere
-        self.nbr = nbr                    # (n, |S|) int array, EXTERIOR marks
+        self._nbr = nbr
         self.word_length = word_length    # (n,) int array
         self.interior = word_length < radius if radius > 0 else word_length < 0
         counts = np.bincount(word_length, minlength=radius + 1)
         self.sphere_sizes = [int(c) for c in counts]
+
+    @property
+    def nbr(self) -> np.ndarray:
+        """(n, |S|) int array, EXTERIOR marks."""
+        if not isinstance(self._nbr, np.ndarray):
+            self._nbr = self._nbr()
+        return self._nbr
 
     @property
     def elements(self):
@@ -269,9 +276,9 @@ def window(group: GroupModel, seeds: Iterable[Element]) -> CayleyBall:
     EXTERIOR where its neighbor is not a seed.  Every function supported on
     the seeds therefore has exact differences, Laplacian and pairings here.
     funcspace lifts onto this window for function-valued differences, and
-    onto _window(group, seeds, False), the seeds alone with their seed rows,
-    for everything else: there an EXTERIOR slot stands for a neighbor off
-    the support, valued 0.  Seeds of the wrong shape raise ValueError.
+    onto _window(group, seeds, False), the seeds alone with their seed rows
+    (made on first read of nbr), for everything else: there an EXTERIOR
+    slot stands for a neighbor off the support, valued 0.  Seeds of the wrong shape raise ValueError.
     """
     return _window(group, seeds, True)
 
@@ -279,19 +286,27 @@ def window(group: GroupModel, seeds: Iterable[Element]) -> CayleyBall:
 def _window(group, seeds, closure):
     index = {x: i for i, x in enumerate(dict.fromkeys(seeds))}
     group.check_elements(index)
-    n_seeds, n_gens = len(index), len(group.generators)
-    prods = _seed_products(group, list(index))
-    if closure:
-        for y in prods:
-            index.setdefault(y, len(index))
+    seeds = list(index)
+    n_seeds, n_gens = len(seeds), len(group.generators)
+
+    def seed_rows(prods):
+        return np.array([index.get(y, EXTERIOR) for y in prods],
+                        dtype=np.int64).reshape(n_seeds, n_gens)
+
+    if not closure:
+        # pointwise operators never read the table; products wait for a read
+        return CayleyBall(group, 1, seeds, index,
+                          lambda: seed_rows(_seed_products(group, seeds)),
+                          np.zeros(n_seeds, dtype=np.int64))
+    prods = _seed_products(group, seeds)
+    for y in prods:
+        index.setdefault(y, len(index))
     nbr = np.full((len(index), n_gens), EXTERIOR, dtype=np.int64)
-    nbr[:n_seeds] = np.array([index.get(y, EXTERIOR) for y in prods],
-                             dtype=np.int64).reshape(n_seeds, n_gens)
+    nbr[:n_seeds] = seed_rows(prods)
+    i, j = np.nonzero(nbr[:n_seeds] >= n_seeds)
+    nbr[nbr[i, j], np.asarray(group.inverse_gen_index)[j]] = i
     word_length = np.zeros(len(index), dtype=np.int64)
-    if closure:
-        i, j = np.nonzero(nbr[:n_seeds] >= n_seeds)
-        nbr[nbr[i, j], np.asarray(group.inverse_gen_index)[j]] = i
-        word_length[n_seeds:] = 1
+    word_length[n_seeds:] = 1
     return CayleyBall(group, 1, list(index), index, nbr, word_length)
 
 

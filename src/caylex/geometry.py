@@ -9,7 +9,9 @@ lower bounds for the true suprema; trend checks are labeled as such.
 
 from __future__ import annotations
 
+import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
@@ -22,6 +24,14 @@ from .funcspace import (FormalSum, _differences, _lift, dirichlet_seminorm_pow,
 from .groups import Element, GroupModel, ZdGroup
 
 EXHAUSTIVE_N_MAX = 12
+# Each greedy record holds its own witness, so a profile to n holds about
+# n^2 / 2 element references.  Measured on a 2-CPU VM (CPython 3.11): the
+# profile to n = 1000 takes 0.04-0.3 s and peaks at 82-103 MB RSS on Z^3, H3
+# and F_2, and `caylex iso --strategy greedy --nmax 1000 --out` peaks at
+# 140 MB on Z^3 and 527 MB on F_2, whose witness words grow with n so that
+# its JSON grows as n^3 (174 MB).  At n = 4000 the profile alone takes
+# 0.6-7.4 s and 0.4-0.74 GB.
+GREEDY_N_MAX = 1000
 HEURISTIC_N_MAX = 100_000
 
 
@@ -49,45 +59,91 @@ def _exhaustive_profile(group: GroupModel, n_max: int) -> List[IsoperimetricReco
     Connectivity plus the translation-invariance of |dA| make 'containing
     e' lossless; disconnected sets never beat connected ones here.
     Neighbors x g_j come from the index table of B_{n_max - 1}; per-vertex
-    counts of neighbors inside A keep |dA| = |A| - #{x in A : all inside}."""
+    counts of neighbors inside A keep |dA| = |A| - #{x in A : all inside}.
+
+    A node adds one candidate c to A; its child's candidates are the later
+    candidates of the node followed by the neighbors of c not yet seen, in
+    slot order and each once.  The seen set of a node (every vertex ever a
+    candidate on the way down) is its parent's plus those fresh neighbors,
+    so one flag list holds it: the fresh vertices are marked before the
+    descent and unmarked after.  Candidates live on one stack, a child's
+    being a suffix of it.  A node of size n_max - 1 scores each child from
+    the counts without adding it: the child is interior when all its
+    neighbors are in A, and completes the members whose missing neighbor
+    slots all point to it.  The best witness of each size
+    is kept as an index list and becomes a frozenset at the end, so sets
+    are visited in the order of the set-based recursion and the minima and
+    witnesses are the same."""
     univ_ball = build_ball(group, max(n_max - 1, 0))
     order = univ_ball.elements
     nS = len(group.generators)
-    nbr_ids = [[j for j in row if j != EXTERIOR]
-               for row in univ_ball.nbr[:, group.inverse_gen_index].tolist()]
+    slots, leaf = [], []
+    for row in univ_ball.nbr[:, group.inverse_gen_index].tolist():
+        row = [j for j in row if j != EXTERIOR]
+        mult = dict.fromkeys(row, 0)
+        for j in row:
+            mult[j] += 1
+        slots.append(row)              # one entry per in-ball slot
+        # per distinct neighbor j: the inside count of j that adding this
+        # vertex (m slots to j) takes to nS
+        leaf.append([(j, nS - m) for j, m in mult.items()])
     inside = [0] * len(order)       # neighbors of each vertex inside A
-    interior = 0                    # members of A with all nS neighbors in A
-    best: Dict[int, Tuple[int, FrozenSet[Element]]] = {}
-    current: Set[int] = set()
+    member = [False] * len(order)
+    seen = [False] * len(order)
+    seen[0] = True
+    top = max(n_max, 1)
+    best_size = [len(order) + 1] * (top + 1)
+    best_ids: List[Optional[List[int]]] = [None] * (top + 1)
+    path: List[int] = []
+    cand = [0]
 
-    def extend(candidates: List[int], banned: Set[int]):
-        nonlocal interior
-        for i, c in enumerate(candidates):
-            current.add(c)
-            interior += inside[c] == nS
-            for j in nbr_ids[c]:
+    def extend(lo: int, interior: int):
+        # A is path; interior counts its members with all nS neighbors in A
+        hi = len(cand)
+        n = len(path) + 1
+        for i in range(lo, hi):
+            c = cand[i]
+            path.append(c)
+            member[c] = True
+            inner = interior + (inside[c] == nS)
+            for j in slots[c]:
                 inside[j] += 1
-                interior += inside[j] == nS and j in current
-            n = len(current)
-            if n not in best or n - interior < best[n][0]:
-                best[n] = (n - interior, frozenset(order[k] for k in current))
+                if inside[j] == nS and member[j]:
+                    inner += 1
+            if n - inner < best_size[n]:
+                best_size[n] = n - inner
+                best_ids[n] = path[:]
             if n < n_max:
-                fresh = []
-                seen = banned | current | set(candidates)
-                for j in nbr_ids[c]:
-                    if j not in seen:
-                        fresh.append(j)
-                        seen.add(j)
-                extend(candidates[i + 1:] + fresh, banned | set(candidates[:i + 1]))
-            for j in nbr_ids[c]:
-                interior -= inside[j] == nS and j in current
+                for j in slots[c]:
+                    if not seen[j]:
+                        seen[j] = True
+                        cand.append(j)
+                if n + 1 < n_max:
+                    extend(i + 1, inner)
+                else:
+                    for k in range(i + 1, len(cand)):
+                        x = cand[k]
+                        done = inner + (inside[x] == nS)
+                        for j, full in leaf[x]:
+                            if inside[j] == full and member[j]:
+                                done += 1
+                        if n_max - done < best_size[n_max]:
+                            best_size[n_max] = n_max - done
+                            best_ids[n_max] = path + [x]
+                for j in cand[hi:]:
+                    seen[j] = False
+                del cand[hi:]
+            for j in slots[c]:
                 inside[j] -= 1
-            interior -= inside[c] == nS
-            current.remove(c)
+            member[c] = False
+            path.pop()
 
-    extend([0], set())
-    return [IsoperimetricRecord(n, best[n][0], best[n][1], "exhaustive", True)
-            for n in sorted(best)]
+    extend(0, 0)
+    del extend     # it refers to itself: free the tables now, not at a GC
+    return [IsoperimetricRecord(n, best_size[n],
+                                frozenset(order[k] for k in best_ids[n]),
+                                "exhaustive", True)
+            for n in range(1, top + 1) if best_ids[n] is not None]
 
 
 def _greedy_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRecord]:
@@ -96,30 +152,46 @@ def _greedy_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRecord]:
     upper-bound heuristic.
 
     One dict counts, for A and its frontier, the neighbors inside A; it
-    ranks the frontier and gives |dA| = |A| - #{x in A : count[x] = |S|}.  On
+    gives |dA| = |A| - #{x in A : count[x] = |S|}.  The frontier is a heap
+    of (-count, reversed normal form, element) entries, one pushed per
+    count change.  Counts only grow, so an element's current entry comes
+    up before its older ones, which are dropped, the element being in A by
+    then; the first entry outside A is the frontier maximum of (count,
+    element), and the picks and records are those of a full rescan.  On
     Z^d every frontier vertex of a line has one inside neighbor, so the
     tie-break grows a straight line along +e_1 with |dA| = n (Z^3, n = 500:
     boundary 500, witness (0..499, 0, 0)).  perfbench/reference.json pins
-    these records, so a better tie-break needs a benchmark re-baseline."""
+    these records, so a better tie-break needs a benchmark re-baseline.
+    Each record holds its own witness, so memory grows as n^2 and
+    isoperimetric_profile caps n at GREEDY_N_MAX."""
     nS = len(group.generators)
     count: Dict[Element, int] = {}
     A: Set[Element] = set()
     interior = 0
     records = []
+    heap: List[Tuple[int, tuple, Element]] = []
     pick = group.identity()
     while True:
         A.add(pick)
         interior += count.get(pick, 0) == nS
         for g in group.generators:
             y = group.multiply(pick, g)
-            count[y] = count.get(y, 0) + 1
-            interior += count[y] == nS and y in A
+            c = count[y] = count.get(y, 0) + 1
+            if y in A:
+                interior += c == nS
+            else:
+                # negated letters then +inf reverse the tuple order, also
+                # between a word and its prefixes
+                heapq.heappush(heap, (-c, (*(-v for v in y), math.inf), y))
         records.append(IsoperimetricRecord(len(A), len(A) - interior,
                                            frozenset(A), "greedy", False))
-        frontier = [(c, y) for y, c in count.items() if y not in A]
-        if len(A) >= n_max or not frontier:
+        if len(A) >= n_max:
             break
-        pick = max(frontier)[1]
+        while heap and heap[0][2] in A:
+            heapq.heappop(heap)
+        if not heap:
+            break
+        pick = heapq.heappop(heap)[2]
     return records
 
 
@@ -166,7 +238,8 @@ def isoperimetric_profile(group: GroupModel, n_max: int,
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     fn = _STRATEGIES[strategy]
-    limit = EXHAUSTIVE_N_MAX if strategy == "exhaustive" else HEURISTIC_N_MAX
+    limit = {"exhaustive": EXHAUSTIVE_N_MAX,
+             "greedy": GREEDY_N_MAX}.get(strategy, HEURISTIC_N_MAX)
     truncated = None
     if n_max > limit:
         truncated = limit

@@ -64,6 +64,31 @@ def test_window_rejects_coordinates_past_int64_products():
         FormalSum(H3, {x: 1.0}))
 
 
+@pytest.mark.parametrize("group", [Z2, F2, make_group("H3")],
+                         ids=lambda g: g.name)
+def test_pointwise_operators_build_no_neighbor_table(group, monkeypatch):
+    """Operators that read values only make no group products; a seminorm
+    on the same support makes one per (seed, generator) slot, once."""
+    rng = np.random.default_rng(3)
+    alpha = random_formal_sum(build_ball(group, 3), rng, 12, "nonnegative")
+    nS = len(group.generators)
+    calls = []
+    mul, right_products = group.multiply, group.right_products
+    monkeypatch.setattr(group, "multiply",
+                        lambda x, y: calls.append(1) or mul(x, y))
+    monkeypatch.setattr(group, "right_products",
+                        lambda rows: calls.extend([1] * (len(rows) * nS))
+                        or right_products(rows))
+    lp_norm(alpha, 3.0)
+    modulus(alpha)
+    power(alpha, 2.5)
+    truncate_min(alpha, alpha)
+    funcspace.value_at_identity(alpha)
+    assert calls == []
+    norms(alpha, 2.0)
+    assert len(calls) == len(alpha.data) * nS
+
+
 def test_convolve_diff_delta():
     d = FormalSum.delta(Z1)
     out = convolve_diff(d, (1,))

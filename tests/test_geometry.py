@@ -1,19 +1,150 @@
+from typing import Dict, FrozenSet, List, Set, Tuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caylex.cayley import EXTERIOR, build_ball
 from caylex.funcspace import FormalSum, dirichlet_seminorm_pow, lp_norm
-from caylex.geometry import (check_ISd, indicator_identities,
-                             is_equivalence_probe, isoperimetric_profile,
-                             lemma61_check, mean_value_step,
-                             random_nonnegative, sobolev_constant, sobolev_p2,
-                             tent_function)
-from caylex.groups import make_group
+from caylex.geometry import (GREEDY_N_MAX, IsoperimetricRecord, check_ISd,
+                             indicator_identities, is_equivalence_probe,
+                             isoperimetric_profile, lemma61_check,
+                             mean_value_step, random_nonnegative,
+                             sobolev_constant, sobolev_p2, tent_function)
+from caylex.groups import Element, GroupModel, make_group
 from test_cayley import Cyclic5, ref_vertex_boundary
 
 Z1 = make_group("Z^1")
 Z2 = make_group("Z^2")
+
+
+class Cyclic4Doubled(GroupModel):
+    """Z/4 with S = {+1, -1, +2, +2}: both +2 slots of a vertex reach the
+    same neighbor, so its neighbor row repeats an index."""
+
+    name = "Z/4"
+    generators = ((1,), (3,), (2,), (2,))
+    inverse_gen_index = (1, 0, 3, 2)
+
+    def identity(self):
+        return (0,)
+
+    def multiply(self, x, y):
+        return ((x[0] + y[0]) % 4,)
+
+    def inverse(self, x):
+        return ((-x[0]) % 4,)
+
+
+def ref_exhaustive_profile(group, n_max, visit=None):
+    """Reference exhaustive profile: the set-based rooted enumeration, with
+    the seen and banned sets rebuilt at every node.  ``visit``, if given,
+    is called with the current index set at every node."""
+    univ_ball = build_ball(group, max(n_max - 1, 0))
+    order = univ_ball.elements
+    nS = len(group.generators)
+    nbr_ids = [[j for j in row if j != EXTERIOR]
+               for row in univ_ball.nbr[:, group.inverse_gen_index].tolist()]
+    inside = [0] * len(order)       # neighbors of each vertex inside A
+    interior = 0                    # members of A with all nS neighbors in A
+    best: Dict[int, Tuple[int, FrozenSet[Element]]] = {}
+    current: Set[int] = set()
+
+    def extend(candidates: List[int], banned: Set[int]):
+        nonlocal interior
+        for i, c in enumerate(candidates):
+            current.add(c)
+            if visit is not None:
+                visit(current)
+            interior += inside[c] == nS
+            for j in nbr_ids[c]:
+                inside[j] += 1
+                interior += inside[j] == nS and j in current
+            n = len(current)
+            if n not in best or n - interior < best[n][0]:
+                best[n] = (n - interior, frozenset(order[k] for k in current))
+            if n < n_max:
+                fresh = []
+                seen = banned | current | set(candidates)
+                for j in nbr_ids[c]:
+                    if j not in seen:
+                        fresh.append(j)
+                        seen.add(j)
+                extend(candidates[i + 1:] + fresh, banned | set(candidates[:i + 1]))
+            for j in nbr_ids[c]:
+                interior -= inside[j] == nS and j in current
+                inside[j] -= 1
+            interior -= inside[c] == nS
+            current.remove(c)
+
+    extend([0], set())
+    return [IsoperimetricRecord(n, best[n][0], best[n][1], "exhaustive", True)
+            for n in sorted(best)]
+
+
+def ref_greedy_profile(group, n_max):
+    """Reference greedy profile: rescan every count for the frontier
+    maximum of (count, element) at each step."""
+    nS = len(group.generators)
+    count: Dict[Element, int] = {}
+    A: Set[Element] = set()
+    interior = 0
+    records = []
+    pick = group.identity()
+    while True:
+        A.add(pick)
+        interior += count.get(pick, 0) == nS
+        for g in group.generators:
+            y = group.multiply(pick, g)
+            count[y] = count.get(y, 0) + 1
+            interior += count[y] == nS and y in A
+        records.append(IsoperimetricRecord(len(A), len(A) - interior,
+                                           frozenset(A), "greedy", False))
+        frontier = [(c, y) for y, c in count.items() if y not in A]
+        if len(A) >= n_max or not frontier:
+            break
+        pick = max(frontier)[1]
+    return records
+
+
+@pytest.mark.parametrize("group,n_exhaustive,n_greedy", [
+    (Z1, 8, 60), (Z2, 9, 60), (make_group("Z^3"), 6, 60),
+    (make_group("F_2"), 6, 60), (make_group("H3"), 6, 60),
+    (Cyclic5(), 5, 5), (Cyclic5(), 7, 7),
+    (Cyclic4Doubled(), 4, 4), (Cyclic4Doubled(), 6, 6),
+], ids=lambda v: getattr(v, "name", v))
+def test_profiles_match_reference_records(group, n_exhaustive, n_greedy):
+    """Whole records (n, |dA|, witness, exact) equal those of the set-based
+    references, including on a finite group and on repeated neighbor slots."""
+    for strategy, n_max, ref in [("exhaustive", n_exhaustive, ref_exhaustive_profile),
+                                 ("greedy", n_greedy, ref_greedy_profile)]:
+        got = isoperimetric_profile(group, n_max, strategy)
+        assert got.truncated_at is None
+        assert got.records == ref(group, n_max)
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "greedy"])
+def test_profile_with_repeated_neighbor_slots(strategy):
+    group = Cyclic4Doubled()
+    profile = isoperimetric_profile(group, 6, strategy)
+    assert [r.boundary_size for r in profile.records] == [1, 2, 3, 0]
+    for rec in profile.records:
+        assert len(rec.witness) == rec.n
+        assert rec.boundary_size == len(ref_vertex_boundary(group, rec.witness))
+
+
+def test_reference_enumeration_visits_each_z2_set_once():
+    """On Z^2 the connected sets of size n containing e are the n
+    translates of each fixed polyomino (OEIS A001168) that cover e; the
+    reference enumeration visits each of them exactly once."""
+    a001168 = [1, 2, 6, 19, 63, 216, 760, 2725]
+    visits: Dict[int, List[FrozenSet[int]]] = {}
+    ref_exhaustive_profile(Z2, 8, lambda A: visits.setdefault(
+        len(A), []).append(frozenset(A)))
+    for n, polyominoes in enumerate(a001168, start=1):
+        assert len(visits[n]) == n * polyominoes
+        assert len(set(visits[n])) == n * polyominoes
 
 
 def test_profile_z1():
@@ -49,6 +180,18 @@ def test_budget_truncation(monkeypatch):
     assert profile.records[-1].n == 5
     with pytest.raises(ValueError):
         isoperimetric_profile(Z2, 5, "nope")
+
+
+def test_greedy_budget_truncation(monkeypatch):
+    import caylex.geometry as geometry
+    profile = isoperimetric_profile(Z2, GREEDY_N_MAX + 1, "greedy")
+    assert profile.truncated_at == GREEDY_N_MAX
+    assert len(profile.records) == GREEDY_N_MAX
+    monkeypatch.setattr(geometry, "GREEDY_N_MAX", 7)
+    profile = isoperimetric_profile(Z2, 20, "greedy")
+    assert profile.truncated_at == 7
+    assert [r.n for r in profile.records] == list(range(1, 8))
+    assert isoperimetric_profile(Z2, 7, "greedy").truncated_at is None
 
 
 def test_greedy_upper_bounds_exhaustive():

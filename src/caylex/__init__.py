@@ -26,6 +26,6 @@ from .geometry import (EquivalenceProbe, ISdResult, IsoperimetricProfile,
                        IsoperimetricRecord, SobolevReport, check_ISd,
                        indicator_identities, is_equivalence_probe,
                        isoperimetric_profile, lemma61_check,
-                       mean_value_step, random_formal_sum,
-                       random_nonnegative, sobolev_constant,
+                       mean_value_step, random_ball_function,
+                       random_formal_sum, random_nonnegative, sobolev_constant,
                        sobolev_p2, sobolev_test_set, tent_function)

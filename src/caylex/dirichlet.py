@@ -207,14 +207,6 @@ def solve(problem: EnergyProblem) -> SolveReport:
                    *_newton(u2, problem.p, free, edges, problem.convention))
 
 
-def solve_descent_only(problem: EnergyProblem) -> SolveReport:
-    """Force the Newton route, from the pinned start rather than the p = 2
-    solution, even at p = 2 (cross-validation hook)."""
-    u0, free, edges = _setup(problem)
-    return _report(problem, edges, "iterative-convex",
-                   *_newton(u0, problem.p, free, edges, problem.convention))
-
-
 # ---------------------------------------------------------------------------
 # harmonic extension
 

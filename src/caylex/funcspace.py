@@ -152,6 +152,11 @@ class BallFunction:
     def copy_with(self, values) -> "BallFunction":
         return BallFunction(self.ball, values, self.convention)
 
+    def __mul__(self, c) -> "BallFunction":
+        return self.copy_with(c * self.values)
+
+    __rmul__ = __mul__
+
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.values) or bool(np.all(self.values.imag == 0))
 

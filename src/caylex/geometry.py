@@ -17,10 +17,10 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .cayley import (EXTERIOR, CayleyBall, SubsetView, build_ball,
-                     vertex_boundary, vertex_boundary_elements)
-from .funcspace import (FormalSum, _differences, _lift, dirichlet_seminorm_pow,
-                        lp_norm, modulus, power)
+from .cayley import (EXTERIOR, BallSizeError, CayleyBall, SubsetView,
+                     build_ball, vertex_boundary, vertex_boundary_elements)
+from .funcspace import (BallFunction, Carrier, FormalSum, _differences,
+                        _lift, dirichlet_seminorm_pow, lp_norm, modulus, power)
 from .groups import Element, GroupModel, ZdGroup
 
 EXHAUSTIVE_N_MAX = 12
@@ -196,17 +196,38 @@ def _greedy_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRecord]:
 
 
 def _ball_family_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRecord]:
+    """The balls B_r with at most n_max vertices.  One ball is built, its
+    radius doubled until it holds more than n_max vertices or the whole
+    (finite) group; once a radius exceeds the vertex cap, the radius is
+    bisected between the last one that fit and the least one that
+    exceeded.  Balls are indexed by word length, so B_r is the index
+    prefix of sum(sphere_sizes[:r + 1]) vertices."""
+    cap = max(4 * n_max, 1000)
+    fits, over, r = 0, None, 1      # B_fits has at most n_max vertices,
+    while True:                     # B_over more than cap
+        try:
+            ball = build_ball(group, r, max_vertices=cap)
+        except BallSizeError as err:
+            over, overflow = r, err
+        else:
+            if ball.n_vertices > n_max or not ball.sphere_sizes[-1]:
+                break
+            fits = r
+        if over is None:
+            r = 2 * r
+        elif over == fits + 1:
+            raise overflow
+        else:
+            r = (fits + over) // 2
     records = []
-    r = 0
-    while True:
-        ball = build_ball(group, r, max_vertices=max(4 * n_max, 1000))
-        if ball.n_vertices > n_max:
+    for m in np.cumsum([k for k in ball.sphere_sizes if k]).tolist():
+        if m > n_max:
             break
-        b = vertex_boundary(ball, SubsetView(ball, np.ones(ball.n_vertices, bool)))
-        records.append(IsoperimetricRecord(ball.n_vertices, len(b),
-                                           frozenset(ball.elements),
+        inside = np.arange(ball.n_vertices) < m
+        b = vertex_boundary(ball, SubsetView(ball, inside))
+        records.append(IsoperimetricRecord(m, len(b),
+                                           frozenset(ball.elements[:m]),
                                            "ball-family", False))
-        r += 1
     return records
 
 
@@ -321,12 +342,12 @@ def tent_function(group: GroupModel, radius: int) -> FormalSum:
     return FormalSum(group, data)
 
 
-def random_formal_sum(ball: CayleyBall, rng: np.random.Generator,
-                      max_support: int = 25, kind: str = "real",
-                      high: float = 1.0) -> FormalSum:
-    """Random function on 1..max_support distinct ball vertices: standard
-    normal values ('real'), normal real and imaginary parts ('complex'), or
-    uniform values in [0, high) ('nonnegative')."""
+def _random_draw(ball: CayleyBall, rng: np.random.Generator,
+                 max_support: int, kind: str, high: float):
+    """(vertex ids, values) of a random function on 1..max_support distinct
+    ball vertices: standard normal values ('real'), normal real and
+    imaginary parts ('complex'), or uniform values in [0, high)
+    ('nonnegative')."""
     k = int(rng.integers(1, max_support + 1))
     ids = rng.choice(ball.n_vertices, size=min(k, ball.n_vertices), replace=False)
     if kind == "nonnegative":
@@ -335,6 +356,26 @@ def random_formal_sum(ball: CayleyBall, rng: np.random.Generator,
         vals = rng.normal(size=(len(ids), 2)).view(complex).ravel()
     else:
         vals = rng.normal(size=len(ids))
+    return ids, vals
+
+
+def random_ball_function(ball: CayleyBall, rng: np.random.Generator,
+                         max_support: int = 25, kind: str = "real",
+                         high: float = 1.0) -> BallFunction:
+    """The draw of random_formal_sum as a dense 'zero'-convention function
+    on the ball, where every scalar operator is exact for it."""
+    ids, vals = _random_draw(ball, rng, max_support, kind, high)
+    values = np.zeros(ball.n_vertices, dtype=vals.dtype)
+    values[ids] = vals
+    return BallFunction(ball, values)
+
+
+def random_formal_sum(ball: CayleyBall, rng: np.random.Generator,
+                      max_support: int = 25, kind: str = "real",
+                      high: float = 1.0) -> FormalSum:
+    """Random function on 1..max_support distinct ball vertices, in draw
+    order (see _random_draw)."""
+    ids, vals = _random_draw(ball, rng, max_support, kind, high)
     return FormalSum(ball.group, {ball.elements[i]: v
                                   for i, v in zip(ids.tolist(), vals.tolist())})
 
@@ -413,14 +454,19 @@ class PowerEstimateResult:
     margin: float   # rhs - lhs, >= 0 up to rounding slack
 
 
-def lemma61_check(alpha: FormalSum, t: float) -> PowerEstimateResult:
+def lemma61_check(alpha: Carrier, t: float) -> PowerEstimateResult:
+    """The power estimate for a FormalSum or a 'zero'-convention
+    BallFunction holding alpha's whole support."""
     if not t >= 2:
         raise ValueError("the power estimate needs t >= 2")
     if not alpha.is_nonnegative():
         raise ValueError("alpha must be non-negative real")
+    if isinstance(alpha, BallFunction) and alpha.convention != "zero":
+        raise ValueError("the power estimate needs a 'zero'-convention "
+                         "BallFunction")
     (f,), _, _ = _lift([alpha])
     lhs = dirichlet_seminorm_pow(power(f, t), 1.0)
-    # on the support alone an exterior slot reads 0, as alpha does off it
+    # an exterior slot reads 0 under 'zero', as alpha does off its support
     spread = np.abs(_differences(f)).sum(axis=1)
     rhs = 2.0 * t * float(np.sum(f.values ** (t - 1.0) * spread))
     return PowerEstimateResult(lhs, rhs, rhs - lhs)

@@ -2,6 +2,13 @@
 identities.  Each suite runs a batch of randomized checks and returns a
 summary; with a fixed seed the output is bit-reproducible regardless of
 how the suites are scheduled.
+
+The sampling suites draw each sample once, as a dense 'zero'-convention
+BallFunction on the ball it is drawn from (geometry.random_ball_function),
+and check it there: every scalar operator is exact on that ball for a
+function supported in it, so no window is built.  FormalSum windows are
+used by the cocycle suite, lemma52's harmonicity cross-check and the
+Sobolev paths.
 """
 
 from __future__ import annotations
@@ -14,11 +21,10 @@ import numpy as np
 
 from . import dirichlet, geometry
 from .cayley import CayleyBall, build_ball
-from .funcspace import (BallFunction, FormalSum, _lift, check_cocycle,
-                        dirichlet_seminorm_pow, is_harmonic, laplacian,
-                        modulus, norms, pairing, harmonicity_via_pairing,
-                        translate, truncate_min)
-from .geometry import random_formal_sum
+from .funcspace import (BallFunction, check_cocycle, dirichlet_seminorm_pow,
+                        is_harmonic, laplacian, modulus, norms, pairing,
+                        harmonicity_via_pairing, translate, truncate_min)
+from .geometry import random_ball_function, random_formal_sum
 from .groups import make_group
 
 SUITE_NAMES = ["norms", "cocycle", "lemma31", "lemma41", "lemma52",
@@ -66,8 +72,7 @@ def suite_norms(seed: int) -> SuiteResult:
     checked = 0
     for i, ball in _cycle_balls(_FAMILIES, 200):
         name = ball.group.name
-        alpha = random_formal_sum(ball, rng, kind="complex" if i % 2 else "real")
-        (f,), _, _ = _lift([alpha])
+        f = random_ball_function(ball, rng, kind="complex" if i % 2 else "real")
         for p in (1.5, 2.0, 3.0):
             rep = norms(f, p)
             lhs = rep.dp_norm ** p
@@ -150,14 +155,13 @@ def suite_lemma41(seed: int) -> SuiteResult:
     checked = 0
     for i, ball in _cycle_balls(_FAMILIES, 1000, radius=5):
         name = ball.group.name
-        alpha = random_formal_sum(ball, rng)
+        f = random_ball_function(ball, rng)
         p = float(rng.choice([1.5, 2.0, 3.0]))
-        dp = norms(alpha, p).dp_norm
+        dp = norms(f, p).dp_norm
         xi = int(rng.integers(1, ball.n_vertices))
-        x = ball.elements[xi]
         wl = int(ball.word_length[xi])
         checked += 1
-        if abs(alpha(x)) > wl ** ((p - 1.0) / p) * dp * (1.0 + 1e-12):
+        if abs(f.values[xi]) > wl ** ((p - 1.0) / p) * dp * (1.0 + 1e-12):
             fails.append(f"word-length bound: {name} sample {i}")
     for _ in range(200):
         m = int(rng.integers(2, 8))
@@ -180,12 +184,13 @@ def suite_lemma52(seed: int, n: int = 1000,
     checked = 0
     max_residual = 0.0
     for i, ball in _cycle_balls(groups, n):
-        group = ball.group
-        name = group.name
-        alpha = random_formal_sum(ball, rng, kind="complex" if i % 2 else "real")
-        y = ball.elements[int(rng.integers(0, ball.n_vertices))]
-        lap_y = laplacian(alpha)(y)
-        val = pairing(FormalSum.delta(group, y), alpha)
+        name = ball.group.name
+        f = random_ball_function(ball, rng, kind="complex" if i % 2 else "real")
+        yi = int(rng.integers(0, ball.n_vertices))
+        lap_y = laplacian(f).values[yi]
+        delta = np.zeros(ball.n_vertices)
+        delta[yi] = 1.0
+        val = pairing(f.copy_with(delta), f)
         residual = abs(val + 2.0 * np.conj(lap_y)) / (1.0 + abs(lap_y))
         max_residual = max(max_residual, residual)
         checked += 1
@@ -194,6 +199,8 @@ def suite_lemma52(seed: int, n: int = 1000,
         if i % 10 == 0:
             domain = [ball.elements[int(j)]
                       for j in rng.integers(0, ball.n_vertices, 5)]
+            # the FormalSum route: lifted onto the window of its support
+            alpha = f.to_formal_sum()
             direct = is_harmonic(alpha, domain, tol=1e-10).harmonic
             via, _ = harmonicity_via_pairing(alpha, domain)
             checked += 1
@@ -214,12 +221,11 @@ def suite_prop53_holder(seed: int, n: int = 300,
     max_leak = 0.0
     for i, ball in _cycle_balls(groups, n):
         name = ball.group.name
-        alpha = random_formal_sum(ball, rng, kind="complex" if i % 2 else "real")
-        beta = random_formal_sum(ball, rng, kind="complex" if i % 3 else "real")
-        (fa, fb), _, _ = _lift([alpha, beta])
+        fa = random_ball_function(ball, rng, kind="complex" if i % 2 else "real")
+        fb = random_ball_function(ball, rng, kind="complex" if i % 3 else "real")
         exact = pairing(fa, fb)         # the same for every p
-        windowed = pairing(BallFunction.from_formal_sum(ball, alpha, "ball"),
-                           BallFunction.from_formal_sum(ball, beta, "ball"))
+        windowed = pairing(BallFunction(ball, fa.values, "ball"),
+                           BallFunction(ball, fb.values, "ball"))
         max_leak = max(max_leak, abs(windowed - exact))
         for p in ps:
             q = p / (p - 1.0)
@@ -243,9 +249,9 @@ def suite_lemma61(seed: int, n: int = 1000, n_scalar: int = 100_000,
     fails = []
     min_margin = np.inf
     for i, ball in _cycle_balls(groups, n):
-        alpha = random_formal_sum(ball, rng, kind="nonnegative", high=2.0)
+        f = random_ball_function(ball, rng, kind="nonnegative", high=2.0)
         ti = float(rng.choice([2.0, 2.5, 3.0])) if t is None else t
-        res = geometry.lemma61_check(alpha, ti)
+        res = geometry.lemma61_check(f, ti)
         min_margin = min(min_margin, res.margin)
         if res.margin < -1e-12 * (1.0 + res.rhs):
             fails.append(f"power estimate: {ball.group.name} sample {i} t={ti}")

@@ -8,7 +8,7 @@ from caylex.dirichlet import (EnergyProblem, NullSequenceError,
                               capacity, harmonic_extension,
                               maximum_principle_check, null_sequence,
                               parabolicity_scan, royden_source, royden_split,
-                              solve, solve_descent_only, trend_verdict)
+                              solve, trend_verdict)
 from caylex.funcspace import BallFunction
 from caylex.groups import make_group
 
@@ -125,6 +125,15 @@ def test_energy_scaling_quadratic():
     scaled = {i: 3.0 * v for i, v in data.items()}
     e2 = harmonic_extension(EnergyProblem(ball, 2.0, scaled, "ball")).energy
     assert e2 == pytest.approx(9.0 * e1, rel=1e-10)
+
+
+def solve_descent_only(problem: EnergyProblem):
+    """The Newton route from the pinned start rather than the p = 2
+    solution, even at p = 2: a cross-check of the linear solve."""
+    u0, free, edges = dirichlet._setup(problem)
+    return dirichlet._report(problem, edges, "iterative-convex",
+                             *dirichlet._newton(u0, problem.p, free, edges,
+                                                problem.convention))
 
 
 def test_descent_agrees_with_linear_solver():

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caylex.cayley import EXTERIOR, build_ball
-from caylex.funcspace import FormalSum, dirichlet_seminorm_pow, lp_norm
+from caylex import geometry
+from caylex.cayley import (EXTERIOR, BallSizeError, SubsetView, build_ball,
+                           vertex_boundary)
+from caylex.funcspace import (BallFunction, FormalSum, dirichlet_seminorm_pow,
+                              lp_norm)
 from caylex.geometry import (GREEDY_N_MAX, IsoperimetricRecord, check_ISd,
                              indicator_identities, is_equivalence_probe,
                              isoperimetric_profile, lemma61_check,
-                             mean_value_step, random_nonnegative,
+                             mean_value_step, random_ball_function,
+                             random_formal_sum, random_nonnegative,
                              sobolev_constant, sobolev_p2, tent_function)
 from caylex.groups import Element, GroupModel, make_group
 from test_cayley import Cyclic5, ref_vertex_boundary
@@ -106,6 +110,68 @@ def ref_greedy_profile(group, n_max):
             break
         pick = max(frontier)[1]
     return records
+
+
+def ref_ball_family_profile(group, n_max):
+    """Reference ball family: B_r built from scratch for r = 0, 1, ...
+    until it holds more than n_max vertices."""
+    records = []
+    r = 0
+    while True:
+        ball = build_ball(group, r, max_vertices=max(4 * n_max, 1000))
+        if ball.n_vertices > n_max:
+            break
+        b = vertex_boundary(ball, SubsetView(ball, np.ones(ball.n_vertices, bool)))
+        records.append(IsoperimetricRecord(ball.n_vertices, len(b),
+                                           frozenset(ball.elements),
+                                           "ball-family", False))
+        r += 1
+    return records
+
+
+@pytest.mark.parametrize("group,n_max", [
+    (Z1, 1), (Z1, 300), (Z2, 4), (Z2, 500), (make_group("F_2"), 300),
+    (make_group("F_2"), 1000), (make_group("Z^3"), 1000),
+    (make_group("Z^3"), 3000), (make_group("H3"), 50), (make_group("H3"), 800),
+    (make_group("H3"), 3000),
+], ids=lambda v: getattr(v, "name", v))
+def test_ball_family_matches_reference_records(group, n_max, monkeypatch):
+    """Whole records equal those of balls built one radius at a time.  On
+    F_2, Z^3 and H3 a doubled radius exceeds the vertex cap; the build then
+    bisects and never tries a radius at or above one that exceeded."""
+    tried = []
+
+    def build(group, radius, max_vertices):
+        try:
+            ball = build_ball(group, radius, max_vertices=max_vertices)
+        except BallSizeError:
+            tried.append((radius, False))
+            raise
+        tried.append((radius, True))
+        return ball
+
+    monkeypatch.setattr(geometry, "build_ball", build)
+    got = isoperimetric_profile(group, n_max, "ball-family")
+    assert got.records == ref_ball_family_profile(group, n_max)
+    assert tried[-1][1]
+    for k, (radius, _) in enumerate(tried):
+        assert all(radius < r for r, ok in tried[:k] if not ok)
+        assert radius not in [r for r, _ in tried[:k]]
+
+
+def test_ball_family_raises_when_the_next_ball_exceeds_the_cap():
+    """F_10: B_2 has 401 vertices, B_3 7,621 > 4 * 401, as in the old loop."""
+    group = make_group("F_10")
+    with pytest.raises(BallSizeError):
+        ref_ball_family_profile(group, 401)
+    with pytest.raises(BallSizeError):
+        isoperimetric_profile(group, 401, "ball-family")
+
+
+def test_ball_family_on_a_finite_cycle():
+    profile = isoperimetric_profile(Cyclic5(), 100, "ball-family")
+    assert [(r.n, r.boundary_size) for r in profile.records] == \
+        [(1, 1), (3, 2), (5, 0)]
 
 
 @pytest.mark.parametrize("group,n_exhaustive,n_greedy", [
@@ -329,6 +395,46 @@ def test_lemma61_zero_and_guards():
         lemma61_check(FormalSum.delta(Z1), float("nan"))
     with pytest.raises(ValueError):
         lemma61_check(FormalSum(Z1, {(0,): -1.0}), 2.0)
+
+
+def test_lemma61_rejects_a_ball_convention_function():
+    ball = build_ball(Z2, 2)
+    with pytest.raises(ValueError, match="'zero'"):
+        lemma61_check(BallFunction(ball, np.ones(ball.n_vertices), "ball"), 2.0)
+
+
+@pytest.mark.parametrize("spec", ["Z^2", "Z^3", "F_2", "H3"])
+def test_random_ball_function_matches_random_formal_sum(spec):
+    """From equal rng states both samplers draw the same function and leave
+    the rng in the same state; the FormalSum keeps draw order."""
+    ball = build_ball(make_group(spec), 3)
+    for kind, max_support in [("real", 25), ("complex", 25),
+                              ("nonnegative", 40), ("real", 10 ** 4)]:
+        for seed in range(5):
+            rng_dense = np.random.default_rng(seed)
+            rng_sparse = np.random.default_rng(seed)
+            f = random_ball_function(ball, rng_dense, max_support, kind, 2.0)
+            alpha = random_formal_sum(ball, rng_sparse, max_support, kind, 2.0)
+            assert f.convention == "zero"
+            assert f.to_formal_sum().data == alpha.data
+            assert rng_dense.bit_generator.state == rng_sparse.bit_generator.state
+            ids = np.random.default_rng(seed)
+            ids.integers(1, max_support + 1)
+            ids = ids.choice(ball.n_vertices, size=len(alpha.data), replace=False)
+            assert list(alpha.data) == [ball.elements[i] for i in ids]
+
+
+@pytest.mark.parametrize("spec", ["Z^2", "Z^3", "F_2", "H3"])
+def test_lemma61_same_on_ball_function_and_formal_sum(spec):
+    ball = build_ball(make_group(spec), 4)
+    rng = np.random.default_rng(7)
+    for t in (2.0, 2.5, 3.0):
+        f = random_ball_function(ball, rng, kind="nonnegative", high=2.0)
+        dense = lemma61_check(f, t)
+        sparse = lemma61_check(f.to_formal_sum(), t)
+        for a, b in [(dense.lhs, sparse.lhs), (dense.rhs, sparse.rhs)]:
+            assert a == pytest.approx(b, rel=1e-12)
+        assert dense.margin == pytest.approx(sparse.margin, rel=1e-12, abs=1e-12)
 
 
 def test_lemma61_block():

@@ -3,11 +3,12 @@ with array arithmetic, and indexed windows around finite seed sets.
 
 Vertex 0 of a ball is the identity; vertices are indexed in BFS discovery
 order with the generator index as tie-break, so two builds of the same ball
-are identical.  The neighbor table stores, for vertex i and generator index
-j, the index of x_i * g_j^-1, or EXTERIOR when that element lies outside the
-ball.  A window stores a seed set and its 1-step S-closure in the same
-format.  A ball keeps its elements as arrays and builds the element tuples
-and the element -> index dict only when they are first read.
+are identical and B_r is the index prefix of B_R (CayleyBall.restrict).
+The neighbor table stores, for vertex i and generator index j, the index
+of x_i * g_j^-1, or EXTERIOR when that element lies outside the ball.  A
+window stores a seed set and its 1-step S-closure in the same format.  A
+ball keeps its elements as arrays and builds the element tuples and the
+element -> index dict only when they are first read.
 """
 
 from __future__ import annotations
@@ -108,6 +109,21 @@ class CayleyBall:
     @property
     def n_vertices(self) -> int:
         return len(self.word_length)
+
+    def restrict(self, r: int) -> "CayleyBall":
+        """B_r = build_ball(group, r): the first sum(sphere_sizes[:r + 1])
+        vertices, with the slots that leave them EXTERIOR.  It shares the
+        element list, if read, or else the sphere decoder; restrict(radius)
+        is the ball itself."""
+        if not 0 <= r <= self.radius:
+            raise ValueError(f"restrict needs 0 <= r <= {self.radius}, got {r}")
+        if r == self.radius:
+            return self
+        n = sum(self.sphere_sizes[:r + 1])
+        nbr = np.where(self.nbr[:n] < n, self.nbr[:n], EXTERIOR)
+        elements = None if self._elements is None else self._elements[:n]
+        return CayleyBall(self.group, r, elements, None, nbr,
+                          self.word_length[:n], self._decode_sphere)
 
     def neighbor(self, i: int, j: int) -> int:
         """Index of x_i * g_j^-1, or EXTERIOR."""

@@ -35,6 +35,8 @@ EXIT_RESOURCE = 3
 EXIT_SOLVER = 4
 
 SCHEMA_VERSION = 1
+# commands whose reports have no flat CSV form, rejected before any work
+_JSON_ONLY = ("sobolev", "lemma61", "pairing")
 
 
 class UsageError(ValueError):
@@ -103,8 +105,6 @@ def _emit(report: dict, out: Optional[str], fmt: str,
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        if csv_rows is None:
-            raise UsageError(f"{report['command']} has no CSV form")
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()))
         writer.writeheader()
@@ -150,10 +150,10 @@ def cmd_ball(args) -> int:
 def cmd_capacity(args) -> int:
     group = make_group(args.group)
     radii = parse_radii(args.radii)
-    scan = dirichlet.parabolicity_scan(group, args.p, radii,
-                                       keep_minimizers=False)
-    entries = [{"capacity": c, **diag}
-               for c, diag in zip(scan.capacities, scan.diagnostics)]
+    scan = dirichlet.parabolicity_scan(group, args.p, radii)
+    entries = [{"R": R, "capacity": c, "iterations": rep.iterations,
+                "residual": rep.residual, "solver": rep.solver}
+               for R, c, rep in zip(radii, scan.capacities, scan.reports)]
     results = {"group": group.name, "p": scan.p, "entries": entries,
                "verdict": scan.verdict}
     rows = [{"R": e["R"], "capacity": e["capacity"],
@@ -413,6 +413,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        if args.command in _JSON_ONLY and _fmt_from_args(args) == "csv":
+            raise UsageError(f"{args.command} has no CSV form")
         return args.fn(args)
     except (UsageError, UnknownFamilyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

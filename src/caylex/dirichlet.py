@@ -15,8 +15,8 @@ backtracking), warm-started from the p = 2 solution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -222,28 +222,30 @@ def harmonic_extension(problem: EnergyProblem) -> SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# capacity
+# radius scans and capacity
+
+def _scan(group: GroupModel, radii: List[int], step, what: str) -> list:
+    """step(B_R, R) for each R of a strictly increasing schedule of radii
+    R >= 1, every B_R restricted from one build of the largest ball.  A
+    SolverFailure is re-raised with the prefix what + "R=<R>"."""
+    if not radii or radii[0] < 1 or any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be >= 1 and strictly increasing")
+    ball = build_ball(group, radii[-1])
+    out = []
+    for R in radii:
+        try:
+            out.append(step(ball.restrict(R), R))
+        except SolverFailure as exc:
+            raise SolverFailure(f"{what}R={R}: {exc}") from exc
+    return out
+
 
 def capacity(group: GroupModel, p: float, radius: int):
     """p-capacity of the identity at scale R: minimize the D(p)-energy over
     functions with u(e) = 1 that vanish on the sphere of radius R and
-    outside the ball (implicit-zero convention).
-
-    Returns (capacity, minimizer, report).
-    """
-    if p <= 1.0:
-        raise ValueError("capacity requires p > 1")
-    if radius < 1:
-        raise ValueError("capacity requires R >= 1")
-    ball = build_ball(group, radius)
-    constraints = {0: 1.0}
-    for i in ball.sphere_indices(radius):
-        constraints[int(i)] = 0.0
-    try:
-        report = solve(EnergyProblem(ball, p, constraints, convention="zero"))
-    except SolverFailure as exc:
-        raise SolverFailure(f"capacity of {group.name} at p={p}, R={radius}: "
-                            f"{exc}") from exc
+    outside the ball (implicit-zero convention), as a one-radius
+    parabolicity_scan.  Returns (capacity, minimizer, report)."""
+    report = parabolicity_scan(group, p, [radius]).reports[0]
     return report.energy, report.minimizer, report
 
 
@@ -254,8 +256,7 @@ class CapacityScan:
     radii: List[int]
     capacities: List[float]
     verdict: str                       # parabolic-trend | non-parabolic-trend
-    minimizers: List[BallFunction]     #   | inconclusive
-    diagnostics: List[dict] = field(default_factory=list)
+    reports: List[SolveReport]         #   | inconclusive
 
 
 def _loglog_slope(radii: Sequence[int], caps: Sequence[float]) -> float:
@@ -280,29 +281,27 @@ def trend_verdict(radii: Sequence[int], caps: Sequence[float]) -> str:
     return "inconclusive"
 
 
-def parabolicity_scan(group: GroupModel, p: float, radii: Sequence[int],
-                      keep_minimizers: bool = True) -> CapacityScan:
+def parabolicity_scan(group: GroupModel, p: float,
+                      radii: Sequence[int]) -> CapacityScan:
     """Capacity over a strictly increasing radius schedule, with a trend
     verdict.  Capacities are checked to be nonincreasing (nested feasible
     sets)."""
+    if p <= 1.0:
+        raise ValueError("capacity requires p > 1")
     radii = list(radii)
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly increasing")
-    caps: List[float] = []
-    mins: List[BallFunction] = []
-    diags: List[dict] = []
-    for R in radii:
-        c, m, rep = capacity(group, p, R)
-        if caps and c > caps[-1] * (1.0 + 1e-9):
+
+    def step(ball, R):
+        pins = {0: 1.0, **dict.fromkeys(ball.sphere_indices(R).tolist(), 0.0)}
+        return solve(EnergyProblem(ball, p, pins, convention="zero"))
+
+    reports = _scan(group, radii, step, f"capacity of {group.name} at p={p}, ")
+    caps = [rep.energy for rep in reports]
+    for k in range(1, len(caps)):
+        if caps[k] > caps[k - 1] * (1.0 + 1e-9):
             raise SolverFailure(
-                f"capacity increased from R={radii[len(caps)-1]} to R={R}")
-        caps.append(c)
-        mins.append(m)
-        diags.append({"R": R, "iterations": rep.iterations,
-                      "residual": rep.residual, "solver": rep.solver})
-    verdict = trend_verdict(radii, caps)
-    return CapacityScan(group.name, p, radii, caps, verdict,
-                        mins if keep_minimizers else [], diags)
+                f"capacity increased from R={radii[k - 1]} to R={radii[k]}")
+    return CapacityScan(group.name, p, radii, caps,
+                        trend_verdict(radii, caps), reports)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +327,6 @@ def null_sequence(scan: CapacityScan) -> List[NullSequenceTerm]:
     if scan.verdict != "parabolic-trend":
         raise NullSequenceError(
             f"scan verdict is {scan.verdict!r}, need parabolic-trend")
-    if not scan.minimizers:
-        raise NullSequenceError("scan was run without keep_minimizers")
     seminorms = [c ** (1.0 / scan.p) for c in scan.capacities]
     terms: List[NullSequenceTerm] = []
     n = 1
@@ -337,7 +334,7 @@ def null_sequence(scan: CapacityScan) -> List[NullSequenceTerm]:
         k = next((i for i, s in enumerate(seminorms) if s < 1.0 / n ** 2), None)
         if k is None:
             break
-        alpha = scan.minimizers[k].to_formal_sum()
+        alpha = scan.reports[k].minimizer.to_formal_sum()
         beta = float(n) * alpha
         a_semi = seminorms[k]
         b_semi = n * a_semi
@@ -354,18 +351,6 @@ def null_sequence(scan: CapacityScan) -> List[NullSequenceTerm]:
 
 # ---------------------------------------------------------------------------
 # Royden split experiment
-
-def _source_green_like(group: GroupModel) -> Callable[[Element], float]:
-    if not isinstance(group, ZdGroup):
-        raise ValueError("green-like source is defined on Z^d")
-    return lambda x: 1.0 / max(1, max(abs(a) for a in x))
-
-
-def _source_coordinate(group: GroupModel) -> Callable[[Element], float]:
-    if not isinstance(group, ZdGroup):
-        raise ValueError("coordinate source is defined on Z^d")
-    return lambda x: float(x[0])
-
 
 def _source_end_separating(group: GroupModel, damping: float = 0.5):
     """+1 limit on the a-end, -1 on the a^-1 end, approached geometrically:
@@ -386,10 +371,12 @@ def _source_end_separating(group: GroupModel, damping: float = 0.5):
 
 
 def royden_source(group: GroupModel, name: str, damping: float = 0.5):
+    if name in ("green-like", "coordinate") and not isinstance(group, ZdGroup):
+        raise ValueError(f"{name} source is defined on Z^d")
     if name == "green-like":
-        return _source_green_like(group)
+        return lambda x: 1.0 / max(1, max(abs(a) for a in x))
     if name == "coordinate":
-        return _source_coordinate(group)
+        return lambda x: float(x[0])
     if name == "end-separating":
         return _source_end_separating(group, damping)
     if name == "constant":
@@ -436,23 +423,18 @@ def royden_split(group: GroupModel, source: str, radii: Sequence[int],
     p = 2 Dirichlet problem on the interior; report the (ball-only) energy
     trend of the harmonic extensions."""
     f = royden_source(group, source, damping)
-    entries: List[RoydenEntry] = []
-    for R in radii:
-        ball = build_ball(group, R)
-        constraints = dict(zip(ball.sphere_indices(R).tolist(),
-                               map(f, ball.sphere_elements(R))))
-        try:
-            rep = harmonic_extension(
-                EnergyProblem(ball, 2.0, constraints, "ball"))
-        except SolverFailure as exc:
-            raise SolverFailure(f"royden split of {group.name} at R={R}: "
-                                f"{exc}") from exc
+    radii = list(radii)
+
+    def step(ball, R):
+        pins = dict(zip(ball.sphere_indices(R).tolist(),
+                        map(f, ball.sphere_elements(R))))
+        rep = harmonic_extension(EnergyProblem(ball, 2.0, pins, "ball"))
         vals = rep.minimizer.values
-        entries.append(RoydenEntry(R, rep.energy, float(vals.max()),
-                                   float(vals.min())))
-    energies = [e.energy for e in entries]
-    return RoydenReport(group.name, source, list(radii), entries,
-                        _royden_verdict(list(radii), energies))
+        return RoydenEntry(R, rep.energy, float(vals.max()), float(vals.min()))
+
+    entries = _scan(group, radii, step, f"royden split of {group.name} at ")
+    return RoydenReport(group.name, source, radii, entries,
+                        _royden_verdict(radii, [e.energy for e in entries]))
 
 
 # ---------------------------------------------------------------------------

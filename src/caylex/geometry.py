@@ -200,8 +200,7 @@ def _ball_family_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRec
     radius doubled until it holds more than n_max vertices or the whole
     (finite) group; once a radius exceeds the vertex cap, the radius is
     bisected between the last one that fit and the least one that
-    exceeded.  Balls are indexed by word length, so B_r is the index
-    prefix of sum(sphere_sizes[:r + 1]) vertices."""
+    exceeded.  Each B_r is read from it by restrict."""
     cap = max(4 * n_max, 1000)
     fits, over, r = 0, None, 1      # B_fits has at most n_max vertices,
     while True:                     # B_over more than cap
@@ -219,14 +218,16 @@ def _ball_family_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRec
             raise overflow
         else:
             r = (fits + over) // 2
+    ball.elements                   # decoded once, shared by every B_r
     records = []
-    for m in np.cumsum([k for k in ball.sphere_sizes if k]).tolist():
-        if m > n_max:
+    for r in range(ball.radius + 1):
+        sub = ball.restrict(r)
+        if sub.n_vertices > n_max or not sub.sphere_sizes[r]:
             break
-        inside = np.arange(ball.n_vertices) < m
-        b = vertex_boundary(ball, SubsetView(ball, inside))
-        records.append(IsoperimetricRecord(m, len(b),
-                                           frozenset(ball.elements[:m]),
+        whole = np.ones(sub.n_vertices, dtype=bool)
+        b = vertex_boundary(sub, SubsetView(sub, whole))
+        records.append(IsoperimetricRecord(sub.n_vertices, len(b),
+                                           frozenset(sub.elements),
                                            "ball-family", False))
     return records
 
@@ -332,14 +333,13 @@ def indicator_identities(group: GroupModel, A: Set[Element], d: float):
 
 
 def tent_function(group: GroupModel, radius: int) -> FormalSum:
-    """1 - |x|/R on the ball of radius R (word metric)."""
+    """1 - |x|/R on the ball of radius R >= 1 (word metric)."""
+    if radius < 1:
+        raise ValueError("tent_function requires R >= 1")
     ball = build_ball(group, radius)
-    data = {}
-    for i, x in enumerate(ball.elements):
-        v = 1.0 - ball.word_length[i] / float(radius)
-        if v > 0:
-            data[x] = v
-    return FormalSum(group, data)
+    lengths = ball.word_length.tolist()       # FormalSum drops the zeros at R
+    return FormalSum(group, {x: 1.0 - r / radius
+                             for x, r in zip(ball.elements, lengths)})
 
 
 def _random_draw(ball: CayleyBall, rng: np.random.Generator,

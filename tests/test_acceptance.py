@@ -64,12 +64,9 @@ def test_criterion_01_capacity_closed_form():
 def test_criterion_02_dichotomy_trends():
     t0 = time.time()
     z1 = parabolicity_scan(make_group("Z^1"), 2.0,
-                           [4, 8, 16, 32, 64, 128, 256],
-                           keep_minimizers=False)
-    z2p3 = parabolicity_scan(make_group("Z^2"), 3.0, [4, 8, 16, 32, 64, 96],
-                             keep_minimizers=False)
-    z3 = parabolicity_scan(make_group("Z^3"), 2.0, [4, 8, 12, 16, 20],
-                           keep_minimizers=False)
+                           [4, 8, 16, 32, 64, 128, 256])
+    z2p3 = parabolicity_scan(make_group("Z^2"), 3.0, [4, 8, 16, 32, 64, 96])
+    z3 = parabolicity_scan(make_group("Z^3"), 2.0, [4, 8, 12, 16, 20])
     caps3 = z3.capacities
     ok = (z1.verdict == "parabolic-trend"
           and z2p3.verdict == "parabolic-trend"

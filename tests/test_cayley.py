@@ -93,6 +93,37 @@ def test_sphere_elements_decode_only_their_sphere(group, R):
                                            for i in want.sphere_indices(r)]
 
 
+@pytest.mark.parametrize("group,R", [
+    *[(make_group(spec), 5)
+      for spec in ["Z^1", "Z^2", "Z^3", "F_1", "F_2", "H3"]],
+    (Cyclic5(), 6),              # past the diameter 2 of Z/5
+], ids=lambda v: getattr(v, "name", v))
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+def test_restrict_equals_a_fresh_build(group, R, read_first):
+    """B_r read from B_R by restrict is build_ball(group, r) for every
+    r <= R, whether or not B_R's elements were read first; reading B_r's
+    elements does not decode B_R's element list."""
+    big = build_ball(group, R)
+    if read_first:
+        big.elements
+    for r in range(R + 1):
+        assert (big._elements is None) == (not read_first)
+        got, want = big.restrict(r), build_ball(group, r)
+        assert got.radius == r
+        assert got.nbr.dtype == want.nbr.dtype
+        assert np.array_equal(got.nbr, want.nbr)
+        assert np.array_equal(got.word_length, want.word_length)
+        assert got.sphere_sizes == want.sphere_sizes
+        assert np.array_equal(got.interior, want.interior)
+        assert got.sphere_elements(r) == want.sphere_elements(r)
+        assert got.elements == want.elements
+        assert got.index == want.index
+    assert big.restrict(R) is big
+    for r in (-1, R + 1):
+        with pytest.raises(ValueError):
+            big.restrict(r)
+
+
 def test_vertex_cap_checked_before_a_sphere_is_built():
     """|B_30(F_2)| is about 4e14; the cap stops the build at sphere 4 with
     next to nothing allocated."""

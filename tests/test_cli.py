@@ -222,6 +222,26 @@ def test_range_errors_name_the_value(tmp_path, capsys):
                  "--out", str(tmp_path / "p.json")]) == EXIT_OK
 
 
+@pytest.mark.parametrize("argv,module,compute", [
+    (["sobolev", "--group", "Z^3", "--d", "3"], geometry, "isoperimetric_profile"),
+    (["lemma61", "--group", "Z^2"], verify, "suite_lemma61"),
+    (["pairing", "--group", "Z^2"], verify, "suite_lemma52"),
+], ids=["sobolev", "lemma61", "pairing"])
+@pytest.mark.parametrize("fmt", [["--format", "csv"], ["--out", "r.csv"]],
+                         ids=["format", "out"])
+def test_json_only_commands_reject_csv_before_any_work(argv, module, compute,
+                                                       fmt, tmp_path,
+                                                       monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{compute} ran before the format was checked")
+
+    monkeypatch.setattr(module, compute, unreachable)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + fmt) == EXIT_USAGE
+    assert f"error: {argv[0]} has no CSV form" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_damping_and_t_in_range_run(tmp_path):
     assert main(["royden", "--group", "F_2", "--source", "end-separating",
                  "--radii", "3:4", "--damping", "0", "--out",

@@ -264,6 +264,62 @@ def test_null_sequence_z1_p3():
             (4.0 * t.radius ** -2.0) ** (1.0 / 3.0), rel=1e-9)
 
 
+def _count_builds(monkeypatch):
+    """Patch dirichlet.build_ball to record the radius of every build."""
+    radii = []
+
+    def counted(group, radius, *args, **kwargs):
+        radii.append(radius)
+        return build_ball(group, radius, *args, **kwargs)
+
+    monkeypatch.setattr(dirichlet, "build_ball", counted)
+    return radii
+
+
+@pytest.mark.parametrize("spec,p,radii", [
+    ("Z^2", 2.0, [2, 4, 8]), ("H3", 2.0, [1, 2, 4]), ("F_2", 3.0, [2, 3, 4]),
+])
+def test_parabolicity_scan_builds_one_ball(spec, p, radii, monkeypatch):
+    """The scan builds only its largest ball, and each capacity equals
+    capacity(group, p, R) exactly."""
+    group = make_group(spec)
+    built = _count_builds(monkeypatch)
+    scan = parabolicity_scan(group, p, radii)
+    assert built == [radii[-1]]
+    assert scan.capacities == [rep.energy for rep in scan.reports]
+    for R, cap in zip(radii, scan.capacities):
+        assert capacity(group, p, R)[0] == cap
+
+
+@pytest.mark.parametrize("spec,source,radii", [
+    ("F_2", "end-separating", [3, 5, 6]), ("Z^3", "green-like", [2, 4, 5]),
+])
+def test_royden_split_builds_one_ball(spec, source, radii, monkeypatch):
+    """The split builds only its largest ball, and each entry equals the
+    harmonic extension on a fresh build_ball(group, R)."""
+    group = make_group(spec)
+    built = _count_builds(monkeypatch)
+    rep = royden_split(group, source, radii)
+    assert built == [radii[-1]]
+    f = royden_source(group, source)
+    for R, entry in zip(radii, rep.entries):
+        ball = build_ball(group, R)
+        pins = dict(zip(ball.sphere_indices(R).tolist(),
+                        map(f, ball.sphere_elements(R))))
+        want = harmonic_extension(EnergyProblem(ball, 2.0, pins, "ball"))
+        vals = want.minimizer.values
+        assert (entry.radius, entry.energy, entry.sup, entry.inf) == \
+            (R, want.energy, vals.max(), vals.min())
+
+
+@pytest.mark.parametrize("radii", [[4, 3], [3, 3], [0, 2], []])
+def test_scans_reject_a_bad_schedule(radii):
+    with pytest.raises(ValueError):
+        royden_split(make_group("Z^2"), "constant", radii)
+    with pytest.raises(ValueError):
+        parabolicity_scan(make_group("Z^2"), 2.0, radii)
+
+
 def test_royden_sources():
     f = royden_source(make_group("Z^3"), "green-like")
     assert f((0, 0, 0)) == 1.0

@@ -457,6 +457,8 @@ def test_tent_function():
     assert tent((2, 0)) == pytest.approx(0.5)
     assert tent((4, 0)) == 0.0
     assert tent((2, 2)) == 0.0   # word length 4
+    with pytest.raises(ValueError):
+        tent_function(Z2, 0)
 
 
 def test_sobolev_p2_constant_and_identities():

@@ -114,7 +114,14 @@ class FormalSum:
 
 
 class BallFunction:
-    """Dense scalar function over a ball's vertex indices."""
+    """Dense scalar function over a ball's vertex indices, or a stack of m
+    such functions on one ball: values of shape (n,) or (m, n).
+
+    Every scalar operator reduces over the last axis, so on a stack it
+    returns one result per row (an array of shape (m,)) from the same code
+    that gives a Python scalar for one function; pointwise and Laplacian
+    results are stacks again.  to_formal_sum and the harmonicity tests take
+    one function only."""
 
     __slots__ = ("ball", "values", "convention")
 
@@ -122,8 +129,9 @@ class BallFunction:
         if convention not in ("zero", "ball"):
             raise ValueError(f"unknown exterior convention {convention!r}")
         values = np.asarray(values)
-        if values.shape != (ball.n_vertices,):
-            raise ValueError("values length must equal ball vertex count")
+        if values.ndim not in (1, 2) or values.shape[-1] != ball.n_vertices:
+            raise ValueError(f"values must have shape (n,) or (m, n) with n = "
+                             f"{ball.n_vertices} ball vertices, got {values.shape}")
         self.ball = ball
         self.values = values
         self.convention = convention
@@ -143,6 +151,7 @@ class BallFunction:
         return cls(ball, out, convention)
 
     def to_formal_sum(self) -> FormalSum:
+        _require_single(self, "to_formal_sum")
         nz = np.flatnonzero(self.values)
         elems = self.ball.elements
         return FormalSum(self.ball.group,
@@ -170,8 +179,20 @@ class BallFunction:
 Carrier = Union[FormalSum, BallFunction]
 
 
+def _require_single(f: BallFunction, what: str):
+    if f.values.ndim != 1:
+        raise ValueError(f"{what} takes one function, not a stack")
+
+
+def _scalar(x, cast=float):
+    """A reduction over the last axis as the operator returns it: a Python
+    scalar for one function, the array of row results for a stack."""
+    return cast(x) if np.ndim(x) == 0 else x
+
+
 @dataclass
 class NormReport:
+    """The norms of one function; arrays of row norms for a stack."""
     p: float
     q: float
     lp: float               # ||.||_p
@@ -212,22 +233,24 @@ def _lift(fs, domain=None, closure: bool = False):
 
 
 def _differences(f: BallFunction) -> np.ndarray:
-    """(n, |S|) table of f(x g_j^-1) - f(x).  An EXTERIOR neighbor reads 0
-    under 'zero'; under 'ball' its slot is 0."""
+    """(..., n, |S|) table of f(x g_j^-1) - f(x).  An EXTERIOR neighbor
+    reads 0 under 'zero'; under 'ball' its slot is 0."""
     nbr = f.ball.nbr
     ext = nbr == EXTERIOR
-    d = np.where(ext, 0.0, f.values[np.clip(nbr, 0, None)]) - f.values[:, None]
+    at_nbr = np.take(f.values, np.clip(nbr, 0, None), axis=-1)
+    d = np.where(ext, 0.0, at_nbr) - f.values[..., None]
     return np.where(ext, 0.0, d) if f.convention == "ball" else d
 
 
 def energy_value(u: np.ndarray, p: float, src, dst, ext_src, convention: str) -> float:
-    """sum |u(dst) - u(src)|^p over the directed in-ball pairs; under 'zero'
-    each exterior-incident slot also appears with the exterior endpoint as
-    x, contributing |u|^p a second time."""
-    d = u[dst] - u[src]
-    e = float(np.sum(np.abs(d) ** p))
+    """sum |u(dst) - u(src)|^p over the directed in-ball pairs, per row of
+    a stack u; under 'zero' each exterior-incident slot also appears with
+    the exterior endpoint as x, contributing |u|^p a second time."""
+    d = np.take(u, dst, axis=-1) - np.take(u, src, axis=-1)
+    e = _scalar(np.sum(np.abs(d) ** p, axis=-1))
     if convention == "zero":
-        e += 2.0 * float(np.sum(np.abs(u[ext_src]) ** p))
+        ext = np.take(u, ext_src, axis=-1)
+        e = e + 2.0 * _scalar(np.sum(np.abs(ext) ** p, axis=-1))
     return e
 
 
@@ -252,13 +275,13 @@ def convolve_diff(beta: Carrier, g: Element) -> Carrier:
     """beta * (g - 1): result(x) = beta(x g^-1) - beta(x), for g in S."""
     (f,), _, lower = _lift([beta], closure=True)
     j = _gen_index(f.ball.group, g)
-    return lower(f.copy_with(_differences(f)[:, j]))
+    return lower(f.copy_with(_differences(f)[..., j]))
 
 
 def laplacian(alpha: Carrier) -> Carrier:
     """(Lap alpha)(x) = sum_{g in S} (alpha(x g^-1) - alpha(x))."""
     (f,), _, lower = _lift([alpha], closure=True)
-    return lower(f.copy_with(_differences(f).sum(axis=1)))
+    return lower(f.copy_with(_differences(f).sum(axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +297,15 @@ def dirichlet_seminorm_pow(alpha: Carrier, p: float) -> float:
 def lp_norm(alpha: Carrier, p: float) -> float:
     p = _check_p(p)
     (f,), _, _ = _lift([alpha])
-    return float((np.abs(f.values) ** p).sum() ** (1.0 / p))
+    return _scalar(np.sum(np.abs(f.values) ** p, axis=-1) ** (1.0 / p))
 
 
 def value_at_identity(alpha: Carrier):
     (f,), _, _ = _lift([alpha])
     i = f.ball.index.get(f.ball.group.identity())
-    return 0.0 if i is None else f.values[i]
+    if i is None:
+        return _scalar(np.zeros(f.values.shape[:-1]))
+    return np.take(f.values, i, axis=-1)
 
 
 def norms(alpha: Carrier, p: float) -> NormReport:
@@ -311,6 +336,7 @@ class HarmonicityReport:
 def is_harmonic(alpha: Carrier, domain, tol: float = 1e-10) -> HarmonicityReport:
     """max_{x in domain} |Lap alpha(x)| <= tol."""
     (f,), domain, _ = _lift([alpha], domain, closure=True)
+    _require_single(f, "is_harmonic")
     if (f.ball.nbr[domain] == EXTERIOR).any():
         raise ValueError("domain must have all S-neighbors inside the ball")
     lap = _differences(f)[domain].sum(axis=1)
@@ -328,18 +354,19 @@ def pairing(alpha: Carrier, beta: Carrier) -> complex:
     sum for every p; it is unconditional for finitely supported input.
     """
     (fa, fb), _, _ = _lift([alpha, beta])
-    total = complex((_differences(fa) * np.conj(_differences(fb))).sum())
+    total = np.sum(_differences(fa) * np.conj(_differences(fb)), axis=(-2, -1))
     if fa.convention == "zero" and fb.convention == "zero":
         # exterior x with x g^-1 in the ball: diffs are (f(ball end) - 0)
         ext = (fa.ball.nbr == EXTERIOR).sum(axis=1)
-        total += complex((ext * fa.values * np.conj(fb.values)).sum())
-    return total
+        total = total + np.sum(ext * fa.values * np.conj(fb.values), axis=-1)
+    return _scalar(total, complex)
 
 
 def harmonicity_via_pairing(alpha: Carrier, domain):
     """alpha is harmonic iff <delta_y, alpha> = 0 for all y; returns
     (harmonic, max |<delta_y, alpha>|) over the domain."""
     (f,), domain, _ = _lift([alpha], domain, closure=True)
+    _require_single(f, "harmonicity_via_pairing")
     max_res = 0.0
     for i in domain:
         delta = np.zeros(f.ball.n_vertices)

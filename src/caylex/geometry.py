@@ -20,7 +20,8 @@ import numpy as np
 from .cayley import (EXTERIOR, BallSizeError, CayleyBall, SubsetView,
                      build_ball, vertex_boundary, vertex_boundary_elements)
 from .funcspace import (BallFunction, Carrier, FormalSum, _differences,
-                        _lift, dirichlet_seminorm_pow, lp_norm, modulus, power)
+                        _lift, _scalar, dirichlet_seminorm_pow, lp_norm,
+                        modulus, power)
 from .groups import Element, GroupModel, ZdGroup
 
 EXHAUSTIVE_N_MAX = 12
@@ -336,10 +337,14 @@ def tent_function(group: GroupModel, radius: int) -> FormalSum:
     """1 - |x|/R on the ball of radius R >= 1 (word metric)."""
     if radius < 1:
         raise ValueError("tent_function requires R >= 1")
-    ball = build_ball(group, radius)
+    return _tent(build_ball(group, radius))
+
+
+def _tent(ball: CayleyBall) -> FormalSum:
+    """1 - |x|/R on the ball B_R itself."""
     lengths = ball.word_length.tolist()       # FormalSum drops the zeros at R
-    return FormalSum(group, {x: 1.0 - r / radius
-                             for x, r in zip(ball.elements, lengths)})
+    return FormalSum(ball.group, {x: 1.0 - r / ball.radius
+                                  for x, r in zip(ball.elements, lengths)})
 
 
 def _random_draw(ball: CayleyBall, rng: np.random.Generator,
@@ -391,7 +396,8 @@ def random_nonnegative(group: GroupModel, rng: np.random.Generator,
 def sobolev_test_set(group: GroupModel, profile: Optional[IsoperimetricProfile],
                      n_random: int, rng: np.random.Generator) -> List[Tuple[str, FormalSum]]:
     """Indicators of the profile witnesses, tents of radius 2, 4 and 8, and
-    n_random random non-negative functions in the radius-8 ball."""
+    n_random random non-negative functions in the radius-8 ball.  One ball,
+    B_8, is built; the smaller tents are read from its restrictions."""
     if profile is not None and profile.group_spec != group.name:
         raise ValueError(f"profile of {profile.group_spec} given for "
                          f"group {group.name}")
@@ -400,9 +406,9 @@ def sobolev_test_set(group: GroupModel, profile: Optional[IsoperimetricProfile],
         for rec in profile.records:
             out.append((f"indicator-n{rec.n}",
                         FormalSum.indicator(group, rec.witness)))
-    for r in (2, 4, 8):
-        out.append((f"tent-R{r}", tent_function(group, r)))
     ball = build_ball(group, 8)
+    for r in (2, 4, 8):
+        out.append((f"tent-R{r}", _tent(ball.restrict(r))))
     for i in range(n_random):
         out.append((f"random-{i}",
                     random_nonnegative(group, rng, ball=ball)))
@@ -456,7 +462,8 @@ class PowerEstimateResult:
 
 def lemma61_check(alpha: Carrier, t: float) -> PowerEstimateResult:
     """The power estimate for a FormalSum or a 'zero'-convention
-    BallFunction holding alpha's whole support."""
+    BallFunction holding alpha's whole support; for a stack, the fields
+    are arrays of row results."""
     if not t >= 2:
         raise ValueError("the power estimate needs t >= 2")
     if not alpha.is_nonnegative():
@@ -467,8 +474,8 @@ def lemma61_check(alpha: Carrier, t: float) -> PowerEstimateResult:
     (f,), _, _ = _lift([alpha])
     lhs = dirichlet_seminorm_pow(power(f, t), 1.0)
     # an exterior slot reads 0 under 'zero', as alpha does off its support
-    spread = np.abs(_differences(f)).sum(axis=1)
-    rhs = 2.0 * t * float(np.sum(f.values ** (t - 1.0) * spread))
+    spread = np.abs(_differences(f)).sum(axis=-1)
+    rhs = 2.0 * t * _scalar(np.sum(f.values ** (t - 1.0) * spread, axis=-1))
     return PowerEstimateResult(lhs, rhs, rhs - lhs)
 
 

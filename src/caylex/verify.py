@@ -3,19 +3,27 @@ identities.  Each suite runs a batch of randomized checks and returns a
 summary; with a fixed seed the output is bit-reproducible regardless of
 how the suites are scheduled.
 
-The sampling suites draw each sample once, as a dense 'zero'-convention
-BallFunction on the ball it is drawn from (geometry.random_ball_function),
-and check it there: every scalar operator is exact on that ball for a
-function supported in it, so no window is built.  FormalSum windows are
-used by the cocycle suite, lemma52's harmonicity cross-check and the
-Sobolev paths.
+The sampling suites (norms, lemma41, lemma52, prop53-holder, lemma61)
+draw each sample once, as a dense 'zero'-convention BallFunction on the
+ball it is drawn from (geometry.random_ball_function): every scalar
+operator is exact on that ball for a function supported in it, so no
+window is built.  The draws (samples, exponents, points, domains) keep
+the rng order of a loop over the samples.  The samples are checked in
+stacks: those that share a ball and an exponent are stacked, at most
+STACK_ROWS at a time, and each operator is called once per stack and
+returns one result per row.  A stack is checked as soon as it is full;
+checks draw nothing, so the order of the draws is unchanged.  Failures
+are mapped back to their samples and reported in sample order.
+FormalSum windows are used by the cocycle suite, lemma52's harmonicity
+cross-check and the Sobolev paths.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -52,6 +60,12 @@ class SuiteResult:
 
 _FAMILIES = ("Z^2", "Z^3", "F_2", "H3")
 
+# Rows per stack.  Measured on a 2-CPU VM over the suites' balls (41-485
+# vertices): 32 rows take most of the per-call overhead out of the loops
+# and leave the suites workload's peak RSS within 0.5 MB of per-sample
+# checks; one stack per (ball, exponent) costs 8 MB more.
+STACK_ROWS = 32
+
 
 def _cycle_balls(groups: Sequence[str], n: int,
                  radius: int = 4) -> Iterator[Tuple[int, CayleyBall]]:
@@ -62,29 +76,63 @@ def _cycle_balls(groups: Sequence[str], n: int,
         yield i, balls[i % len(balls)]
 
 
+def _stacks(draws: Iterable[tuple]) -> Iterator[Tuple[object, List[int], list]]:
+    """(key, sample indices, samples) per stack: the (key, sample) draws
+    grouped by key, at most STACK_ROWS to a stack, each stack in sample
+    order.  A stack is yielded once it is full, and the partial ones after
+    the last draw, so lazily drawn samples are held only until their stack
+    is checked."""
+    pending: Dict = {}
+    for i, (key, sample) in enumerate(draws):
+        rows, samples = pending.setdefault(key, ([], []))
+        rows.append(i)
+        samples.append(sample)
+        if len(rows) == STACK_ROWS:
+            yield (key, *pending.pop(key))
+    for key, (rows, samples) in pending.items():
+        yield key, rows, samples
+
+
+def _stack(fs: Sequence[BallFunction]) -> BallFunction:
+    """The functions, all on one ball, as the rows of one BallFunction;
+    complex if any of them is."""
+    return fs[0].copy_with(np.stack([f.values for f in fs]))
+
+
+def _flagged(rows: List[int], flags) -> List[int]:
+    """The rows whose check failed.  A scalar flag, from an operator that
+    returned one value for the whole stack, holds for each row."""
+    return [i for i, bad in zip(rows, np.broadcast_to(flags, len(rows))) if bad]
+
+
+def _in_order(found: List[Tuple[tuple, str]]) -> List[str]:
+    """Failure messages sorted by their (sample, check) keys."""
+    return [msg for _, msg in sorted(found)]
+
+
 # ---------------------------------------------------------------------------
 
 def suite_norms(seed: int) -> SuiteResult:
     """Norm identity ||a||_{D^p}^p = ||a||_{D(p)}^p + |a(e)|^p and the
     modulus contraction ||(|a|)||_D(p) <= ||a||_D(p)."""
     rng = np.random.default_rng(seed)
-    fails = []
-    checked = 0
-    for i, ball in _cycle_balls(_FAMILIES, 200):
+    ps = (1.5, 2.0, 3.0)
+    draws = ((ball, random_ball_function(ball, rng, kind="complex" if i % 2 else "real"))
+             for i, ball in _cycle_balls(_FAMILIES, 200))
+    found = []
+    for ball, rows, fs in _stacks(draws):
+        f = _stack(fs)
         name = ball.group.name
-        f = random_ball_function(ball, rng, kind="complex" if i % 2 else "real")
-        for p in (1.5, 2.0, 3.0):
+        for k, p in enumerate(ps):
             rep = norms(f, p)
             lhs = rep.dp_norm ** p
             rhs = rep.dp_seminorm ** p + rep.at_identity ** p
-            checked += 1
-            if abs(lhs - rhs) > 1e-12 * (1.0 + abs(rhs)):
-                fails.append(f"norm identity: {name} sample {i} p={p}")
+            for i in _flagged(rows, np.abs(lhs - rhs) > 1e-12 * (1.0 + np.abs(rhs))):
+                found.append(((i, k, 0), f"norm identity: {name} sample {i} p={p}"))
             semi_mod = dirichlet_seminorm_pow(modulus(f), p) ** (1 / p)
-            checked += 1
-            if semi_mod > rep.dp_seminorm * (1.0 + 1e-12) + 1e-12:
-                fails.append(f"modulus contraction: {name} sample {i} p={p}")
-    return SuiteResult("norms", checked, fails)
+            for i in _flagged(rows, semi_mod > rep.dp_seminorm * (1.0 + 1e-12) + 1e-12):
+                found.append(((i, k, 1), f"modulus contraction: {name} sample {i} p={p}"))
+    return SuiteResult("norms", 2 * len(ps) * 200, _in_order(found))
 
 
 def suite_cocycle(seed: int) -> SuiteResult:
@@ -151,18 +199,24 @@ def suite_lemma41(seed: int) -> SuiteResult:
     """Word-length bound |a(x)| <= n^{(p-1)/p} ||a||_{D^p}, plus the scalar
     power-mean inequality (a_1+...+a_n)^p <= n^{p-1} (a_1^p+...+a_n^p)."""
     rng = np.random.default_rng(seed)
-    fails = []
-    checked = 0
-    for i, ball in _cycle_balls(_FAMILIES, 1000, radius=5):
-        name = ball.group.name
-        f = random_ball_function(ball, rng)
-        p = float(rng.choice([1.5, 2.0, 3.0]))
+
+    def draws():
+        for i, ball in _cycle_balls(_FAMILIES, 1000, radius=5):
+            f = random_ball_function(ball, rng)
+            p = float(rng.choice([1.5, 2.0, 3.0]))
+            yield (ball, p), (f, int(rng.integers(1, ball.n_vertices)))
+
+    found = []
+    for (ball, p), rows, samples in _stacks(draws()):
+        f = _stack([f for f, _ in samples])
+        xi = np.array([x for _, x in samples])
         dp = norms(f, p).dp_norm
-        xi = int(rng.integers(1, ball.n_vertices))
-        wl = int(ball.word_length[xi])
-        checked += 1
-        if abs(f.values[xi]) > wl ** ((p - 1.0) / p) * dp * (1.0 + 1e-12):
-            fails.append(f"word-length bound: {name} sample {i}")
+        wl = ball.word_length[xi]
+        at_x = np.abs(f.values[np.arange(len(rows)), xi])
+        for i in _flagged(rows, at_x > wl ** ((p - 1.0) / p) * dp * (1.0 + 1e-12)):
+            found.append(((i,), f"word-length bound: {ball.group.name} sample {i}"))
+    fails = _in_order(found)
+    checked = 1000
     for _ in range(200):
         m = int(rng.integers(2, 8))
         a = rng.uniform(0.0, 3.0, size=m)
@@ -180,34 +234,38 @@ def suite_lemma52(seed: int, n: int = 1000,
     largest identity residual
     |<delta_y, a> + 2 conj(Lap a(y))| / (1 + |Lap a(y)|)."""
     rng = np.random.default_rng(seed)
-    fails = []
-    checked = 0
+    cross_checks = {}
+
+    def draws():
+        for i, ball in _cycle_balls(groups, n):
+            f = random_ball_function(ball, rng, kind="complex" if i % 2 else "real")
+            yield ball, (f, int(rng.integers(0, ball.n_vertices)))
+            if i % 10 == 0:
+                cross_checks[i] = f, [ball.elements[int(j)]
+                                      for j in rng.integers(0, ball.n_vertices, 5)]
+
+    found = []
     max_residual = 0.0
-    for i, ball in _cycle_balls(groups, n):
-        name = ball.group.name
-        f = random_ball_function(ball, rng, kind="complex" if i % 2 else "real")
-        yi = int(rng.integers(0, ball.n_vertices))
-        lap_y = laplacian(f).values[yi]
-        delta = np.zeros(ball.n_vertices)
-        delta[yi] = 1.0
+    for ball, rows, samples in _stacks(draws()):
+        f = _stack([f for f, _ in samples])
+        at = (np.arange(len(rows)), np.array([y for _, y in samples]))
+        lap_y = laplacian(f).values[at]
+        delta = np.zeros(f.values.shape)
+        delta[at] = 1.0
         val = pairing(f.copy_with(delta), f)
-        residual = abs(val + 2.0 * np.conj(lap_y)) / (1.0 + abs(lap_y))
-        max_residual = max(max_residual, residual)
-        checked += 1
-        if residual > 1e-12:
-            fails.append(f"pairing identity: {name} sample {i}")
-        if i % 10 == 0:
-            domain = [ball.elements[int(j)]
-                      for j in rng.integers(0, ball.n_vertices, 5)]
-            # the FormalSum route: lifted onto the window of its support
-            alpha = f.to_formal_sum()
-            direct = is_harmonic(alpha, domain, tol=1e-10).harmonic
-            via, _ = harmonicity_via_pairing(alpha, domain)
-            checked += 1
-            if direct != via:
-                fails.append(f"harmonicity disagreement: {name} sample {i}")
-    return SuiteResult("lemma52", checked, fails,
-                       {"max_identity_residual": float(max_residual)})
+        residual = np.abs(val + 2.0 * np.conj(lap_y)) / (1.0 + np.abs(lap_y))
+        max_residual = max(max_residual, float(np.max(residual)))
+        for i in _flagged(rows, residual > 1e-12):
+            found.append(((i, 0), f"pairing identity: {ball.group.name} sample {i}"))
+    for i, (f, domain) in cross_checks.items():
+        # the FormalSum route: lifted onto the window of its support
+        alpha = f.to_formal_sum()
+        direct = is_harmonic(alpha, domain, tol=1e-10).harmonic
+        via, _ = harmonicity_via_pairing(alpha, domain)
+        if direct != via:
+            found.append(((i, 1), f"harmonicity disagreement: {alpha.group.name} sample {i}"))
+    return SuiteResult("lemma52", n + len(cross_checks), _in_order(found),
+                       {"max_identity_residual": max_residual})
 
 
 def suite_prop53_holder(seed: int, n: int = 300,
@@ -217,22 +275,25 @@ def suite_prop53_holder(seed: int, n: int = 300,
     leakage |<a, b>_ball - <a, b>| of the pairing restricted to in-ball
     edges."""
     rng = np.random.default_rng(seed)
-    fails = []
+    draws = ((ball, (random_ball_function(ball, rng, kind="complex" if i % 2 else "real"),
+                     random_ball_function(ball, rng, kind="complex" if i % 3 else "real")))
+             for i, ball in _cycle_balls(groups, n))
+    found = []
     max_leak = 0.0
-    for i, ball in _cycle_balls(groups, n):
-        name = ball.group.name
-        fa = random_ball_function(ball, rng, kind="complex" if i % 2 else "real")
-        fb = random_ball_function(ball, rng, kind="complex" if i % 3 else "real")
+    for ball, rows, samples in _stacks(draws):
+        fa = _stack([fa for fa, _ in samples])
+        fb = _stack([fb for _, fb in samples])
         exact = pairing(fa, fb)         # the same for every p
         windowed = pairing(BallFunction(ball, fa.values, "ball"),
                            BallFunction(ball, fb.values, "ball"))
-        max_leak = max(max_leak, abs(windowed - exact))
-        for p in ps:
+        max_leak = max(max_leak, float(np.max(np.abs(windowed - exact))))
+        for k, p in enumerate(ps):
             q = p / (p - 1.0)
             rhs = dirichlet_seminorm_pow(fa, p) ** (1 / p) * \
                 dirichlet_seminorm_pow(fb, q) ** (1 / q)
-            if abs(exact) > rhs * (1.0 + 1e-10) + 1e-12:
-                fails.append(f"Hoelder: {name} sample {i} p={p}")
+            for i in _flagged(rows, np.abs(exact) > rhs * (1.0 + 1e-10) + 1e-12):
+                found.append(((i, k), f"Hoelder: {ball.group.name} sample {i} p={p}"))
+    fails = _in_order(found)
     return SuiteResult("prop53-holder", n * len(ps), fails,
                        {"holder_violations": len(fails),
                         "max_window_edge_leakage": max_leak})
@@ -246,15 +307,21 @@ def suite_lemma61(seed: int, n: int = 1000, n_scalar: int = 100_000,
     random (r, s, t).  Reports the violation counts and the smallest
     margin of the power estimate."""
     rng = np.random.default_rng(seed)
-    fails = []
+
+    def draws():
+        for i, ball in _cycle_balls(groups, n):
+            f = random_ball_function(ball, rng, kind="nonnegative", high=2.0)
+            ti = float(rng.choice([2.0, 2.5, 3.0])) if t is None else t
+            yield (ball, ti), f
+
+    found = []
     min_margin = np.inf
-    for i, ball in _cycle_balls(groups, n):
-        f = random_ball_function(ball, rng, kind="nonnegative", high=2.0)
-        ti = float(rng.choice([2.0, 2.5, 3.0])) if t is None else t
-        res = geometry.lemma61_check(f, ti)
-        min_margin = min(min_margin, res.margin)
-        if res.margin < -1e-12 * (1.0 + res.rhs):
-            fails.append(f"power estimate: {ball.group.name} sample {i} t={ti}")
+    for (ball, ti), rows, fs in _stacks(draws()):
+        res = geometry.lemma61_check(_stack(fs), ti)
+        min_margin = min(min_margin, float(np.min(res.margin)))
+        for i in _flagged(rows, res.margin < -1e-12 * (1.0 + res.rhs)):
+            found.append(((i,), f"power estimate: {ball.group.name} sample {i} t={ti}"))
+    fails = _in_order(found)
     violations = len(fails)
     r = rng.uniform(0.0, 10.0, size=n_scalar)
     s = rng.uniform(0.0, 1.0, size=n_scalar) * r

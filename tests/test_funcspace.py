@@ -13,7 +13,7 @@ from caylex.funcspace import (BallFunction, FormalSum, check_cocycle,
                               harmonicity_via_pairing, is_harmonic, laplacian,
                               lp_norm, modulus, norms, pairing, power,
                               translate, truncate_min)
-from caylex.geometry import lemma61_check, random_formal_sum
+from caylex.geometry import lemma61_check, random_ball_function, random_formal_sum
 from caylex.groups import make_group
 
 Z1 = make_group("Z^1")
@@ -477,3 +477,77 @@ def test_support_only_lift_matches_reference(spec, monkeypatch):
     # while a function-valued difference operator builds the closure
     laplacian(FormalSum.delta(group))
     assert built[-1] == (1 + len(group.generators), 1)
+
+
+# Stacks: each scalar operator reduces over the last axis.  Sums, pointwise
+# values and differences come out bit-identical per row; a p-th root (of
+# lp_norm and the norms fields) is numpy's array power on a stack and
+# Python's float power on one function, which differ in the last bits.
+def _stack_ops(kind, convention):
+    ops = {"laplacian": lambda f: laplacian(f).values,
+           "convolve_diff": lambda f: convolve_diff(f, f.ball.group.generators[1]).values,
+           "value_at_identity": funcspace.value_at_identity,
+           "modulus": lambda f: modulus(f).values}
+    roots = {}
+    for p in (1.0, 1.5, 2.0, 3.0):
+        ops[f"seminorm_pow-{p}"] = lambda f, p=p: dirichlet_seminorm_pow(f, p)
+        roots[f"lp_norm-{p}"] = lambda f, p=p: lp_norm(f, p)
+        for field in ("lp", "dp_seminorm", "dp_norm", "at_identity"):
+            roots[f"norms.{field}-{p}"] = \
+                lambda f, p=p, field=field: getattr(norms(f, p), field)
+    if kind == "nonnegative":
+        ops["power"] = lambda f: power(f, 2.5).values
+        ops["truncate_min"] = lambda f: truncate_min(f, 0.5 * f).values
+        if convention == "zero":
+            for field in ("lhs", "rhs", "margin"):
+                ops[f"lemma61.{field}"] = \
+                    lambda f, field=field: getattr(lemma61_check(f, 2.5), field)
+    return ops, roots
+
+
+@pytest.mark.parametrize("spec", ["Z^2", "Z^3", "F_2", "H3"])
+@pytest.mark.parametrize("kind", ["real", "complex", "nonnegative"])
+@pytest.mark.parametrize("convention", ["zero", "ball"])
+def test_stacked_operators_equal_row_calls(spec, kind, convention):
+    rng = np.random.default_rng(11)
+    ball = build_ball(make_group(spec), 3)
+    rows = [random_ball_function(ball, rng, kind=kind).values for _ in range(6)]
+    stack = BallFunction(ball, np.stack(rows), convention)
+    singles = [BallFunction(ball, v, convention) for v in rows]
+    ops, roots = _stack_ops(kind, convention)
+    for name, op in {**ops, **roots}.items():
+        got = op(stack)
+        want = np.array([op(f) for f in singles])
+        one = op(BallFunction(ball, rows[0][None, :], convention))
+        assert got.shape == want.shape, name
+        if name in ops:
+            assert np.array_equal(got, want), name
+            assert np.array_equal(one, want[:1]), name
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0, err_msg=name)
+            np.testing.assert_allclose(one, want[:1], rtol=1e-15, atol=0, err_msg=name)
+    flipped = BallFunction(ball, np.stack(rows[::-1]), convention)
+    want = np.array([pairing(f, g) for f, g in zip(singles, singles[::-1])])
+    assert np.array_equal(pairing(stack, flipped), want)
+    one = pairing(singles[0].copy_with(rows[0][None, :]),
+                  singles[5].copy_with(rows[5][None, :]))
+    assert np.array_equal(one, want[:1])
+
+
+def test_ball_function_rejects_bad_shapes():
+    ball = build_ball(Z2, 2)
+    n = ball.n_vertices
+    for shape in [(), (n - 1,), (n + 1,), (3, n - 1), (2, 3, n), (n, 2)]:
+        with pytest.raises(ValueError, match="shape"):
+            BallFunction(ball, np.zeros(shape))
+
+
+def test_one_function_operators_reject_stacks():
+    ball = build_ball(Z2, 2)
+    stack = BallFunction(ball, np.ones((2, ball.n_vertices)), "ball")
+    with pytest.raises(ValueError, match="stack"):
+        stack.to_formal_sum()
+    with pytest.raises(ValueError, match="stack"):
+        is_harmonic(stack, ball.interior_indices())
+    with pytest.raises(ValueError, match="stack"):
+        harmonicity_via_pairing(stack, ball.interior_indices())

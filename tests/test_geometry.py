@@ -461,6 +461,28 @@ def test_tent_function():
         tent_function(Z2, 0)
 
 
+@pytest.mark.parametrize("spec", ["Z^2", "Z^3", "F_2", "H3"])
+def test_sobolev_test_set_builds_one_ball(spec, monkeypatch):
+    """One B_8 serves the tents and the random functions; each tent equals
+    tent_function, in the same element order."""
+    group = make_group(spec)
+    built = []
+
+    def counted(group, radius, *args, **kwargs):
+        built.append(radius)
+        return build_ball(group, radius, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "build_ball", counted)
+    test_set = dict(geometry.sobolev_test_set(group, None, 3,
+                                              np.random.default_rng(0)))
+    assert built == [8]
+    monkeypatch.undo()
+    for r in (2, 4, 8):
+        tent = test_set[f"tent-R{r}"]
+        assert tent == tent_function(group, r)
+        assert list(tent.data) == list(tent_function(group, r).data)
+
+
 def test_sobolev_p2_constant_and_identities():
     group = make_group("Z^3")
     profile = isoperimetric_profile(group, 6, "exhaustive")

@@ -2,9 +2,14 @@
 
 Subcommands: ball, capacity, royden, iso, sobolev, lemma61, pairing, verify.
 lemma61 and pairing run verify's suites (lemma61; lemma52 and
-prop53-holder) on one group and report their worst cases.  Reports are
-written atomically (temp file + rename) as schema-versioned JSON or as
-flat CSV (one row per R or n) for plotting.
+prop53-holder) on one group and report their worst cases.
+
+Each cmd_* takes the parsed flags and its group and returns an Outcome:
+its results, CSV rows, stderr note and exit code.  main writes every
+report, atomically (temp file + rename), as schema-versioned JSON whose
+parameters are the parsed flags without --group, --out and --format, or
+as flat CSV (one row per R or n) for plotting.  verify prints one line
+per suite and writes its report only to --out.
 
 Exit codes: 0 ok, 1 verification-suite failure, 2 usage error,
 3 resource/budget exceeded, 4 solver failure.
@@ -20,7 +25,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Dict, List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -95,97 +100,83 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _report(command: str, group: Optional[str], parameters: dict, results) -> dict:
-    return {"schema_version": SCHEMA_VERSION, "command": command,
-            "group": group, "parameters": parameters, "results": results}
+def _fmt_from_args(args) -> str:
+    """--format, else by --out extension, else json."""
+    return args.format or ("csv" if args.out and args.out.endswith(".csv")
+                           else "json")
 
 
-def _emit(report: dict, out: Optional[str], fmt: str,
-          csv_rows: Optional[List[dict]] = None) -> None:
-    if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    elif fmt == "csv":
+class Outcome(NamedTuple):
+    """A command's results (None: no report), CSV rows, note and exit code."""
+    results: object
+    rows: Optional[List[dict]] = None
+    note: Optional[str] = None
+    code: int = EXIT_OK
+
+
+# flags that say where and how a report is written, not what it reports
+_NOT_PARAMETERS = ("command", "fn", "group", "out", "format")
+
+
+def _write_report(args, group_name: Optional[str], outcome: Outcome) -> None:
+    """Writes the report or the CSV rows to --out (atomically) or stdout."""
+    if _fmt_from_args(args) == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(csv_rows[0].keys()))
+        writer = csv.DictWriter(buf, fieldnames=list(outcome.rows[0].keys()))
         writer.writeheader()
-        writer.writerows(csv_rows)
+        writer.writerows(outcome.rows)
         text = buf.getvalue()
     else:
-        raise UsageError(f"unknown format {fmt!r}")
-    if out:
-        _atomic_write(out, text)
+        report = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                  "group": group_name, "results": outcome.results,
+                  "parameters": {k: v for k, v in vars(args).items()
+                                 if k not in _NOT_PARAMETERS}}
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        _atomic_write(args.out, text)
     else:
         sys.stdout.write(text)
-
-
-def _fmt_from_args(args) -> str:
-    if args.format:
-        return args.format
-    if args.out and args.out.endswith(".csv"):
-        return "csv"
-    return "json"
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_ball(args) -> int:
-    group = make_group(args.group)
+def cmd_ball(args, group) -> Outcome:
     ball = build_ball(group, args.radius)
     results = {"radius": ball.radius, "n_vertices": ball.n_vertices,
                "sphere_sizes": ball.sphere_sizes}
     if args.neighbors:
         results["elements"] = [group.format_element(x) for x in ball.elements]
         results["neighbor_table"] = ball.nbr.tolist()
-    rows = [{"r": r, "sphere_size": s}
-            for r, s in enumerate(ball.sphere_sizes)]
-    _emit(_report("ball", group.name, {"radius": args.radius,
-                                       "neighbors": bool(args.neighbors)},
-                  results), args.out, _fmt_from_args(args), rows)
-    print(f"{group.name} B_{args.radius}: {ball.n_vertices} vertices",
-          file=sys.stderr)
-    return EXIT_OK
+    rows = [{"r": r, "sphere_size": s} for r, s in enumerate(ball.sphere_sizes)]
+    return Outcome(results, rows,
+                   f"{group.name} B_{args.radius}: {ball.n_vertices} vertices")
 
 
-def cmd_capacity(args) -> int:
-    group = make_group(args.group)
-    radii = parse_radii(args.radii)
-    scan = dirichlet.parabolicity_scan(group, args.p, radii)
+def cmd_capacity(args, group) -> Outcome:
+    scan = dirichlet.parabolicity_scan(group, args.p, args.radii)
     entries = [{"R": R, "capacity": c, "iterations": rep.iterations,
                 "residual": rep.residual, "solver": rep.solver}
-               for R, c, rep in zip(radii, scan.capacities, scan.reports)]
+               for R, c, rep in zip(args.radii, scan.capacities, scan.reports)]
     results = {"group": group.name, "p": scan.p, "entries": entries,
                "verdict": scan.verdict}
-    rows = [{"R": e["R"], "capacity": e["capacity"],
-             "iterations": e["iterations"], "residual": e["residual"]}
+    rows = [{k: e[k] for k in ("R", "capacity", "iterations", "residual")}
             for e in entries]
-    _emit(_report("capacity", group.name,
-                  {"p": args.p, "radii": radii}, results),
-          args.out, _fmt_from_args(args), rows)
-    print(f"{group.name} p={args.p}: verdict {scan.verdict}", file=sys.stderr)
-    return EXIT_OK
+    return Outcome(results, rows, f"{group.name} p={args.p}: verdict {scan.verdict}")
 
 
-def cmd_royden(args) -> int:
-    group = make_group(args.group)
-    radii = parse_radii(args.radii)
-    rep = dirichlet.royden_split(group, args.source, radii,
+def cmd_royden(args, group) -> Outcome:
+    rep = dirichlet.royden_split(group, args.source, args.radii,
                                  damping=args.damping)
     entries = [{"R": e.radius, "energy": e.energy, "sup": e.sup, "inf": e.inf}
                for e in rep.entries]
     results = {"source": rep.source, "entries": entries,
                "verdict": rep.verdict}
-    _emit(_report("royden", group.name,
-                  {"source": args.source, "radii": radii,
-                   "damping": args.damping}, results),
-          args.out, _fmt_from_args(args), entries)
-    print(f"{group.name} source={args.source}: verdict {rep.verdict}",
-          file=sys.stderr)
-    return EXIT_OK
+    return Outcome(results, entries,
+                   f"{group.name} source={args.source}: verdict {rep.verdict}")
 
 
-def cmd_iso(args) -> int:
-    group = make_group(args.group)
+def cmd_iso(args, group) -> Outcome:
     profile = geometry.isoperimetric_profile(group, args.nmax, args.strategy)
     names = {x: group.format_element(x)
              for x in set().union(*(r.witness for r in profile.records))}
@@ -195,16 +186,11 @@ def cmd_iso(args) -> int:
                for r in profile.records]
     results = {"strategy": profile.strategy, "entries": entries,
                "truncated_at": profile.truncated_at}
-    rows = [{"n": e["n"], "boundary_size": e["boundary_size"],
-             "exact": e["exact"]} for e in entries]
-    _emit(_report("iso", group.name,
-                  {"nmax": args.nmax, "strategy": args.strategy}, results),
-          args.out, _fmt_from_args(args), rows)
-    return EXIT_OK
+    return Outcome(results, [{k: e[k] for k in ("n", "boundary_size", "exact")}
+                             for e in entries])
 
 
-def cmd_sobolev(args) -> int:
-    group = make_group(args.group)
+def cmd_sobolev(args, group) -> Outcome:
     profile = geometry.isoperimetric_profile(group, args.nmax, args.strategy)
     isd = geometry.check_ISd(profile, args.d)
     rep = geometry.sobolev_constant(group, args.d, profile,
@@ -223,61 +209,41 @@ def cmd_sobolev(args) -> int:
                         "worst_margin": done.worst_margin,
                         "exponent_identity_residual":
                             done.exponent_identity_residual})
-    _emit(_report("sobolev", group.name,
-                  {"d": args.d, "samples": args.samples, "seed": args.seed,
-                   "nmax": args.nmax, "strategy": args.strategy}, results),
-          args.out, _fmt_from_args(args))
-    print(f"{group.name} d={args.d}: C = {rep.constant:.6g}", file=sys.stderr)
-    return EXIT_OK
+    return Outcome(results, note=f"{group.name} d={args.d}: C = {rep.constant:.6g}")
 
 
-def cmd_lemma61(args) -> int:
-    group = make_group(args.group)
+def cmd_lemma61(args, group) -> Outcome:
     res = verify.suite_lemma61(args.seed, args.samples, args.scalar_samples,
                                [args.group], args.t)
     results = {"samples": args.samples, "scalar_samples": args.scalar_samples,
                **res.stats}
-    _emit(_report("lemma61", group.name,
-                  {"t": args.t, "samples": args.samples, "seed": args.seed,
-                   "scalar_samples": args.scalar_samples}, results),
-          args.out, _fmt_from_args(args))
-    print(f"{group.name}: {res.stats['violations']} violations / {args.samples}",
-          file=sys.stderr)
-    return EXIT_OK if res.passed else EXIT_SUITE_FAILURE
+    return Outcome(results, note=f"{group.name}: {res.stats['violations']} "
+                                 f"violations / {args.samples}",
+                   code=EXIT_OK if res.passed else EXIT_SUITE_FAILURE)
 
 
-def cmd_pairing(args) -> int:
-    group = make_group(args.group)
+def cmd_pairing(args, group) -> Outcome:
     suites = [verify.suite_lemma52(args.seed, args.samples, [args.group]),
               verify.suite_prop53_holder(args.seed, args.samples, [args.group],
                                          [args.p])]
     results = {"p": args.p, "samples": args.samples,
                **suites[0].stats, **suites[1].stats}
-    _emit(_report("pairing", group.name,
-                  {"p": args.p, "samples": args.samples, "seed": args.seed},
-                  results), args.out, _fmt_from_args(args))
-    return EXIT_OK if all(r.passed for r in suites) else EXIT_SUITE_FAILURE
+    return Outcome(results, code=EXIT_OK if all(r.passed for r in suites)
+                   else EXIT_SUITE_FAILURE)
 
 
-def cmd_verify(args) -> int:
-    if args.suite == "all":
-        names = list(verify.SUITE_NAMES)
-    elif args.suite in verify.SUITE_NAMES:
-        names = [args.suite]
-    else:
+def cmd_verify(args, group) -> Outcome:
+    if args.suite != "all" and args.suite not in verify.SUITE_NAMES:
         raise UsageError(f"unknown suite {args.suite!r}")
+    names = list(verify.SUITE_NAMES) if args.suite == "all" else [args.suite]
     results = verify.run_suites(names, args.seed, args.workers)
     for res in results:
         print(res.line())
-    ok = all(r.passed for r in results)
-    if args.out:
-        payload = [{"suite": r.name, "passed": r.passed, "checked": r.checked,
-                    "failures": r.failures} for r in results]
-        _emit(_report("verify", None,
-                      {"suite": args.suite, "seed": args.seed,
-                       "workers": args.workers}, payload),
-              args.out, "json")
-    return EXIT_OK if ok else EXIT_SUITE_FAILURE
+    payload = [{"suite": r.name, "passed": r.passed, "checked": r.checked,
+                "failures": r.failures} for r in results]
+    return Outcome(payload if args.out else None,
+                   code=EXIT_OK if all(r.passed for r in results)
+                   else EXIT_SUITE_FAILURE)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True,
                    help="one of %s or 'all'" % ", ".join(verify.SUITE_NAMES))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", "-o", type=_out_path)
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, format="json")
 
     return parser
 
@@ -415,7 +381,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.command in _JSON_ONLY and _fmt_from_args(args) == "csv":
             raise UsageError(f"{args.command} has no CSV form")
-        return args.fn(args)
+        group = make_group(args.group) if "group" in args else None
+        if "radii" in args:
+            args.radii = parse_radii(args.radii)
+        outcome = args.fn(args, group)
+        if outcome.results is not None:
+            _write_report(args, None if group is None else group.name, outcome)
+        if outcome.note:
+            print(outcome.note, file=sys.stderr)
+        return outcome.code
     except (UsageError, UnknownFamilyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

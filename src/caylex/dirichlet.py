@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .cayley import CayleyBall, build_ball, edge_arrays
 from .funcspace import BallFunction, FormalSum, energy_value, is_harmonic
-from .groups import Element, FreeGroup, GroupModel, ZdGroup
+from .groups import FreeGroup, GroupModel, ZdGroup
 
 LINEAR_RESIDUAL_TOL = 1e-10
 CG_RTOL = 1e-12               # CG stop: |L x - b| <= CG_RTOL |b|
@@ -352,24 +352,6 @@ def null_sequence(scan: CapacityScan) -> List[NullSequenceTerm]:
 # ---------------------------------------------------------------------------
 # Royden split experiment
 
-def _source_end_separating(group: GroupModel, damping: float = 0.5):
-    """+1 limit on the a-end, -1 on the a^-1 end, approached geometrically:
-    words starting with a^{+-1} get +-(1 - damping^len), others 0."""
-    if not isinstance(group, FreeGroup) or group.k < 2:
-        raise ValueError("end-separating source is defined on F_k, k >= 2")
-
-    def f(w: Element) -> float:
-        if not w:
-            return 0.0
-        if w[0] == 1:
-            return 1.0 - damping ** len(w)
-        if w[0] == -1:
-            return -(1.0 - damping ** len(w))
-        return 0.0
-
-    return f
-
-
 def royden_source(group: GroupModel, name: str, damping: float = 0.5):
     if name in ("green-like", "coordinate") and not isinstance(group, ZdGroup):
         raise ValueError(f"{name} source is defined on Z^d")
@@ -378,7 +360,11 @@ def royden_source(group: GroupModel, name: str, damping: float = 0.5):
     if name == "coordinate":
         return lambda x: float(x[0])
     if name == "end-separating":
-        return _source_end_separating(group, damping)
+        if not isinstance(group, FreeGroup) or group.k < 2:
+            raise ValueError("end-separating source is defined on F_k, k >= 2")
+        # words starting with a^{+-1} get +-(1 - damping^len), others 0
+        return lambda w: ((1.0 - damping ** len(w)) * w[0]
+                          if w and abs(w[0]) == 1 else 0.0)
     if name == "constant":
         return lambda x: 1.0
     raise ValueError(f"unknown royden source {name!r}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
@@ -362,16 +363,23 @@ def pairing(alpha: Carrier, beta: Carrier) -> complex:
     return _scalar(total, complex)
 
 
+# rows per pairing call of harmonicity_via_pairing's delta stack: its
+# (rows, n, |S|) difference table stays small on a large domain
+_DELTA_ROWS = 32
+
+
 def harmonicity_via_pairing(alpha: Carrier, domain):
     """alpha is harmonic iff <delta_y, alpha> = 0 for all y; returns
     (harmonic, max |<delta_y, alpha>|) over the domain."""
     (f,), domain, _ = _lift([alpha], domain, closure=True)
     _require_single(f, "harmonicity_via_pairing")
     max_res = 0.0
-    for i in domain:
-        delta = np.zeros(f.ball.n_vertices)
-        delta[i] = 1.0
-        max_res = max(max_res, abs(pairing(f.copy_with(delta), f)))
+    for lo in range(0, len(domain), _DELTA_ROWS):
+        rows = domain[lo:lo + _DELTA_ROWS]
+        deltas = np.zeros((len(rows), f.ball.n_vertices))
+        deltas[np.arange(len(rows)), rows] = 1.0
+        res = np.abs(pairing(f.copy_with(deltas), f))
+        max_res = max(max_res, float(res.max()))
     # <delta_y, alpha> = -2 conj(Lap alpha(y)): twice is_harmonic's 1e-10
     return max_res <= 2.0 * 1e-10, max_res
 
@@ -404,20 +412,13 @@ def check_cocycle(alpha: FormalSum, g_word: List[Element], h_word: List[Element]
     group = alpha.group
     view = cocycle_view(alpha)
     lhs = cocycle_extend(view, group, g_word + h_word)
-    g_elem = group.identity()
-    for g in g_word:
-        g_elem = group.multiply(g_elem, g)
-    h_elem = group.identity()
-    for h in h_word:
-        h_elem = group.multiply(h_elem, h)
+    g_elem, h_elem = (reduce(group.multiply, word, group.identity())
+                      for word in (g_word, h_word))
     rhs = translate(cocycle_extend(view, group, g_word), h_elem) \
         + cocycle_extend(view, group, h_word)
     res = max((abs(v) for v in (lhs - rhs).data.values()), default=0.0)
     # direct route: alpha*(x-1) = translate(alpha, x) - alpha
-    gh = g_elem
-    for h in h_word:
-        gh = group.multiply(gh, h)
-    direct = translate(alpha, gh) - alpha
+    direct = translate(alpha, group.multiply(g_elem, h_elem)) - alpha
     res2 = max((abs(v) for v in (lhs - direct).data.values()), default=0.0)
     return max(res, res2)
 

@@ -194,6 +194,7 @@ def test_thin_commands_exit_1_on_failed_check(tmp_path, monkeypatch):
       "--damping", "1"], None),
     (["royden", "--group", "F_2", "--source", "end-separating", "--radii", "3:4",
       "--damping", "-0.1"], None),
+    (["verify", "--suite", "norms", "--workers", "0"], None),
 ])
 def test_bad_input_is_a_usage_error(argv, cap, tmp_path, monkeypatch, capsys):
     """Out-of-range flags, a missing output directory and a bad vertex cap
@@ -264,6 +265,43 @@ def test_royden_solver_failure_names_the_radius(monkeypatch, capsys):
                  "--radii", "3:4"]) == EXIT_SOLVER
     err = capsys.readouterr().err
     assert "error: royden split of F_2 at R=3: linear solve residual " in err
+
+
+# one run of each command and the parameters its report must record: the
+# parsed flags, without --group, --out and --format
+COMMAND_PARAMETERS = [
+    (["ball", "--group", "Z^2", "--radius", "2"],
+     {"radius": 2, "neighbors": False}),
+    (["capacity", "--group", "Z^1", "--radii", "4:8:*2"],
+     {"p": 2.0, "radii": [4, 8]}),
+    (["royden", "--group", "Z^2", "--source", "constant", "--radii", "3:4"],
+     {"source": "constant", "radii": [3, 4], "damping": 0.5}),
+    (["iso", "--group", "Z^2", "--nmax", "4"],
+     {"nmax": 4, "strategy": "exhaustive"}),
+    (["sobolev", "--group", "Z^2", "--d", "2", "--samples", "5", "--nmax", "3"],
+     {"d": 2.0, "samples": 5, "seed": 0, "nmax": 3, "strategy": "exhaustive"}),
+    (["lemma61", "--group", "Z^2", "--samples", "5", "--scalar-samples", "10"],
+     {"t": None, "samples": 5, "seed": 0, "scalar_samples": 10}),
+    (["pairing", "--group", "Z^2", "--samples", "5"],
+     {"p": 2.0, "samples": 5, "seed": 0}),
+    (["verify", "--suite", "norms", "--seed", "3"],
+     {"suite": "norms", "seed": 3, "workers": 1}),
+]
+
+
+@pytest.mark.parametrize("argv,want", COMMAND_PARAMETERS,
+                         ids=[a[0] for a, _ in COMMAND_PARAMETERS])
+def test_report_parameters_are_the_parsed_flags(argv, want, tmp_path):
+    """Every command's JSON report validates against the schema and records
+    exactly its flags, with their parsed types (JSON false is not 0, 2.0
+    is not 2)."""
+    out = tmp_path / "r.json"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, SCHEMA)
+    assert report["command"] == argv[0]
+    assert json.dumps(report["parameters"], sort_keys=True) == \
+        json.dumps(want, sort_keys=True)
 
 
 def test_verify_single_suite(tmp_path):

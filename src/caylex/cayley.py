@@ -7,8 +7,9 @@ are identical and B_r is the index prefix of B_R (CayleyBall.restrict).
 The neighbor table stores, for vertex i and generator index j, the index
 of x_i * g_j^-1, or EXTERIOR when that element lies outside the ball.  A
 window stores a seed set and its 1-step S-closure in the same format.  A
-ball keeps its elements as arrays and builds the element tuples and the
-element -> index dict only when they are first read.
+ball keeps its elements as arrays and builds the element tuples, the
+element -> index dict and its cells (orbits under the automorphisms fixing
+e) only when they are first read.
 """
 
 from __future__ import annotations
@@ -62,16 +63,18 @@ class CayleyBall:
     ``elements`` (index -> Element) and ``index`` (Element -> index) may be
     given, or left None with ``decode_sphere`` returning the element list of
     one sphere; either way they are built on first read and then cached.
-    ``nbr`` is the table or a function that returns it on first read."""
+    ``nbr`` is the table or a function that returns it on first read, and
+    so is ``cells``; None makes each vertex its own cell."""
 
     def __init__(self, group: GroupModel, radius: int, elements, index,
-                 nbr, word_length: np.ndarray, decode_sphere=None):
+                 nbr, word_length: np.ndarray, decode_sphere=None, cells=None):
         self.group = group
         self.radius = radius
         self._elements = elements
         self._index = index
         self._decode_sphere = decode_sphere
         self._nbr = nbr
+        self._cells = cells
         self.word_length = word_length    # (n,) int array
         self.interior = word_length < radius if radius > 0 else word_length < 0
         counts = np.bincount(word_length, minlength=radius + 1)
@@ -83,6 +86,17 @@ class CayleyBall:
         if not isinstance(self._nbr, np.ndarray):
             self._nbr = self._nbr()
         return self._nbr
+
+    @property
+    def cells(self) -> np.ndarray:
+        """(n,) int array: the cell of each vertex, numbered by first
+        occurrence.  Vertices share a cell iff they share word length and
+        GroupModel.orbit_key; each is its own cell if the group has no key."""
+        if self._cells is None:
+            self._cells = np.arange(self.n_vertices)
+        elif not isinstance(self._cells, np.ndarray):
+            self._cells = self._cells()
+        return self._cells
 
     @property
     def elements(self):
@@ -113,8 +127,9 @@ class CayleyBall:
     def restrict(self, r: int) -> "CayleyBall":
         """B_r = build_ball(group, r): the first sum(sphere_sizes[:r + 1])
         vertices, with the slots that leave them EXTERIOR.  It shares the
-        element list, if read, or else the sphere decoder; restrict(radius)
-        is the ball itself."""
+        element list, if read, or else the sphere decoder, and reads its
+        cells as the prefix of this ball's; restrict(radius) is the ball
+        itself."""
         if not 0 <= r <= self.radius:
             raise ValueError(f"restrict needs 0 <= r <= {self.radius}, got {r}")
         if r == self.radius:
@@ -123,7 +138,8 @@ class CayleyBall:
         nbr = np.where(self.nbr[:n] < n, self.nbr[:n], EXTERIOR)
         elements = None if self._elements is None else self._elements[:n]
         return CayleyBall(self.group, r, elements, None, nbr,
-                          self.word_length[:n], self._decode_sphere)
+                          self.word_length[:n], self._decode_sphere,
+                          lambda: self.cells[:n])
 
     def neighbor(self, i: int, j: int) -> int:
         """Index of x_i * g_j^-1, or EXTERIOR."""
@@ -200,6 +216,17 @@ def _tree_sphere(group, spheres, starts, r):
     return nbr, n_new, assign
 
 
+def _orbit_cells(group, spheres, word_length):
+    """Cells of a ball from its sphere rows: the vertices ranked by (word
+    length, group.orbit_key), ranks renumbered by first occurrence."""
+    key = group.orbit_key(np.concatenate(spheres))
+    if key is None:
+        return np.arange(len(word_length))
+    ranks = _row_ranks(np.column_stack([key, word_length]))
+    first = np.unique(ranks, return_index=True)[1]
+    return np.argsort(np.argsort(first))[ranks]
+
+
 def _tuples(rows: np.ndarray):
     """The rows of a 2-d int array as tuples of Python ints."""
     return list(zip(*rows.T.tolist())) if rows.shape[1] else [()] * len(rows)
@@ -232,7 +259,8 @@ def build_ball(group: GroupModel, radius: int, max_vertices=None) -> CayleyBall:
     Lookup groups find products among the rows that group.right_products
     returns; tree groups (group.tree) need no lookup.  The vertex cap is
     checked before a sphere is allocated.  Elements are built on first
-    read of ``elements``, ``index`` or ``sphere_elements``."""
+    read of ``elements``, ``index`` or ``sphere_elements``, cells on first
+    read of ``cells``."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     cap = _vertex_cap(max_vertices)
@@ -258,7 +286,8 @@ def build_ball(group: GroupModel, radius: int, max_vertices=None) -> CayleyBall:
         starts.append(starts[-1] + n_new)
     word_length = np.repeat(np.arange(len(blocks)), np.diff(starts))
     return CayleyBall(group, radius, None, None, np.concatenate(blocks),
-                      word_length, partial(decode, group, spheres))
+                      word_length, partial(decode, group, spheres),
+                      partial(_orbit_cells, group, spheres, word_length))
 
 
 def _seed_products(group: GroupModel, seeds) -> list:
@@ -326,10 +355,11 @@ def _window(group, seeds, closure):
     return CayleyBall(group, 1, list(index), index, nbr, word_length)
 
 
-def edge_arrays(ball: CayleyBall):
+def edge_arrays(ball: CayleyBall, rows=None):
     """Directed in-ball pairs (src, dst) over all (vertex, generator) slots,
-    and the sources of exterior-incident slots."""
-    nbr = ball.nbr
+    and the sources of exterior-incident slots; given ``rows``, over the
+    slots of those vertices only, with each src its position in ``rows``."""
+    nbr = ball.nbr if rows is None else ball.nbr[rows]
     n, nS = nbr.shape
     src = np.repeat(np.arange(n), nS)
     dst = nbr.ravel()

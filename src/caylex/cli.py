@@ -8,8 +8,9 @@ Each cmd_* takes the parsed flags and its group and returns an Outcome:
 its results, CSV rows, stderr note and exit code.  main writes every
 report, atomically (temp file + rename), as schema-versioned JSON whose
 parameters are the parsed flags without --group, --out and --format, or
-as flat CSV (one row per R or n) for plotting.  verify prints one line
-per suite and writes its report only to --out.
+as flat CSV (one row per R or n) for plotting; sobolev, lemma61, pairing
+and verify have no CSV form.  verify prints one line per suite and writes
+its report only to --out.
 
 Exit codes: 0 ok, 1 verification-suite failure, 2 usage error,
 3 resource/budget exceeded, 4 solver failure.
@@ -41,7 +42,7 @@ EXIT_SOLVER = 4
 
 SCHEMA_VERSION = 1
 # commands whose reports have no flat CSV form, rejected before any work
-_JSON_ONLY = ("sobolev", "lemma61", "pairing")
+_JSON_ONLY = ("sobolev", "lemma61", "pairing", "verify")
 
 
 class UsageError(ValueError):
@@ -193,14 +194,15 @@ def cmd_iso(args, group) -> Outcome:
 def cmd_sobolev(args, group) -> Outcome:
     profile = geometry.isoperimetric_profile(group, args.nmax, args.strategy)
     isd = geometry.check_ISd(profile, args.d)
-    rep = geometry.sobolev_constant(group, args.d, profile,
-                                    n_random=args.samples, seed=args.seed)
+    ball = build_ball(group, 8)
+    test_set = geometry.sobolev_test_set(group, profile, args.samples,
+                                         np.random.default_rng(args.seed), ball)
+    rep = geometry.sobolev_constant(group, args.d, profile, test_set=test_set)
     results = {"d": args.d, "constant": rep.constant,
                "maximizer": rep.maximizer_kind, "samples": rep.samples,
                "isd_constant": isd.constant, "isd_verdict": isd.verdict}
     if args.d > 2:
         rng = np.random.default_rng(args.seed + 1)
-        ball = build_ball(group, 8)
         verification = [geometry.random_nonnegative(group, rng, ball=ball)
                         for _ in range(min(args.samples, 200))]
         done = geometry.sobolev_p2(rep, group, verification)
@@ -367,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", "-o", type=_out_path)
-    p.set_defaults(fn=cmd_verify, format="json")
+    p.set_defaults(fn=cmd_verify, format=None)
 
     return parser
 

@@ -5,11 +5,16 @@ identity, capacity scans with trend verdicts, null-sequence construction
 from capacity minimizers, the Royden-split experiment, and a maximum
 principle check.
 
-The p = 2 route assembles the (SPD) graph Laplacian on free vertices and
-solves it by Jacobi-preconditioned conjugate gradients, with sparse LU as
-the fallback; other exponents run damped Newton steps on the D(p) energy
-(the same Laplacian with |d|^(p-2) weights, the same inner solve, Armijo
-backtracking), warm-started from the p = 2 solution.
+A problem is solved on the cells of its ball (CayleyBall.cells, an
+equitable partition) if its pins are constant on them, else on single
+vertices: the minimizer is constant on cells, so the cell graph, with slot
+multiplicities as weights, gives it, and residuals and gradient norms are
+those of its lift onto the whole ball.  The p = 2 route assembles the
+(SPD) graph Laplacian on free cells and solves it by Jacobi-preconditioned
+conjugate gradients, with sparse LU as the fallback; other exponents run
+damped Newton steps on the D(p) energy (the same Laplacian with
+|d|^(p-2) weights, the same inner solve, Armijo backtracking),
+warm-started from the p = 2 solution.
 """
 
 from __future__ import annotations
@@ -65,17 +70,67 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# energy gradient (the energy itself is funcspace.energy_value)
+# the problem on cells
 
-def _energy_grad(u, p, src, dst, ext_src, convention):
-    d = u[dst] - u[src]
-    ue = u[ext_src] if convention == "zero" else np.zeros(len(ext_src))
-    gd = p * np.sign(d) * np.abs(d) ** (p - 1.0)
-    ge = 2.0 * p * np.sign(ue) * np.abs(ue) ** (p - 1.0)
-    n = len(u)
-    return (energy_value(u, p, src, dst, ext_src, convention),
-            np.bincount(dst, gd, n) - np.bincount(src, gd, n)
-            + np.bincount(ext_src, ge, n))
+@dataclass
+class _Cells:
+    """A problem on the cells of an equitable partition of its ball.  Each
+    vertex of cell a has the same slots into each cell, so the slots of a's
+    first vertex, each weighted by the cell size n_a, stand for all of a's
+    slots; in-ball weights are symmetric, as every slot has an inverse."""
+    cells: np.ndarray       # (n,) cell of each vertex
+    sizes: np.ndarray       # (k,) vertices per cell, as floats
+    x0: np.ndarray          # (k,) pinned values, zeros elsewhere
+    free: np.ndarray        # unpinned cells
+    edges: tuple            # (src, dst, ext) cells of the first vertices' slots
+    w: np.ndarray           # weight of each in-ball slot: n_src
+    w_ext: np.ndarray       # weight of each exterior slot: n_src, 0 under 'ball'
+
+    def norm(self, g: np.ndarray) -> float:
+        """sqrt(sum g_a^2 / n_a): the norm on the ball of the lift of g / n."""
+        return float(np.linalg.norm(g / np.sqrt(self.sizes[self.free])))
+
+
+def _setup(problem: EnergyProblem) -> _Cells:
+    """The problem on the cells of its ball (CayleyBall.cells) when the
+    pins are constant on them, and on single vertices otherwise."""
+    ball = problem.ball
+    n = ball.n_vertices
+    u0, pinned = np.zeros(n), np.zeros(n, dtype=bool)
+    for i, v in problem.constraints.items():
+        u0[i] = v
+        pinned[i] = True
+    cells = ball.cells
+    k = int(cells.max()) + 1
+    x0, fixed = np.zeros(k), np.zeros(k, dtype=bool)
+    x0[cells], fixed[cells] = u0, pinned
+    if not (np.array_equal(x0[cells], u0) and np.array_equal(fixed[cells], pinned)):
+        cells, k, x0, fixed = np.arange(n), n, u0, pinned
+    first = np.unique(cells, return_index=True)[1]
+    sizes = np.bincount(cells, minlength=k).astype(float)
+    src, dst, ext = edge_arrays(ball, first)
+    return _Cells(cells, sizes, x0, np.flatnonzero(~fixed), (src, cells[dst], ext),
+                  sizes[src], sizes[ext] * float(problem.convention == "zero"))
+
+
+# ---------------------------------------------------------------------------
+# energy and gradient on cells (the lift's energy is funcspace.energy_value)
+
+def _energy(x, p, q: _Cells):
+    src, dst, ext = q.edges
+    return (np.sum(q.w * np.abs(x[dst] - x[src]) ** p)
+            + 2.0 * np.sum(q.w_ext * np.abs(x[ext]) ** p))
+
+
+def _energy_grad(x, p, q: _Cells):
+    src, dst, ext = q.edges
+    d = x[dst] - x[src]
+    gd = p * q.w * np.sign(d) * np.abs(d) ** (p - 1.0)
+    ge = 2.0 * p * q.w_ext * np.sign(x[ext]) * np.abs(x[ext]) ** (p - 1.0)
+    k = len(x)
+    return (_energy(x, p, q),
+            np.bincount(dst, gd, k) - np.bincount(src, gd, k)
+            + np.bincount(ext, ge, k))
 
 
 # ---------------------------------------------------------------------------
@@ -114,97 +169,84 @@ def _solve_spd(L, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_linear(u0: np.ndarray, free: np.ndarray, convention: str,
-                  edges) -> Tuple[np.ndarray, float]:
-    """Minimize the p=2 energy: solve the graph Laplacian on free vertices
-    by _solve_spd and certify |Lx - b| <= LINEAR_RESIDUAL_TOL |b|, else
-    raise SolverFailure.
+def _solve_linear(q: _Cells) -> Tuple[np.ndarray, float]:
+    """Minimize the p=2 energy: solve the cell Laplacian on free cells by
+    _solve_spd and certify the full-ball residual, |Lx - b| <=
+    LINEAR_RESIDUAL_TOL |b| in the norm _Cells.norm, else raise
+    SolverFailure.
 
     Under the 'zero' convention every vertex has full degree |S| (missing
     neighbors are pinned to 0); under 'ball' the degree is the in-ball
-    neighbor count.  ``u0`` holds the pinned values and zeros elsewhere.
+    neighbor count.
     """
-    u = u0.copy()
-    if len(free) == 0:
-        return u, 0.0
-    L, b = _laplacian(u, free, edges, np.ones(len(edges[0])),
-                      np.full(len(edges[2]), float(convention == "zero")))
-    x = _solve_spd(L, b)
-    res = np.linalg.norm(L @ x - b)
-    scale = np.linalg.norm(b) if np.linalg.norm(b) > 0 else 1.0
-    if not np.all(np.isfinite(x)) or res > LINEAR_RESIDUAL_TOL * scale:
+    x = q.x0.copy()
+    if len(q.free) == 0:
+        return x, 0.0
+    L, b = _laplacian(x, q.free, q.edges, q.w, q.w_ext)
+    y = _solve_spd(L, b)
+    res = q.norm(L @ y - b)
+    scale = q.norm(b) if q.norm(b) > 0 else 1.0
+    if not np.all(np.isfinite(y)) or res > LINEAR_RESIDUAL_TOL * scale:
         raise SolverFailure(f"linear solve residual {res:.3e} exceeds tolerance")
-    u[free] = x
-    return u, float(res / scale)
+    x[q.free] = y
+    return x, float(res / scale)
 
 
-def _newton(u0: np.ndarray, p: float, free: np.ndarray, edges,
-            convention: str) -> Tuple[np.ndarray, int, float]:
-    """Damped Newton with Armijo backtracking on the free coordinates.
+def _newton(x0: np.ndarray, p: float, q: _Cells) -> Tuple[np.ndarray, int, float]:
+    """Damped Newton with Armijo backtracking on the free cells.
 
     The Hessian is 2 L with slot weights p(p-1) |d|^(p-2), |d| floored at
-    eps = |g|^2 clamped to [1e-12, 1e-2] (g the free gradient): the floor
-    bounds the weights for p < 2 and keeps L definite for p > 2.  The step
-    solves 2 L s = -g by _solve_spd; one that is not finite or not a descent
-    direction becomes -g.
+    eps = |g|^2 clamped to [1e-12, 1e-2] (g the free gradient, |g| its
+    full-ball norm): the floor bounds the weights for p < 2 and keeps L
+    definite for p > 2.  The step solves 2 L s = -g by _solve_spd; one that
+    is not finite or not a descent direction becomes the full-ball -g.
     """
-    src, dst, ext_src = edges
+    src, dst, ext = q.edges
+    free = q.free
     c = p * (p - 1.0)
-    c_ext = c * float(convention == "zero")
-    u = u0.copy()
+    x = x0.copy()
     for it in range(NEWTON_MAX_ITER + 1):
-        E, g = _energy_grad(u, p, *edges, convention)
+        E, g = _energy_grad(x, p, q)
         gf = g[free]
-        gn = float(np.linalg.norm(gf))
+        gn = q.norm(gf)
         if gn <= DESCENT_GRAD_TOL * (1.0 + E):
-            return u, it, gn
+            return x, it, gn
         eps = min(max(gn * gn, 1e-12), 1e-2)
-        L, _ = _laplacian(u, free, edges,
-                          c * np.maximum(np.abs(u[dst] - u[src]), eps) ** (p - 2.0),
-                          c_ext * np.maximum(np.abs(u[ext_src]), eps) ** (p - 2.0))
+        L, _ = _laplacian(x, free, q.edges,
+                          c * q.w * np.maximum(np.abs(x[dst] - x[src]), eps) ** (p - 2.0),
+                          c * q.w_ext * np.maximum(np.abs(x[ext]), eps) ** (p - 2.0))
         step = _solve_spd(L, -0.5 * gf)
         slope = float(gf @ step)
         if not (np.all(np.isfinite(step)) and slope < 0.0):
-            step, slope = -gf, -gn * gn
+            step, slope = -gf / q.sizes[free], -gn * gn
         # the slack 1e-14 (1 + E) covers rounding in the energy sum, which
         # near the minimizer exceeds the decrease of a full step
         for t in 0.5 ** np.arange(64):
-            v = u.copy()
+            v = x.copy()
             v[free] += t * step
-            if (energy_value(v, p, *edges, convention)
-                    <= E + 1e-4 * t * slope + 1e-14 * (1.0 + E)):
+            if _energy(v, p, q) <= E + 1e-4 * t * slope + 1e-14 * (1.0 + E):
                 break
-        u = v
+        x = v
     raise SolverFailure(f"Newton did not converge in {NEWTON_MAX_ITER} iterations "
                         f"(gradient norm {gn:.3e}, energy {E:.6e})")
 
 
-def _setup(problem: EnergyProblem):
-    """The pinned start vector (pinned values, zeros elsewhere), the free
-    vertex indices and the edge arrays of a problem."""
-    ball = problem.ball
-    u0 = np.zeros(ball.n_vertices)
-    pinned = np.zeros(ball.n_vertices, dtype=bool)
-    for i, v in problem.constraints.items():
-        u0[i] = v
-        pinned[i] = True
-    return u0, np.where(~pinned)[0], edge_arrays(ball)
-
-
-def _report(problem: EnergyProblem, edges, solver, u, iterations, residual):
+def _report(problem: EnergyProblem, q: _Cells, solver, x, iterations, residual):
+    """The report of cell values x, lifted onto the ball."""
+    u = x[q.cells]
     return SolveReport(BallFunction(problem.ball, u, problem.convention),
-                       energy_value(u, problem.p, *edges, problem.convention),
+                       energy_value(u, problem.p, *edge_arrays(problem.ball),
+                                    problem.convention),
                        iterations, residual, solver)
 
 
 def solve(problem: EnergyProblem) -> SolveReport:
     """Minimize the D(p) energy subject to the pinned values."""
-    u0, free, edges = _setup(problem)
-    u2, res = _solve_linear(u0, free, problem.convention, edges)
+    q = _setup(problem)
+    x2, res = _solve_linear(q)
     if problem.p == 2.0:
-        return _report(problem, edges, "direct-linear", u2, 0, res)
-    return _report(problem, edges, "iterative-convex",
-                   *_newton(u2, problem.p, free, edges, problem.convention))
+        return _report(problem, q, "direct-linear", x2, 0, res)
+    return _report(problem, q, "iterative-convex", *_newton(x2, problem.p, q))
 
 
 # ---------------------------------------------------------------------------

@@ -394,10 +394,12 @@ def random_nonnegative(group: GroupModel, rng: np.random.Generator,
 
 
 def sobolev_test_set(group: GroupModel, profile: Optional[IsoperimetricProfile],
-                     n_random: int, rng: np.random.Generator) -> List[Tuple[str, FormalSum]]:
+                     n_random: int, rng: np.random.Generator,
+                     ball: Optional[CayleyBall] = None) -> List[Tuple[str, FormalSum]]:
     """Indicators of the profile witnesses, tents of radius 2, 4 and 8, and
     n_random random non-negative functions in the radius-8 ball.  One ball,
-    B_8, is built; the smaller tents are read from its restrictions."""
+    B_8, is built unless given; the smaller tents are read from its
+    restrictions."""
     if profile is not None and profile.group_spec != group.name:
         raise ValueError(f"profile of {profile.group_spec} given for "
                          f"group {group.name}")
@@ -406,7 +408,8 @@ def sobolev_test_set(group: GroupModel, profile: Optional[IsoperimetricProfile],
         for rec in profile.records:
             out.append((f"indicator-n{rec.n}",
                         FormalSum.indicator(group, rec.witness)))
-    ball = build_ball(group, 8)
+    if ball is None:
+        ball = build_ball(group, 8)
     for r in (2, 4, 8):
         out.append((f"tent-R{r}", _tent(ball.restrict(r))))
     for i in range(n_random):

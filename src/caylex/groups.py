@@ -5,14 +5,15 @@ discrete Heisenberg group H3.  Elements are plain tuples in a canonical
 normal form, so equality and hashing are byte-for-byte.  Z^d and H3 also
 multiply whole arrays of elements at once (``right_products``), which ball
 building uses; F_k needs no products there, since its Cayley graph is a
-tree.
+tree.  Each family keys the orbits of its Cayley graph's automorphisms
+that fix e (``orbit_key``), the cells that energy minimization runs on.
 """
 
 from __future__ import annotations
 
 import re
 from operator import add
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -77,12 +78,13 @@ class GroupModel:
         return np.array(prods, dtype=np.int64).reshape(len(rows), len(inv),
                                                        rows.shape[1])
 
-    def word_element(self, gen_indices: Sequence[int]) -> Element:
-        """Product of generators by index, left to right."""
-        x = self.identity()
-        for j in gen_indices:
-            x = self.multiply(x, self.generators[j])
-        return x
+    def orbit_key(self, rows: np.ndarray) -> Optional[np.ndarray]:
+        """An (m, k) int key of the elements given as the rows of an (m, w)
+        array, equal on two elements of one word length iff some
+        automorphism of the Cayley graph that fixes e maps one onto the
+        other; balls add the word length (CayleyBall.cells).  None: no key
+        is known, and each element is its own orbit."""
+        return None
 
     def __repr__(self):
         return f"<GroupModel {self.name}>"
@@ -117,6 +119,10 @@ class ZdGroup(GroupModel):
 
     def right_products(self, rows):
         return rows[:, None, :] + self._inv_rows
+
+    def orbit_key(self, rows):
+        # the signed coordinate permutations preserve S
+        return np.sort(np.abs(rows), axis=1)
 
     def identity(self):
         return (0,) * self.d
@@ -168,6 +174,10 @@ class FreeGroup(GroupModel):
     def _is_element(self, x):
         return (isinstance(x, tuple) and self._letters.issuperset(x)
                 and 0 not in map(add, x, x[1:]))       # freely reduced
+
+    def orbit_key(self, rows):
+        # automorphisms of the tree fixing e are transitive on each sphere
+        return np.empty((len(rows), 0), dtype=np.int64)
 
     def identity(self):
         return ()
@@ -233,6 +243,18 @@ class HeisenbergGroup(GroupModel):
         out = rows[:, None, :] + h
         out[:, :, 2] += rows[:, :1] * h[:, 1]      # z gains x * b
         return out
+
+    def orbit_key(self, rows):
+        """The least image, in lexicographic order, under the 8 automorphisms
+        generated by (x,y,z) -> (sx x, sy y, sx sy z) for signs sx, sy and
+        (x,y,z) -> (y, x, xy - z); each maps S onto S."""
+        x, y, z = rows.T
+        images = np.concatenate([
+            np.stack(v, axis=1) for s in (1, -1) for t in (1, -1)
+            for v in [(s * x, t * y, s * t * z), (t * y, s * x, s * t * (x * y - z))]])
+        order = np.lexsort(images.T[::-1])
+        first = np.unique(order % len(rows), return_index=True)[1]
+        return images[order[first]]
 
     def identity(self):
         return (0, 0, 0)

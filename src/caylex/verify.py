@@ -345,7 +345,7 @@ def suite_prop62(seed: int) -> SuiteResult:
     ball = build_ball(group, 8)
     verification = [geometry.random_nonnegative(group, rng, ball=ball)
                     for _ in range(200)]
-    test_set = geometry.sobolev_test_set(group, profile, 100, rng)
+    test_set = geometry.sobolev_test_set(group, profile, 100, rng, ball)
     # the bootstrap argument applies the L^1 inequality to alpha^t; include
     # those powers in the empirical test set so C covers them
     from .funcspace import power

@@ -1,3 +1,11 @@
+def word_element(group, gen_indices):
+    """Product of generators of ``group`` by index, left to right."""
+    x = group.identity()
+    for j in gen_indices:
+        x = group.multiply(x, group.generators[j])
+    return x
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance scorecard lines, which per-test capture would
     otherwise hide for passing tests."""

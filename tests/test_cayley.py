@@ -9,6 +9,7 @@ from caylex.cayley import (EXTERIOR, BallSizeError, CayleyBall, SubsetView,
                            _window, build_ball, vertex_boundary,
                            vertex_boundary_elements, window)
 from caylex.groups import GroupModel, make_group
+from conftest import word_element
 
 
 class Cyclic5(GroupModel):
@@ -299,7 +300,7 @@ def test_growth_sanity():
 @pytest.mark.parametrize("spec", ["Z^2", "F_2", "H3"])
 def test_window_closure_table(spec, monkeypatch):
     group = make_group(spec)
-    seeds = [group.word_element(w) for w in ([], [0], [0, 2], [2, 2, 1], [0])]
+    seeds = [word_element(group, w) for w in ([], [0], [0, 2], [2, 2, 1], [0])]
     n_seeds = len(set(seeds))
     nS = len(group.generators)
     # products are counted on both routes: one per multiply, and |S| per
@@ -366,3 +367,91 @@ def test_window_matches_reference(group):
             n_seeds = len(set(seeds))
             assert list(win.word_length) == \
                 [0] * n_seeds + [1] * (len(elements) - n_seeds)
+
+
+# ---------------------------------------------------------------------------
+# cells: the orbits of the automorphisms fixing e
+
+def first_occurrence_labels(keys):
+    """Labels 0, 1, ... of a key sequence, numbered by first occurrence."""
+    labels = {}
+    return np.array([labels.setdefault(k, len(labels)) for k in keys])
+
+
+def ref_refine(ball, colours):
+    """One round of colour refinement: a vertex's new colour is its colour
+    with the multiset of its neighbours' colours, EXTERIOR counted as a
+    colour of its own.  A partition is equitable iff no class splits."""
+    return first_occurrence_labels(
+        (int(colours[i]), tuple(sorted(EXTERIOR if j == EXTERIOR
+                                       else int(colours[j]) for j in row)))
+        for i, row in enumerate(ball.nbr))
+
+
+def ref_orbits(ball, maps):
+    """Orbit labels of the ball's elements under the group the maps (on
+    element tuples) generate, by union-find."""
+    parent = list(range(ball.n_vertices))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, x in enumerate(ball.elements):
+        for f in maps:
+            parent[find(i)] = find(ball.index[f(x)])
+    return first_occurrence_labels(find(i) for i in range(ball.n_vertices))
+
+
+# generators of automorphism groups of (G, S): signed coordinate
+# permutations of Z^d, and the 8 automorphisms of H3 named in orbit_key
+AUTOMORPHISMS = {
+    "Z^1": [lambda x: (-x[0],)],
+    "Z^2": [lambda x: (-x[0], x[1]), lambda x: (x[1], x[0])],
+    "Z^3": [lambda x: (-x[0], x[1], x[2]), lambda x: (x[1], x[0], x[2]),
+            lambda x: (x[1], x[2], x[0])],
+    "H3": [lambda x: (-x[0], x[1], -x[2]), lambda x: (x[0], -x[1], -x[2]),
+           lambda x: (x[1], x[0], x[0] * x[1] - x[2])],
+}
+CELL_BALLS = [("Z^1", 8), ("Z^2", 8), ("Z^3", 5), ("H3", 6), ("F_2", 5)]
+
+
+@pytest.mark.parametrize("spec,R", CELL_BALLS)
+def test_cells_are_an_equitable_partition(spec, R):
+    ball = build_ball(make_group(spec), R)
+    cells = ball.cells
+    assert np.array_equal(ref_refine(ball, cells), cells)
+    # cells lie in spheres, and e is a cell of its own
+    assert all(len(set(ball.word_length[cells == c])) == 1
+               for c in range(cells.max() + 1))
+    assert np.count_nonzero(cells == cells[0]) == 1
+
+
+@pytest.mark.parametrize("spec,R", CELL_BALLS)
+def test_cells_are_the_orbits(spec, R):
+    ball = build_ball(make_group(spec), R)
+    if spec == "F_2":
+        # the tree's automorphisms fixing e are transitive on spheres
+        want = ball.word_length
+    else:
+        want = ref_orbits(ball, AUTOMORPHISMS[spec])
+    assert np.array_equal(ball.cells, want)
+
+
+@pytest.mark.parametrize("spec", ["Z^2", "Z^3", "H3", "F_2"])
+def test_restricted_cells_are_a_prefix(spec):
+    group = make_group(spec)
+    big = build_ball(group, 6)
+    for r in range(7):
+        small = big.restrict(r)
+        assert np.array_equal(small.cells, big.cells[:small.n_vertices])
+        assert np.array_equal(small.cells, build_ball(group, r).cells)
+
+
+def test_no_key_makes_single_vertex_cells():
+    ball = build_ball(Cyclic5(), 2)
+    assert np.array_equal(ball.cells, np.arange(ball.n_vertices))
+    win = window(make_group("Z^2"), [(0, 0), (1, 0)])
+    assert np.array_equal(win.cells, np.arange(win.n_vertices))

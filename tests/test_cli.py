@@ -7,7 +7,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from caylex import dirichlet, geometry, verify
+from caylex import cli, dirichlet, geometry, verify
+from caylex.cayley import build_ball
 from caylex.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_SOLVER, EXIT_SUITE_FAILURE,
                         EXIT_USAGE, UsageError, main, parse_radii)
 
@@ -241,6 +242,37 @@ def test_json_only_commands_reject_csv_before_any_work(argv, module, compute,
     assert main(argv + fmt) == EXIT_USAGE
     assert f"error: {argv[0]} has no CSV form" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_verify_rejects_a_csv_out_before_any_work(tmp_path, monkeypatch,
+                                                  capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("run_suites ran before the format was checked")
+
+    monkeypatch.setattr(verify, "run_suites", unreachable)
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--suite", "norms", "--out", "v.csv"]) == EXIT_USAGE
+    assert "error: verify has no CSV form" in capsys.readouterr().err
+    assert not (tmp_path / "v.csv").exists()
+
+
+def test_sobolev_builds_each_ball_once(tmp_path, monkeypatch):
+    """The profile's ball and one B_8, shared by the test set and the
+    verification functions, in the command and in the prop62 suite."""
+    built = []
+
+    def counted(group, radius, *args, **kwargs):
+        built.append(radius)
+        return build_ball(group, radius, *args, **kwargs)
+
+    for module in (cli, geometry, verify):
+        monkeypatch.setattr(module, "build_ball", counted)
+    assert main(["sobolev", "--group", "Z^3", "--d", "3", "--samples", "5",
+                 "--out", str(tmp_path / "s.json")]) == EXIT_OK
+    assert built == [5, 8]
+    built.clear()
+    assert verify.suite_prop62(1).passed
+    assert built == [5, 8]
 
 
 def test_damping_and_t_in_range_run(tmp_path):

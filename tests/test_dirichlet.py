@@ -130,10 +130,9 @@ def test_energy_scaling_quadratic():
 def solve_descent_only(problem: EnergyProblem):
     """The Newton route from the pinned start rather than the p = 2
     solution, even at p = 2: a cross-check of the linear solve."""
-    u0, free, edges = dirichlet._setup(problem)
-    return dirichlet._report(problem, edges, "iterative-convex",
-                             *dirichlet._newton(u0, problem.p, free, edges,
-                                                problem.convention))
+    q = dirichlet._setup(problem)
+    return dirichlet._report(problem, q, "iterative-convex",
+                             *dirichlet._newton(q.x0, problem.p, q))
 
 
 def test_descent_agrees_with_linear_solver():
@@ -362,3 +361,66 @@ def test_maximum_principle():
     vals[0] = 1.0
     res2 = maximum_principle_check(ball, BallFunction(ball, vals, "ball"))
     assert not res2.applicable
+
+
+# ---------------------------------------------------------------------------
+# solves on cells
+
+def _capacity_on_single_vertices(group, p, R, monkeypatch):
+    """capacity(group, p, R) with each vertex its own cell."""
+    with monkeypatch.context() as m:
+        m.setattr(type(group), "orbit_key", lambda self, rows: None)
+        return capacity(group, p, R)
+
+
+DESCENT_CASES = [("Z^1", 1.5, 64), ("Z^1", 3.0, 64), ("Z^2", 3.0, 16),
+                 ("Z^2", 3.0, 32), ("Z^2", 3.0, 48), ("Z^3", 3.0, 7),
+                 ("F_2", 1.5, 3), ("H3", 1.5, 3)]
+
+
+@pytest.mark.parametrize("spec,p,R", [
+    (spec, p, R) for spec, R in [("Z^1", 16), ("Z^2", 10), ("Z^3", 5),
+                                 ("H3", 4), ("F_2", 4)]
+    for p in (1.5, 2.0, 3.0)] + DESCENT_CASES)
+def test_cell_solve_matches_single_vertex_solve(spec, p, R, monkeypatch):
+    group = make_group(spec)
+    cap, m, rep = capacity(group, p, R)
+    cells = m.ball.cells
+    assert cells.max() + 1 < m.ball.n_vertices
+    want, m1, rep1 = _capacity_on_single_vertices(group, p, R, monkeypatch)
+    assert np.array_equal(m1.ball.cells, np.arange(m1.ball.n_vertices))
+    assert abs(cap - want) <= 1e-12 * want
+    assert np.allclose(m.values, m1.values, rtol=0.0, atol=1e-8)
+    if (spec, p, R) in DESCENT_CASES:
+        assert rep.iterations == rep1.iterations
+    # the minimizer is constant on cells
+    first = np.unique(cells, return_index=True)[1]
+    assert np.array_equal(m.values, m.values[first][cells])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_f2_capacity_on_spheres_matches_closed_form(p):
+    radii = [6, 8]
+    scan = parabolicity_scan(make_group("F_2"), p, radii)
+    for R, cap, rep in zip(radii, scan.capacities, scan.reports):
+        ball = rep.minimizer.ball
+        assert np.array_equal(ball.cells, ball.word_length)
+        series = sum((4.0 * 3.0 ** r) ** (-1.0 / (p - 1.0)) for r in range(R))
+        assert cap == pytest.approx(2.0 * series ** (1.0 - p), rel=1e-12)
+
+
+def test_pins_off_the_cells_fall_back_to_single_vertices():
+    f2 = make_group("F_2")
+    ball = build_ball(f2, 5)
+    sphere = ball.sphere_indices(5)
+    source = royden_source(f2, "end-separating")
+    royden_step = EnergyProblem(ball, 2.0, dict(zip(
+        sphere.tolist(), map(source, ball.sphere_elements(5)))), "ball")
+    harmonic = _p2_problem("Z^2", 8, "ball")
+    for problem in (royden_step, harmonic):
+        n = problem.ball.n_vertices
+        assert problem.ball.cells.max() + 1 < n
+        assert np.array_equal(dirichlet._setup(problem).cells, np.arange(n))
+    capacity_step = EnergyProblem(ball, 2.0, {0: 1.0, **dict.fromkeys(
+        sphere.tolist(), 0.0)}, "zero")
+    assert dirichlet._setup(capacity_step).cells is ball.cells

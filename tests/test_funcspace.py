@@ -15,6 +15,7 @@ from caylex.funcspace import (BallFunction, FormalSum, check_cocycle,
                               translate, truncate_min)
 from caylex.geometry import lemma61_check, random_ball_function, random_formal_sum
 from caylex.groups import make_group
+from conftest import word_element
 
 Z1 = make_group("Z^1")
 Z2 = make_group("Z^2")
@@ -453,7 +454,7 @@ def _support_only_cases(group, rng):
     real pair supported on the outer sphere of B_2 with overlapping
     supports, random complex and real sums, and the zero sum."""
     gens = group.generators
-    path = [group.word_element(w) for w in ([], [0], [0, 0], [0, 0, 2], [2])]
+    path = [word_element(group, w) for w in ([], [0], [0, 0], [0, 0, 2], [2])]
     yield (FormalSum(group, {x: complex(k + 1, k - 1) for k, x in enumerate(path)}),
            FormalSum(group, {x: 1.0 - k for k, x in enumerate(path[1:])}))
     ball = build_ball(group, 2)

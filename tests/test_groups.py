@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from caylex.groups import (FreeGroup, HeisenbergGroup, UnknownFamilyError,
                            make_group)
+from conftest import word_element
 
 ALL_SPECS = ["Z^1", "Z^2", "Z^3", "F_2", "H3"]
 
@@ -46,8 +47,8 @@ def test_group_axioms_random(spec):
     rng = np.random.default_rng(0)
     # random elements as words in the generators
     def rand_elem():
-        return g.word_element(rng.integers(0, len(g.generators),
-                                           rng.integers(0, 8)))
+        return word_element(g, rng.integers(0, len(g.generators),
+                                            rng.integers(0, 8)))
     e = g.identity()
     for _ in range(10_000 // 10):
         x, y, z = rand_elem(), rand_elem(), rand_elem()
@@ -64,8 +65,8 @@ def test_central_element(spec):
     assert c is not None
     rng = np.random.default_rng(1)
     for _ in range(1000 // 10):
-        x = g.word_element(rng.integers(0, len(g.generators),
-                                        rng.integers(0, 10)))
+        x = word_element(g, rng.integers(0, len(g.generators),
+                                         rng.integers(0, 10)))
         assert g.multiply(x, c) == g.multiply(c, x)
 
 
@@ -119,8 +120,8 @@ def test_format_parse_roundtrip(spec):
     g = make_group(spec)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        x = g.word_element(rng.integers(0, len(g.generators),
-                                        rng.integers(0, 6)))
+        x = word_element(g, rng.integers(0, len(g.generators),
+                                         rng.integers(0, 6)))
         assert g.parse_element(g.format_element(x)) == x
 
 

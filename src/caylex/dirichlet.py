@@ -10,11 +10,12 @@ equitable partition) if its pins are constant on them, else on single
 vertices: the minimizer is constant on cells, so the cell graph, with slot
 multiplicities as weights, gives it, and residuals and gradient norms are
 those of its lift onto the whole ball.  The p = 2 route assembles the
-(SPD) graph Laplacian on free cells and solves it by Jacobi-preconditioned
-conjugate gradients, with sparse LU as the fallback; other exponents run
-damped Newton steps on the D(p) energy (the same Laplacian with
-|d|^(p-2) weights, the same inner solve, Armijo backtracking),
-warm-started from the p = 2 solution.
+(SPD) graph Laplacian on free cells and solves it by a Jacobi-preconditioned
+conjugate gradient loop of this module's own, in the arithmetic of scipy's
+cg, falling back to sparse LU only when CG has not converged after one
+iteration per unknown; other exponents run damped Newton steps on the D(p)
+energy (the same Laplacian with |d|^(p-2) weights, the same inner solve,
+Armijo backtracking), warm-started from the p = 2 solution.
 """
 
 from __future__ import annotations
@@ -91,15 +92,25 @@ class _Cells:
         return float(np.linalg.norm(g / np.sqrt(self.sizes[self.free])))
 
 
+def _pin_indices(problem: EnergyProblem) -> np.ndarray:
+    """The pinned vertex indices, in the order of problem.constraints."""
+    c = problem.constraints
+    pins = np.fromiter(c, dtype=np.int64, count=len(c))
+    if pins.min() < 0 or pins.max() >= problem.ball.n_vertices:
+        raise ValueError("pinned vertex index outside the ball")
+    return pins
+
+
 def _setup(problem: EnergyProblem) -> _Cells:
     """The problem on the cells of its ball (CayleyBall.cells) when the
     pins are constant on them, and on single vertices otherwise."""
     ball = problem.ball
     n = ball.n_vertices
+    pins = _pin_indices(problem)
     u0, pinned = np.zeros(n), np.zeros(n, dtype=bool)
-    for i, v in problem.constraints.items():
-        u0[i] = v
-        pinned[i] = True
+    u0[pins] = np.fromiter(problem.constraints.values(), dtype=float,
+                           count=len(pins))
+    pinned[pins] = True
     cells = ball.cells
     k = int(cells.max()) + 1
     x0, fixed = np.zeros(k), np.zeros(k, dtype=bool)
@@ -159,14 +170,36 @@ def _laplacian(u, free, edges, w, w_ext):
 
 
 def _solve_spd(L, b: np.ndarray) -> np.ndarray:
-    """Solve the SPD system L x = b by conjugate gradients with the Jacobi
-    preconditioner, at most one iteration per unknown; if CG stops early,
-    by sparse LU instead.  The caller certifies the answer."""
-    x, info = spla.cg(L, b, rtol=CG_RTOL, atol=0.0, maxiter=L.shape[0],
-                      M=sp.diags(1.0 / L.diagonal()))
-    if info != 0:
-        x = spla.spsolve(L.tocsc(), b)
-    return x
+    """Solve the SPD system L x = b (L in CSR) by conjugate gradients with
+    the Jacobi preconditioner, and by sparse LU only if CG has not
+    converged after m = len(b) iterations.  The loop is scipy's cg
+    recurrence, the same operations in the same order from x = 0, so its
+    iterates are scipy's bit for bit, without the LinearOperator calls
+    around each matvec and preconditioner step.  It stops once |r| <
+    CG_RTOL |b|, checked after every update, the m-th too (scipy's cg
+    checks only before each, so it calls a system solved by its m-th
+    update unconverged).  The caller certifies the answer."""
+    m = len(b)
+    bnorm = np.linalg.norm(b)
+    x, r, p = np.zeros(m), b.copy(), np.zeros(m)
+    if bnorm == 0.0:
+        return x
+    tol = CG_RTOL * bnorm
+    dinv = 1.0 / L.diagonal()
+    rho_prev = np.inf                   # so that the first p is z
+    for _ in range(m):
+        z = dinv * r
+        rho = np.dot(r, z)
+        p *= rho / rho_prev
+        p += z
+        q = L @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        if np.linalg.norm(r) < tol:
+            return x
+        rho_prev = rho
+    return spla.spsolve(L.tocsc(), b)
 
 
 def _solve_linear(q: _Cells) -> Tuple[np.ndarray, float]:
@@ -184,8 +217,8 @@ def _solve_linear(q: _Cells) -> Tuple[np.ndarray, float]:
         return x, 0.0
     L, b = _laplacian(x, q.free, q.edges, q.w, q.w_ext)
     y = _solve_spd(L, b)
-    res = q.norm(L @ y - b)
-    scale = q.norm(b) if q.norm(b) > 0 else 1.0
+    res, bnorm = q.norm(L @ y - b), q.norm(b)
+    scale = bnorm if bnorm > 0 else 1.0
     if not np.all(np.isfinite(y)) or res > LINEAR_RESIDUAL_TOL * scale:
         raise SolverFailure(f"linear solve residual {res:.3e} exceeds tolerance")
     x[q.free] = y
@@ -255,11 +288,11 @@ def solve(problem: EnergyProblem) -> SolveReport:
 def harmonic_extension(problem: EnergyProblem) -> SolveReport:
     """Minimize the energy with every outermost-sphere vertex pinned."""
     ball = problem.ball
-    sphere = ball.sphere_indices(ball.radius)
-    missing = [int(i) for i in sphere if i not in problem.constraints]
+    pinned = np.zeros(ball.n_vertices, dtype=bool)
+    pinned[_pin_indices(problem)] = True
+    missing = np.count_nonzero(~pinned[ball.sphere_indices(ball.radius)])
     if missing:
-        raise ValueError(
-            f"{len(missing)} outermost-sphere vertices are unpinned")
+        raise ValueError(f"{missing} outermost-sphere vertices are unpinned")
     return solve(problem)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from caylex import dirichlet
@@ -57,6 +58,17 @@ def test_harmonic_extension_needs_full_sphere():
     ball = build_ball(Z1, 4)
     with pytest.raises(ValueError):
         harmonic_extension(EnergyProblem(ball, 2.0, {0: 1.0}, "ball"))
+
+
+@pytest.mark.parametrize("outside", [-1, 9])
+def test_pins_outside_the_ball_are_rejected(outside):
+    # B_4 of Z^1 has 9 vertices; -1 must not stand for vertex 8
+    ball = build_ball(Z1, 4)
+    pins = {int(i): 0.0 for i in ball.sphere_indices(4)}
+    del pins[ball.n_vertices - 1]
+    for run in (solve, harmonic_extension):
+        with pytest.raises(ValueError, match="outside the ball"):
+            run(EnergyProblem(ball, 2.0, {**pins, outside: 1.0}, "ball"))
 
 
 def test_p_must_exceed_one():
@@ -177,6 +189,18 @@ def _spsolve_spd(L, b):
     return spla.spsolve(L.tocsc(), b)
 
 
+def _count_spsolve(monkeypatch):
+    """Patch spla.spsolve to record the shape of every call."""
+    calls, lu = [], spla.spsolve
+
+    def counted(A, b):
+        calls.append(A.shape)
+        return lu(A, b)
+
+    monkeypatch.setattr(spla, "spsolve", counted)
+    return calls
+
+
 P2_SYSTEMS = [("Z^3", 8, "zero"), ("H3", 6, "zero"),
               ("F_2", 5, "ball"), ("Z^2", 16, "ball")]
 
@@ -198,19 +222,81 @@ def test_sparse_lu_fallback_when_cg_stops_early(spec, R, convention,
                                                 monkeypatch):
     problem = _p2_problem(spec, R, convention)
     want = solve(problem).minimizer.values
-    calls, lu = [], spla.spsolve
-
-    def spsolve(A, b):
-        calls.append(A.shape)
-        return lu(A, b)
-
-    monkeypatch.setattr(spla, "cg", lambda A, b, **kw: (np.ones_like(b), 1))
-    monkeypatch.setattr(spla, "spsolve", spsolve)
-    rep = solve(problem)
+    calls = _count_spsolve(monkeypatch)
+    # CG_RTOL = 0 never stops CG; past an exact solve (F_2) it divides 0 by 0
+    monkeypatch.setattr(dirichlet, "CG_RTOL", 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rep = solve(problem)
     assert len(calls) == 1
     assert rep.residual <= 1e-10
     got = rep.minimizer.values
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _recorded_systems(monkeypatch, run):
+    """The (L, b) of every _solve_spd call made by run()."""
+    systems, solve_spd = [], dirichlet._solve_spd
+
+    def recorded(L, b):
+        systems.append((L, b))
+        return solve_spd(L, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(dirichlet, "_solve_spd", recorded)
+        run()
+    return systems
+
+
+def _scipy_cg(L, b):
+    x, info = spla.cg(L, b, rtol=dirichlet.CG_RTOL, atol=0.0,
+                      maxiter=L.shape[0], M=sp.diags(1.0 / L.diagonal()))
+    assert info == 0
+    return x
+
+
+def _p2_system(spec, R, convention):
+    q = dirichlet._setup(_p2_problem(spec, R, convention))
+    return dirichlet._laplacian(q.x0, q.free, q.edges, q.w, q.w_ext)
+
+
+CG_CASES = [*P2_SYSTEMS, ("Z^2", 32, "zero"), "Z^2 p=3 Newton R=16", "b = 0"]
+
+
+@pytest.mark.parametrize("case", CG_CASES, ids=[
+    c if isinstance(c, str) else "{} R={} {}".format(*c) for c in CG_CASES])
+def test_cg_loop_matches_scipy_cg(case, monkeypatch):
+    """_solve_spd runs scipy's Jacobi-PCG recurrence: bit-identical."""
+    if case == "Z^2 p=3 Newton R=16":
+        # every Newton Hessian, the first taken at the p = 2 solution
+        systems = _recorded_systems(
+            monkeypatch, lambda: capacity(make_group("Z^2"), 3.0, 16))[1:]
+        assert len(systems) == DESCENT_CASES["Z^2", 3.0, 16]
+    elif case == "b = 0":
+        L, b = _p2_system("H3", 4, "zero")
+        systems = [(L, np.zeros_like(b))]
+    else:
+        systems = [_p2_system(*case)]
+    for L, b in systems:
+        assert np.array_equal(dirichlet._solve_spd(L, b), _scipy_cg(L, b))
+
+
+def _f2_capacity(p, R):
+    series = sum((4.0 * 3.0 ** r) ** (-1.0 / (p - 1.0)) for r in range(R))
+    return 2.0 * series ** (1.0 - p)
+
+
+@pytest.mark.parametrize("run,want", [
+    (lambda: [capacity(Z1, 2.0, 64)[0]], [4.0 / 64]),
+    (lambda: [capacity(make_group("F_2"), 1.5, 3)[0]], [_f2_capacity(1.5, 3)]),
+    (lambda: parabolicity_scan(Z1, 2.0, [4, 8, 16, 32, 64]).capacities,
+     [4.0 / R for R in [4, 8, 16, 32, 64]]),
+], ids=["Z^1 R=64", "F_2 p=1.5 R=3", "Z^1 scan 4:64:*2"])
+def test_cg_converging_on_its_last_step_needs_no_lu(run, want, monkeypatch):
+    """CG that reaches its tolerance on the m-th update of an m-unknown
+    system (every Z^1 capacity; F_2 Newton steps) keeps its answer."""
+    calls = _count_spsolve(monkeypatch)
+    assert run() == pytest.approx(want, rel=1e-12)
+    assert calls == []
 
 
 def test_capacity_z3_r16_unchanged_by_cg():
@@ -373,15 +459,16 @@ def _capacity_on_single_vertices(group, p, R, monkeypatch):
         return capacity(group, p, R)
 
 
-DESCENT_CASES = [("Z^1", 1.5, 64), ("Z^1", 3.0, 64), ("Z^2", 3.0, 16),
-                 ("Z^2", 3.0, 32), ("Z^2", 3.0, 48), ("Z^3", 3.0, 7),
-                 ("F_2", 1.5, 3), ("H3", 1.5, 3)]
+# (group, p, R) -> Newton steps
+DESCENT_CASES = {("Z^1", 1.5, 64): 0, ("Z^1", 3.0, 64): 0, ("Z^2", 3.0, 16): 4,
+                 ("Z^2", 3.0, 32): 6, ("Z^2", 3.0, 48): 6, ("Z^3", 3.0, 7): 5,
+                 ("F_2", 1.5, 3): 8, ("H3", 1.5, 3): 8}
 
 
 @pytest.mark.parametrize("spec,p,R", [
     (spec, p, R) for spec, R in [("Z^1", 16), ("Z^2", 10), ("Z^3", 5),
                                  ("H3", 4), ("F_2", 4)]
-    for p in (1.5, 2.0, 3.0)] + DESCENT_CASES)
+    for p in (1.5, 2.0, 3.0)] + list(DESCENT_CASES))
 def test_cell_solve_matches_single_vertex_solve(spec, p, R, monkeypatch):
     group = make_group(spec)
     cap, m, rep = capacity(group, p, R)
@@ -392,7 +479,7 @@ def test_cell_solve_matches_single_vertex_solve(spec, p, R, monkeypatch):
     assert abs(cap - want) <= 1e-12 * want
     assert np.allclose(m.values, m1.values, rtol=0.0, atol=1e-8)
     if (spec, p, R) in DESCENT_CASES:
-        assert rep.iterations == rep1.iterations
+        assert rep.iterations == rep1.iterations == DESCENT_CASES[spec, p, R]
     # the minimizer is constant on cells
     first = np.unique(cells, return_index=True)[1]
     assert np.array_equal(m.values, m.values[first][cells])
@@ -405,8 +492,7 @@ def test_f2_capacity_on_spheres_matches_closed_form(p):
     for R, cap, rep in zip(radii, scan.capacities, scan.reports):
         ball = rep.minimizer.ball
         assert np.array_equal(ball.cells, ball.word_length)
-        series = sum((4.0 * 3.0 ** r) ** (-1.0 / (p - 1.0)) for r in range(R))
-        assert cap == pytest.approx(2.0 * series ** (1.0 - p), rel=1e-12)
+        assert cap == pytest.approx(_f2_capacity(p, R), rel=1e-12)
 
 
 def test_pins_off_the_cells_fall_back_to_single_vertices():

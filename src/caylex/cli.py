@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
 import tempfile
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -86,12 +85,15 @@ def parse_radii(spec: str) -> List[int]:
     return radii
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, write: Callable[[TextIO], None]) -> None:
+    """write(fh) into a temp file beside path, renamed onto path once the
+    write returns; on any exception path is untouched and the temp file
+    removed."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".caylex-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -120,23 +122,26 @@ _NOT_PARAMETERS = ("command", "fn", "group", "out", "format")
 
 
 def _write_report(args, group_name: Optional[str], outcome: Outcome) -> None:
-    """Writes the report or the CSV rows to --out (atomically) or stdout."""
+    """Streams the report or the CSV rows to --out (atomically) or stdout,
+    never holding the whole text."""
     if _fmt_from_args(args) == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(outcome.rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(outcome.rows)
-        text = buf.getvalue()
+        def write(fh):
+            writer = csv.DictWriter(fh, fieldnames=list(outcome.rows[0].keys()))
+            writer.writeheader()
+            writer.writerows(outcome.rows)
     else:
         report = {"schema_version": SCHEMA_VERSION, "command": args.command,
                   "group": group_name, "results": outcome.results,
                   "parameters": {k: v for k, v in vars(args).items()
                                  if k not in _NOT_PARAMETERS}}
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+        def write(fh):
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     if args.out:
-        _atomic_write(args.out, text)
+        _atomic_write(args.out, write)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
 # ---------------------------------------------------------------------------

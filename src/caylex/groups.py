@@ -41,6 +41,9 @@ class GroupModel:
     # tree, and for g in S the normal form of x g is the tuple x + g unless
     # x ends in g^-1 (then x g is x's parent, one step nearer e)
     tree = False
+    # True when the lexicographic order on normal-form tuples is
+    # left-invariant: a < b implies g a < g b for every element g
+    lex_left_invariant = False
 
     def identity(self) -> Element:
         raise NotImplementedError
@@ -94,6 +97,7 @@ class ZdGroup(GroupModel):
     """Z^d with S = {+-e_1, ..., +-e_d}; normal form is the integer vector."""
 
     family = "Z^d"
+    lex_left_invariant = True       # left multiplication is a translation
 
     def __init__(self, d: int):
         if d < 1:
@@ -225,6 +229,9 @@ class HeisenbergGroup(GroupModel):
     central element of infinite order."""
 
     family = "H3"
+    # (a,b,c)(x,y,z) = (a+x, b+y, c+z+a y) translates x and y, and z too
+    # among elements that agree in x and y
+    lex_left_invariant = True
 
     def __init__(self):
         self.name = "H3"

@@ -366,6 +366,46 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("argv", [a for a, _ in COMMAND_PARAMETERS],
+                         ids=[a[0] for a, _ in COMMAND_PARAMETERS])
+def test_streamed_report_bytes(argv, tmp_path, capsys):
+    """A report streamed to --out is the text json.dumps gives for it, and
+    the same bytes go to stdout without --out (verify prints its suite
+    lines there first)."""
+    out = tmp_path / "r.json"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    lines = capsys.readouterr().out
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    if argv[0] != "verify":
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == text
+    else:
+        assert lines.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt,rows,results,error", [
+    ("json", None, {"a": list(range(5000)), "z": object()}, TypeError),
+    ("csv", [{"r": k} for k in range(5000)] + [{"q": 1}], {}, None),
+], ids=["json", "csv"])
+def test_failed_report_write_keeps_the_old_file(fmt, rows, results, error,
+                                                monkeypatch, tmp_path):
+    """A report that fails part way through serializing leaves an existing
+    --out file as it was and no temp file behind."""
+    out = tmp_path / f"r.{fmt}"
+    out.write_text("old report\n")
+    monkeypatch.setattr(cli, "cmd_ball",
+                        lambda args, group: cli.Outcome(results, rows))
+    argv = ["ball", "--group", "Z^2", "--radius", "1", "--out", str(out)]
+    if error is None:
+        assert main(argv) == EXIT_USAGE      # DictWriter's ValueError
+    else:
+        with pytest.raises(error):
+            main(argv)
+    assert out.read_text() == "old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
 # Results of the suite-style commands at --seed 1, recorded before lifts
 # moved onto the support alone for scalar results.  Floats match to 1e-12
 # relative and counts exactly.  max_identity_residual is the rounding noise

@@ -41,12 +41,15 @@ class Cyclic4Doubled(GroupModel):
         return ((-x[0]) % 4,)
 
 
-def ref_exhaustive_profile(group, n_max, visit=None):
+def ref_exhaustive_profile(group, n_max, visit=None, banned=()):
     """Reference exhaustive profile: the set-based rooted enumeration, with
     the seen and banned sets rebuilt at every node.  ``visit``, if given,
-    is called with the current index set at every node."""
+    is called with the current index set at every node.  The elements of
+    ``banned``, all in B_{n_max - 1}, start out banned, so no visited set
+    holds one."""
     univ_ball = build_ball(group, max(n_max - 1, 0))
     order = univ_ball.elements
+    initial = {univ_ball.index[x] for x in banned}
     nS = len(group.generators)
     nbr_ids = [[j for j in row if j != EXTERIOR]
                for row in univ_ball.nbr[:, group.inverse_gen_index].tolist()]
@@ -82,9 +85,21 @@ def ref_exhaustive_profile(group, n_max, visit=None):
             interior -= inside[c] == nS
             current.remove(c)
 
-    extend([0], set())
+    extend([0], initial)
     return [IsoperimetricRecord(n, best[n][0], best[n][1], "exhaustive", True)
             for n in sorted(best)]
+
+
+def below_e(group, n_max):
+    """The elements of B_{n_max - 1} whose tuples compare below e: the
+    initial banned set that roots each set at its lexicographic minimum."""
+    e = group.identity()
+    return {x for x in build_ball(group, max(n_max - 1, 0)).elements if x < e}
+
+
+# groups whose lexicographic order on tuples is left-invariant, checked
+# element-wise in test_lexicographic_order_is_left_invariant
+ROOTED = ("Z^1", "Z^2", "Z^3", "H3")
 
 
 def ref_greedy_profile(group, n_max):
@@ -177,17 +192,50 @@ def test_ball_family_on_a_finite_cycle():
 @pytest.mark.parametrize("group,n_exhaustive,n_greedy", [
     (Z1, 8, 60), (Z2, 9, 60), (make_group("Z^3"), 6, 60),
     (make_group("F_2"), 6, 60), (make_group("H3"), 6, 60),
+    (make_group("H3"), 7, 60),
     (Cyclic5(), 5, 5), (Cyclic5(), 7, 7),
     (Cyclic4Doubled(), 4, 4), (Cyclic4Doubled(), 6, 6),
 ], ids=lambda v: getattr(v, "name", v))
 def test_profiles_match_reference_records(group, n_exhaustive, n_greedy):
     """Whole records (n, |dA|, witness, exact) equal those of the set-based
-    references, including on a finite group and on repeated neighbor slots."""
-    for strategy, n_max, ref in [("exhaustive", n_exhaustive, ref_exhaustive_profile),
-                                 ("greedy", n_greedy, ref_greedy_profile)]:
-        got = isoperimetric_profile(group, n_max, strategy)
-        assert got.truncated_at is None
-        assert got.records == ref(group, n_max)
+    references, including on a finite group and on repeated neighbor slots.
+    On Z^d and H3 the exhaustive reference is rooted at the lexicographic
+    minimum; on F_2 and the finite groups it bans nothing."""
+    banned = below_e(group, n_exhaustive) if group.name in ROOTED else ()
+    got = isoperimetric_profile(group, n_exhaustive, "exhaustive")
+    assert got.truncated_at is None
+    assert got.records == ref_exhaustive_profile(group, n_exhaustive,
+                                                 banned=banned)
+    got = isoperimetric_profile(group, n_greedy, "greedy")
+    assert got.truncated_at is None
+    assert got.records == ref_greedy_profile(group, n_greedy)
+
+
+def test_rooted_exhaustive_witnesses_have_least_element_e():
+    """On Z^d and H3 every exhaustive witness holds e as its lexicographic
+    minimum; the unrooted reference finds the same minima."""
+    for spec, n_max in [("Z^2", 8), ("Z^3", 5), ("H3", 6)]:
+        group = make_group(spec)
+        records = isoperimetric_profile(group, n_max, "exhaustive").records
+        assert all(min(r.witness) == group.identity() for r in records)
+        assert [r.boundary_size for r in records] == \
+            [r.boundary_size for r in ref_exhaustive_profile(group, n_max)]
+
+
+# exhaustive minima of the unrooted enumeration, which F_2 and the finite
+# groups still run
+PARENT_MINIMA = [
+    (make_group("F_2"), 6, [1, 2, 3, 4, 4, 5]),
+    (Cyclic5(), 7, [1, 2, 2, 2, 0]),
+]
+
+
+@pytest.mark.parametrize("group,n_max,want", PARENT_MINIMA,
+                         ids=[g.name for g, _, _ in PARENT_MINIMA])
+def test_unrooted_exhaustive_minima_pinned(group, n_max, want):
+    assert not group.lex_left_invariant
+    profile = isoperimetric_profile(group, n_max, "exhaustive")
+    assert [r.boundary_size for r in profile.records] == want
 
 
 @pytest.mark.parametrize("strategy", ["exhaustive", "greedy"])
@@ -211,6 +259,18 @@ def test_reference_enumeration_visits_each_z2_set_once():
     for n, polyominoes in enumerate(a001168, start=1):
         assert len(visits[n]) == n * polyominoes
         assert len(set(visits[n])) == n * polyominoes
+
+
+def test_rooted_reference_visits_each_z2_polyomino_once():
+    """Banning the vertices below e leaves one translate of each fixed
+    polyomino: the one whose lexicographic minimum is e (OEIS A001168)."""
+    a001168 = [1, 2, 6, 19, 63, 216, 760, 2725]
+    visits: Dict[int, List[FrozenSet[int]]] = {}
+    ref_exhaustive_profile(Z2, 8, lambda A: visits.setdefault(
+        len(A), []).append(frozenset(A)), banned=below_e(Z2, 8))
+    for n, polyominoes in enumerate(a001168, start=1):
+        assert len(visits[n]) == polyominoes
+        assert len(set(visits[n])) == polyominoes
 
 
 def test_profile_z1():

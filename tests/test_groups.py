@@ -130,3 +130,27 @@ def test_growth_degree_labels():
     assert make_group("F_1").growth_degree == 1
     assert make_group("F_2").growth_degree is None
     assert make_group("H3").growth_degree == 4
+
+
+@pytest.mark.parametrize("spec", ["Z^1", "Z^2", "Z^3", "H3"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_lexicographic_order_is_left_invariant(spec, data):
+    """a < b implies g a < g b, the fact that lets exhaustive profiles root
+    each set at its least element."""
+    g = make_group(spec)
+    assert g.lex_left_invariant
+    element = st.tuples(*[st.integers(-50, 50)] * len(g.identity()))
+    x, a, b = data.draw(element), data.draw(element), data.draw(element)
+    if a > b:
+        a, b = b, a
+    if a < b:
+        assert g.multiply(x, a) < g.multiply(x, b)
+
+
+def test_free_group_lexicographic_order_is_not_left_invariant():
+    f = make_group("F_2")
+    assert not f.lex_left_invariant
+    # () < (1,), but a^-1 () = (-1,) > () = a^-1 a
+    assert f.identity() < (1,)
+    assert f.multiply((-1,), f.identity()) > f.multiply((-1,), (1,))

@@ -19,12 +19,14 @@ Exit codes: 0 ok, 1 verification-suite failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import bisect
 import csv
-import json
+import functools
 import math
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 from typing import Callable, List, NamedTuple, Optional, Sequence, TextIO
 
 import numpy as np
@@ -118,7 +120,75 @@ class Outcome(NamedTuple):
 
 
 # flags that say where and how a report is written, not what it reports
-_NOT_PARAMETERS = ("command", "fn", "group", "out", "format")
+_NOT_PARAMETERS = ("command", "group", "out", "format")
+
+
+def _scalar_text(x) -> str:
+    """A JSON scalar as json.dumps writes it."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == math.inf:
+            return "Infinity"
+        if x == -math.inf:
+            return "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {x.__class__.__name__} "
+                    f"is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps writes it: a scalar's text, quoted."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = _scalar_text(key)
+    return encode_basestring_ascii(key)
+
+
+def _write_json(fh: TextIO, obj, indent: str = "\n") -> None:
+    """json.dump(obj, fh, indent=2, sort_keys=True), byte for byte, one
+    container at a time.  A list of str is one joined write; json's own
+    encoder writes each item and separator apart."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            fh.write("[]")
+            return
+        inner = indent + "  "
+        if all(type(x) is str for x in obj):
+            fh.write("[" + inner + ("," + inner).join(
+                map(encode_basestring_ascii, obj)) + indent + "]")
+        else:
+            sep = "[" + inner
+            for x in obj:
+                fh.write(sep)
+                _write_json(fh, x, inner)
+                sep = "," + inner
+            fh.write(indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            fh.write("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            fh.write(sep + _key_text(key) + ": ")
+            _write_json(fh, value, inner)
+            sep = "," + inner
+        fh.write(indent + "}")
+    else:
+        fh.write(_scalar_text(obj))
 
 
 def _write_report(args, group_name: Optional[str], outcome: Outcome) -> None:
@@ -136,7 +206,7 @@ def _write_report(args, group_name: Optional[str], outcome: Outcome) -> None:
                                  if k not in _NOT_PARAMETERS}}
 
         def write(fh):
-            json.dump(report, fh, indent=2, sort_keys=True)
+            _write_json(fh, report)
             fh.write("\n")
     if args.out:
         _atomic_write(args.out, write)
@@ -182,14 +252,31 @@ def cmd_royden(args, group) -> Outcome:
                    f"{group.name} source={args.source}: verdict {rep.verdict}")
 
 
+def _sorted_witness_names(group, records) -> List[List[str]]:
+    """Each record's witness as its sorted formatted names, each element
+    formatted once.  Nested witnesses (PrefixSets of one order) extend one
+    sorted list by the new elements of each record."""
+    fmt = group.format_element
+    first = records[0].witness if records else None
+    if isinstance(first, geometry.PrefixSet) and all(
+            getattr(r.witness, "order", None) is first.order for r in records):
+        names: List[str] = []
+        out = []
+        for r in records:
+            for x in first.order[len(names):r.n]:
+                bisect.insort(names, fmt(x))
+            out.append(names[:])
+        return out
+    table = {x: fmt(x) for x in set().union(*(r.witness for r in records))}
+    return [sorted(map(table.__getitem__, r.witness)) for r in records]
+
+
 def cmd_iso(args, group) -> Outcome:
     profile = geometry.isoperimetric_profile(group, args.nmax, args.strategy)
-    names = {x: group.format_element(x)
-             for x in set().union(*(r.witness for r in profile.records))}
     entries = [{"n": r.n, "boundary_size": r.boundary_size,
-                "exact": r.exact,
-                "witness": sorted(map(names.__getitem__, r.witness))}
-               for r in profile.records]
+                "exact": r.exact, "witness": w}
+               for r, w in zip(profile.records,
+                               _sorted_witness_names(group, profile.records))]
     results = {"strategy": profile.strategy, "entries": entries,
                "truncated_at": profile.truncated_at}
     return Outcome(results, [{k: e[k] for k in ("n", "boundary_size", "exact")}
@@ -295,7 +382,10 @@ def _out_path(text: str) -> str:
     return text
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The caylex parser, built once per process; main looks each
+    command's cmd_* function up by name when it runs."""
     parser = argparse.ArgumentParser(
         prog="caylex",
         description="Numerical discrete potential theory on finitely "
@@ -319,12 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=int, required=True)
     p.add_argument("--neighbors", action="store_true",
                    help="include the (large) neighbor table")
-    p.set_defaults(fn=cmd_ball)
 
     p = sub.add_parser("capacity", help="p-capacity scan of the identity")
     common(p, radii=True)
     p.add_argument("--p", type=_p_value, default=2.0)
-    p.set_defaults(fn=cmd_capacity)
 
     p = sub.add_parser("royden", help="harmonic-extension energy trends")
     common(p, radii=True)
@@ -332,14 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["green-like", "coordinate", "end-separating",
                             "constant"])
     p.add_argument("--damping", type=_damping, default=0.5)
-    p.set_defaults(fn=cmd_royden)
 
     p = sub.add_parser("iso", help="isoperimetric profile")
     common(p)
     p.add_argument("--nmax", type=_positive_int, required=True)
     p.add_argument("--strategy", default="exhaustive",
                    choices=sorted(geometry._STRATEGIES))
-    p.set_defaults(fn=cmd_iso)
 
     p = sub.add_parser("sobolev", help="empirical Sobolev constants")
     common(p)
@@ -349,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=_positive_int, default=6)
     p.add_argument("--strategy", default="exhaustive",
                    choices=sorted(geometry._STRATEGIES))
-    p.set_defaults(fn=cmd_sobolev)
 
     p = sub.add_parser("lemma61", help="the lemma61 suite on one group")
     common(p)
@@ -358,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--scalar-samples", type=_nonnegative_int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_lemma61)
 
     p = sub.add_parser("pairing",
                        help="the lemma52 and prop53-holder suites on one group")
@@ -366,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_pairing_p, default=2.0)
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_pairing)
 
     p = sub.add_parser("verify", help="run a bundled verification suite")
     p.add_argument("--suite", required=True,
@@ -374,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--out", "-o", type=_out_path)
-    p.set_defaults(fn=cmd_verify, format=None)
+    p.set_defaults(format=None)
 
     return parser
 
@@ -391,7 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         group = make_group(args.group) if "group" in args else None
         if "radii" in args:
             args.radii = parse_radii(args.radii)
-        outcome = args.fn(args, group)
+        outcome = globals()[f"cmd_{args.command}"](args, group)
         if outcome.results is not None:
             _write_report(args, None if group is None else group.name, outcome)
         if outcome.note:

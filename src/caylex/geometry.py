@@ -12,8 +12,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -30,23 +31,62 @@ from .groups import Element, GroupModel, ZdGroup
 # visits every set containing e.  Each step in n costs about x4 on Z^2,
 # x5-6 on H3 and F_2 and x8 on Z^3.
 EXHAUSTIVE_N_MAX = 12
-# Each greedy record holds its own witness, so a profile to n holds about
-# n^2 / 2 element references.  Measured on a 2-CPU VM (CPython 3.11): the
-# profile to n = 1000 takes 0.04-0.3 s and peaks at 82-103 MB RSS on Z^3, H3
-# and F_2, and `caylex iso --strategy greedy --nmax 1000 --out`, which
-# streams its report, takes 0.4 s and peaks at 86 MB on Z^3 and takes 2.9 s
-# and peaks at 104 MB on F_2, whose witness words grow with n so that its
-# JSON grows as n^3 (174 MB).  At n = 4000 the profile alone takes
-# 0.6-7.4 s and 0.4-0.74 GB.
+# The greedy records share one pick list, so a profile to n holds O(n)
+# element references, but its report lists every witness: about n^2 / 2
+# names, and on F_2, whose witness words grow with n, JSON that grows as
+# n^3 (174 MB at n = 1000).  Measured on a 2-CPU VM (CPython 3.11; 61 MB
+# after import): the profile to n = 1000 takes 0.01-0.05 s and peaks at
+# 62 MB RSS on Z^3 and H3 and takes 0.28 s and peaks at 81 MB on F_2, and
+# `caylex iso --strategy greedy --nmax 1000 --out` takes 0.7 s and peaks at
+# 65 MB on Z^3 and H3 and takes 1.9 s and peaks at 83 MB on F_2.  At
+# n = 4000 the profile alone takes 0.05-0.12 s and 65-67 MB on Z^3 and H3,
+# and 4.8 s and 395 MB on F_2, whose frontier heap holds words of length
+# up to n.
 GREEDY_N_MAX = 1000
 HEURISTIC_N_MAX = 100_000
+
+
+class PrefixSet(AbstractSet):
+    """The first n elements of an element order, as a read-only set.
+
+    ``order`` holds distinct elements and ``position`` maps each to its
+    index in ``order``.  The greedy and ball-family records of one profile
+    share both, so a record costs the same memory at every n.
+    Membership, size, iteration (in order), equality and hash agree with
+    frozenset(order[:n]); set operators return frozensets."""
+
+    __slots__ = ("order", "position", "n")
+
+    def __init__(self, order: Sequence[Element], position: Dict[Element, int],
+                 n: int):
+        self.order = order
+        self.position = position
+        self.n = n
+
+    def __contains__(self, x) -> bool:
+        return self.position.get(x, self.n) < self.n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return itertools.islice(self.order, self.n)
+
+    __hash__ = AbstractSet._hash
+
+    @classmethod
+    def _from_iterable(cls, it):
+        return frozenset(it)
+
+    def __repr__(self):
+        return f"PrefixSet({list(self)!r})"
 
 
 @dataclass
 class IsoperimetricRecord:
     n: int
     boundary_size: int
-    witness: FrozenSet[Element]
+    witness: AbstractSet     # frozenset, or a PrefixSet of a shared order
     strategy: str
     exact: bool
 
@@ -180,32 +220,39 @@ def _greedy_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRecord]:
     tie-break grows a straight line along +e_1 with |dA| = n (Z^3, n = 500:
     boundary 500, witness (0..499, 0, 0)).  perfbench/reference.json pins
     these records, so a better tie-break needs a benchmark re-baseline.
-    Each record holds its own witness, so memory grows as n^2 and
-    isoperimetric_profile caps n at GREEDY_N_MAX."""
+    A is the first n picks: the records share the pick list and a dict of
+    pick positions, and each witness is a PrefixSet of them, so the
+    profile holds O(n) references.  Reports still list the sum of all
+    witness sizes, about n^2 / 2 names, so isoperimetric_profile caps n at
+    GREEDY_N_MAX."""
     nS = len(group.generators)
     count: Dict[Element, int] = {}
-    A: Set[Element] = set()
+    picks: List[Element] = []
+    position: Dict[Element, int] = {}   # A: pick -> its index in picks
     interior = 0
     records = []
     heap: List[Tuple[int, tuple, Element]] = []
     pick = group.identity()
     while True:
-        A.add(pick)
+        position[pick] = len(picks)
+        picks.append(pick)
+        n = len(picks)
         interior += count.get(pick, 0) == nS
         for g in group.generators:
             y = group.multiply(pick, g)
             c = count[y] = count.get(y, 0) + 1
-            if y in A:
+            if y in position:
                 interior += c == nS
             else:
                 # negated letters then +inf reverse the tuple order, also
                 # between a word and its prefixes
                 heapq.heappush(heap, (-c, (*(-v for v in y), math.inf), y))
-        records.append(IsoperimetricRecord(len(A), len(A) - interior,
-                                           frozenset(A), "greedy", False))
-        if len(A) >= n_max:
+        records.append(IsoperimetricRecord(n, n - interior,
+                                           PrefixSet(picks, position, n),
+                                           "greedy", False))
+        if n >= n_max:
             break
-        while heap and heap[0][2] in A:
+        while heap and heap[0][2] in position:
             heapq.heappop(heap)
         if not heap:
             break
@@ -218,7 +265,8 @@ def _ball_family_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRec
     radius doubled until it holds more than n_max vertices or the whole
     (finite) group; once a radius exceeds the vertex cap, the radius is
     bisected between the last one that fit and the least one that
-    exceeded.  Each B_r is read from it by restrict."""
+    exceeded.  Each B_r is read from it by restrict, and its witness is
+    the PrefixSet of B_r's vertices in the built ball's element order."""
     cap = max(4 * n_max, 1000)
     fits, over, r = 0, None, 1      # B_fits has at most n_max vertices,
     while True:                     # B_over more than cap
@@ -236,7 +284,6 @@ def _ball_family_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRec
             raise overflow
         else:
             r = (fits + over) // 2
-    ball.elements                   # decoded once, shared by every B_r
     records = []
     for r in range(ball.radius + 1):
         sub = ball.restrict(r)
@@ -244,9 +291,10 @@ def _ball_family_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRec
             break
         whole = np.ones(sub.n_vertices, dtype=bool)
         b = vertex_boundary(sub, SubsetView(sub, whole))
-        records.append(IsoperimetricRecord(sub.n_vertices, len(b),
-                                           frozenset(sub.elements),
-                                           "ball-family", False))
+        records.append(IsoperimetricRecord(
+            sub.n_vertices, len(b),
+            PrefixSet(ball.elements, ball.index, sub.n_vertices),
+            "ball-family", False))
     return records
 
 

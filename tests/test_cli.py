@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -6,6 +8,8 @@ import sys
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caylex import cli, dirichlet, geometry, verify
 from caylex.cayley import build_ball
@@ -382,6 +386,59 @@ def test_streamed_report_bytes(argv, tmp_path, capsys):
         assert capsys.readouterr().out == text
     else:
         assert lines.count("\n") == 1
+
+
+_json_floats = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324])
+_json_scalars = st.none() | st.booleans() | st.integers() | _json_floats | st.text()
+_json_trees = st.recursive(
+    _json_scalars | st.lists(st.text()) | st.lists(st.integers() | st.booleans()),
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(st.text(), kids)
+                  | st.dictionaries(st.integers(), kids)
+                  | st.dictionaries(_json_floats, kids)),
+    max_leaves=40)
+
+
+def _written(obj) -> str:
+    buf = io.StringIO()
+    cli._write_json(buf, obj)
+    return buf.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_trees)
+def test_report_writer_matches_json_dumps(obj):
+    """Dicts with str, int and float keys, lists and tuples (empty ones
+    too), non-ASCII and control characters, ints with bools among them,
+    floats with their special values, and None: the report writer gives
+    json.dumps's bytes."""
+    assert _written(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("obj", [
+    object(), {"a": [1, 2, object()]}, [np.int64(3)], {"s": {1, 2}},
+    {(1, 2): 3}, {1: "int key", "a": "str key"}, [[1], "x", b"bytes"],
+], ids=["object", "nested-object", "numpy-int", "set", "tuple-key",
+        "mixed-keys", "bytes"])
+def test_report_writer_rejects_non_json_values(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _written(obj)
+
+
+def test_commands_are_looked_up_when_main_runs(monkeypatch, capsys):
+    """The parser is built once per process, and main calls the cmd_*
+    function the module holds when it runs: a patch made after the parser
+    was built is the function called."""
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["iso", "--group", "Z^1", "--nmax", "2"]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "cmd_iso",
+                        lambda args, group: cli.Outcome({"patched": True}))
+    assert main(["iso", "--group", "Z^1", "--nmax", "2"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"] == {"patched": True}
 
 
 @pytest.mark.parametrize("fmt,rows,results,error", [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caylex import geometry
+from caylex import cli, geometry
 from caylex.cayley import (EXTERIOR, BallSizeError, SubsetView, build_ball,
                            vertex_boundary)
 from caylex.funcspace import (BallFunction, FormalSum, dirichlet_seminorm_pow,
@@ -172,6 +172,34 @@ def test_ball_family_matches_reference_records(group, n_max, monkeypatch):
     for k, (radius, _) in enumerate(tried):
         assert all(radius < r for r, ok in tried[:k] if not ok)
         assert radius not in [r for r, _ in tried[:k]]
+
+
+@pytest.mark.parametrize("spec", ["Z^1", "Z^2", "Z^3", "H3", "F_2"])
+@pytest.mark.parametrize("strategy,n_max", [("greedy", 150),
+                                            ("ball-family", 400)])
+def test_prefix_witnesses_behave_as_frozensets(spec, strategy, n_max):
+    """Greedy and ball-family witnesses are views of one shared order, and
+    answer ==, hash, set(), len and `in` as the frozensets of the
+    references do; cmd_iso lists the same sorted names for them."""
+    group = make_group(spec)
+    ref = {"greedy": ref_greedy_profile,
+           "ball-family": ref_ball_family_profile}[strategy](group, n_max)
+    records = isoperimetric_profile(group, n_max, strategy).records
+    assert len(records) == len(ref)
+    assert len({id(r.witness.order) for r in records}) == 1
+    last = ref[-1].witness
+    probes = last | {group.multiply(x, g) for x in last
+                     for g in group.generators}
+    for got, want in zip(records, ref):
+        w, fs = got.witness, want.witness
+        assert isinstance(w, geometry.PrefixSet) and type(fs) is frozenset
+        assert w == fs and fs == w and not w != fs
+        assert hash(w) == hash(fs)
+        assert set(w) == set(fs) and len(w) == len(fs) == got.n
+        assert [x in w for x in probes] == [x in fs for x in probes]
+    fmt = group.format_element
+    assert cli._sorted_witness_names(group, records) == \
+        [sorted(map(fmt, r.witness)) for r in ref]
 
 
 def test_ball_family_raises_when_the_next_ball_exceeds_the_cap():

@@ -78,7 +78,7 @@ class CayleyBall:
         self.word_length = word_length    # (n,) int array
         self.interior = word_length < radius if radius > 0 else word_length < 0
         counts = np.bincount(word_length, minlength=radius + 1)
-        self.sphere_sizes = [int(c) for c in counts]
+        self.sphere_sizes = counts.tolist()
 
     @property
     def nbr(self) -> np.ndarray:

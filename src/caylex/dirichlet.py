@@ -10,12 +10,19 @@ equitable partition) if its pins are constant on them, else on single
 vertices: the minimizer is constant on cells, so the cell graph, with slot
 multiplicities as weights, gives it, and residuals and gradient norms are
 those of its lift onto the whole ball.  The p = 2 route assembles the
-(SPD) graph Laplacian on free cells and solves it by a Jacobi-preconditioned
-conjugate gradient loop of this module's own, in the arithmetic of scipy's
-cg, falling back to sparse LU only when CG has not converged after one
-iteration per unknown; other exponents run damped Newton steps on the D(p)
-energy (the same Laplacian with |d|^(p-2) weights, the same inner solve,
-Armijo backtracking), warm-started from the p = 2 solution.
+(SPD) graph Laplacian on free cells and solves it; other exponents run
+damped Newton steps on the D(p) energy (the same Laplacian with |d|^(p-2)
+weights, the same inner solve, Armijo backtracking), warm-started from the
+p = 2 solution.  The inner solve factors a narrow system directly, as a
+band: cells are numbered in BFS order, so a cell system couples only
+neighbouring spheres, and the capacity cells of Z^1, of Z^2 up to R = 154,
+of Z^3 up to R = 31, of H3 up to R = 7 and of F_k, with every Newton
+Hessian on them, take this route.  Wide systems stay on a Jacobi-
+preconditioned conjugate gradient loop of this module's own, in the
+arithmetic of scipy's cg, which falls back to sparse LU only when CG has
+not converged after one iteration per unknown: harmonic extensions on
+single vertices and larger cell systems, whose band would cost more time
+or memory than CG (BAND_MAX_FILL).
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -38,6 +46,27 @@ DESCENT_GRAD_TOL = 1e-8
 # The slowest measured capacity (Z^2, Z^3, F_2, H3; p in {1.25, 1.5, 3, 6})
 # that converges at a Newton rate takes 122 steps (Z^3, p = 1.5, R = 8).
 NEWTON_MAX_ITER = 200
+# An SPD system of m unknowns and band width bw (the largest col - row of
+# its CSR) is factored as a band when its band, (bw + 1) m entries, is at
+# most BAND_MAX_FILL times its nnz.  Cells are numbered in BFS order, so a
+# cell couples only to cells one sphere away and cell systems are narrow.
+# Best of 5 single solves on a 2-CPU VM, default BLAS threads ('zero':
+# capacity cells, 'ball': harmonic extensions on vertices):
+#   system               m     bw  band/nnz    CG        band
+#   Z^1 R=512 cells     511     1     0.7     9.1 ms    0.08 ms
+#   Z^2 R=48 cells      599    25     5.5     3.2 ms    1.1 ms
+#   Z^2 R=128 cells    4159    65    13.4    13.6 ms    4.3 ms
+#   Z^3 R=16 cells      173    29     5.7     0.58 ms   0.30 ms
+#   Z^3 R=32 cells     1136   100    16.8     1.9 ms    1.7 ms
+#   H3 R=12 cells       796   247    58       0.82 ms   2.4 ms
+#   H3 R=16 cells      2714   649   146       2.0 ms   23 ms
+#   Z^2 R=64 vertices  8065   252    51      18 ms     34 ms
+#   H3 R=12 vertices   6281  1972   461       3.4 ms    -
+# 16 takes the rows where the band clearly wins.  It also bounds the band's
+# memory by a multiple of L's, which keeps large systems on CG: a flop rule
+# (bw^2 <= nnz) would band the Z^2 R=512 cells (peak RSS 214 -> 277 MB)
+# and, at the vertex cap, allocate a band of about 4 GB.
+BAND_MAX_FILL = 16
 TREND_THETA_SMALL = 0.05      # a parabolic trend ends below this capacity
 TREND_THETA_LARGE = 0.2       # a non-parabolic trend levels off above it
 
@@ -66,8 +95,8 @@ class SolveReport:
     energy: float                     # D(p) seminorm^p under the convention
     iterations: int
     residual: float                   # p = 2: |Lx - b| / |b|; else |g_free|
-    solver: str                       # 'direct-linear' (p = 2 system, CG or
-                                      # LU) | 'iterative-convex' (Newton)
+    solver: str                       # 'direct-linear' (p = 2 system: band,
+                                      # CG or LU) | 'iterative-convex' (Newton)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +207,9 @@ def _solve_spd(L, b: np.ndarray) -> np.ndarray:
     around each matvec and preconditioner step.  It stops once |r| <
     CG_RTOL |b|, checked after every update, the m-th too (scipy's cg
     checks only before each, so it calls a system solved by its m-th
-    update unconverged).  The caller certifies the answer."""
+    update unconverged).  The caller certifies the answer.  It serves the
+    systems whose band _solve_narrow finds too wide, and any it cannot
+    factor."""
     m = len(b)
     bnorm = np.linalg.norm(b)
     x, r, p = np.zeros(m), b.copy(), np.zeros(m)
@@ -202,9 +233,31 @@ def _solve_spd(L, b: np.ndarray) -> np.ndarray:
     return spla.spsolve(L.tocsc(), b)
 
 
+def _solve_narrow(L, b: np.ndarray) -> np.ndarray:
+    """Solve the SPD system L x = b (L in CSR, as _laplacian builds it) by a
+    banded Cholesky factorisation (LAPACK pbsv) when its band is at most
+    BAND_MAX_FILL times its nnz, and by _solve_spd otherwise or when the
+    factorisation finds L not positive definite, so this route adds no
+    failure mode.  The band is copied from L's CSR."""
+    m = len(b)
+    rows = np.repeat(np.arange(m), np.diff(L.indptr))
+    offset = L.indices - rows
+    bw = int(offset.max())
+    if (bw + 1) * m <= BAND_MAX_FILL * L.nnz:
+        upper = offset >= 0
+        ab = np.zeros((bw + 1, m), order="F")     # ab[bw + i - j, j] = L[i, j]
+        ab[bw - offset[upper], L.indices[upper]] = L.data[upper]
+        try:
+            return sla.solveh_banded(ab, b, overwrite_ab=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            pass
+    return _solve_spd(L, b)
+
+
 def _solve_linear(q: _Cells) -> Tuple[np.ndarray, float]:
     """Minimize the p=2 energy: solve the cell Laplacian on free cells by
-    _solve_spd and certify the full-ball residual, |Lx - b| <=
+    _solve_narrow (a band factorisation when the system is narrow, else
+    CG) and certify the full-ball residual, |Lx - b| <=
     LINEAR_RESIDUAL_TOL |b| in the norm _Cells.norm, else raise
     SolverFailure.
 
@@ -216,7 +269,7 @@ def _solve_linear(q: _Cells) -> Tuple[np.ndarray, float]:
     if len(q.free) == 0:
         return x, 0.0
     L, b = _laplacian(x, q.free, q.edges, q.w, q.w_ext)
-    y = _solve_spd(L, b)
+    y = _solve_narrow(L, b)
     res, bnorm = q.norm(L @ y - b), q.norm(b)
     scale = bnorm if bnorm > 0 else 1.0
     if not np.all(np.isfinite(y)) or res > LINEAR_RESIDUAL_TOL * scale:
@@ -231,8 +284,10 @@ def _newton(x0: np.ndarray, p: float, q: _Cells) -> Tuple[np.ndarray, int, float
     The Hessian is 2 L with slot weights p(p-1) |d|^(p-2), |d| floored at
     eps = |g|^2 clamped to [1e-12, 1e-2] (g the free gradient, |g| its
     full-ball norm): the floor bounds the weights for p < 2 and keeps L
-    definite for p > 2.  The step solves 2 L s = -g by _solve_spd; one that
-    is not finite or not a descent direction becomes the full-ball -g.
+    definite for p > 2.  The step solves 2 L s = -g by _solve_narrow, which
+    factors a Hessian as a band when its pattern, that of the p = 2
+    system, is narrow, and leaves the rest to CG; a step that is not
+    finite or not a descent direction becomes the full-ball -g.
     """
     src, dst, ext = q.edges
     free = q.free
@@ -248,7 +303,7 @@ def _newton(x0: np.ndarray, p: float, q: _Cells) -> Tuple[np.ndarray, int, float
         L, _ = _laplacian(x, free, q.edges,
                           c * q.w * np.maximum(np.abs(x[dst] - x[src]), eps) ** (p - 2.0),
                           c * q.w_ext * np.maximum(np.abs(x[ext]), eps) ** (p - 2.0))
-        step = _solve_spd(L, -0.5 * gf)
+        step = _solve_narrow(L, -0.5 * gf)
         slope = float(gf @ step)
         if not (np.all(np.isfinite(step)) and slope < 0.0):
             step, slope = -gf / q.sizes[free], -gn * gn

@@ -207,6 +207,7 @@ P2_SYSTEMS = [("Z^3", 8, "zero"), ("H3", 6, "zero"),
 
 @pytest.mark.parametrize("spec,R,convention", P2_SYSTEMS)
 def test_cg_route_agrees_with_sparse_lu(spec, R, convention, monkeypatch):
+    monkeypatch.setattr(dirichlet, "BAND_MAX_FILL", 0)     # every system on CG
     problem = _p2_problem(spec, R, convention)
     rep = solve(problem)
     assert rep.solver == "direct-linear"
@@ -220,6 +221,7 @@ def test_cg_route_agrees_with_sparse_lu(spec, R, convention, monkeypatch):
 @pytest.mark.parametrize("spec,R,convention", P2_SYSTEMS)
 def test_sparse_lu_fallback_when_cg_stops_early(spec, R, convention,
                                                 monkeypatch):
+    monkeypatch.setattr(dirichlet, "BAND_MAX_FILL", 0)     # every system on CG
     problem = _p2_problem(spec, R, convention)
     want = solve(problem).minimizer.values
     calls = _count_spsolve(monkeypatch)
@@ -233,16 +235,16 @@ def test_sparse_lu_fallback_when_cg_stops_early(spec, R, convention,
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
-def _recorded_systems(monkeypatch, run):
-    """The (L, b) of every _solve_spd call made by run()."""
-    systems, solve_spd = [], dirichlet._solve_spd
+def _recorded_systems(monkeypatch, run, name="_solve_spd"):
+    """The (L, b) of every call of dirichlet.<name> made by run()."""
+    systems, solver = [], getattr(dirichlet, name)
 
     def recorded(L, b):
         systems.append((L, b))
-        return solve_spd(L, b)
+        return solver(L, b)
 
     with monkeypatch.context() as m:
-        m.setattr(dirichlet, "_solve_spd", recorded)
+        m.setattr(dirichlet, name, recorded)
         run()
     return systems
 
@@ -266,6 +268,7 @@ CG_CASES = [*P2_SYSTEMS, ("Z^2", 32, "zero"), "Z^2 p=3 Newton R=16", "b = 0"]
     c if isinstance(c, str) else "{} R={} {}".format(*c) for c in CG_CASES])
 def test_cg_loop_matches_scipy_cg(case, monkeypatch):
     """_solve_spd runs scipy's Jacobi-PCG recurrence: bit-identical."""
+    monkeypatch.setattr(dirichlet, "BAND_MAX_FILL", 0)     # every system on CG
     if case == "Z^2 p=3 Newton R=16":
         # every Newton Hessian, the first taken at the p = 2 solution
         systems = _recorded_systems(
@@ -294,6 +297,7 @@ def _f2_capacity(p, R):
 def test_cg_converging_on_its_last_step_needs_no_lu(run, want, monkeypatch):
     """CG that reaches its tolerance on the m-th update of an m-unknown
     system (every Z^1 capacity; F_2 Newton steps) keeps its answer."""
+    monkeypatch.setattr(dirichlet, "BAND_MAX_FILL", 0)     # every system on CG
     calls = _count_spsolve(monkeypatch)
     assert run() == pytest.approx(want, rel=1e-12)
     assert calls == []
@@ -303,6 +307,64 @@ def test_capacity_z3_r16_unchanged_by_cg():
     # the value of the sparse LU route, before CG
     assert capacity(make_group("Z^3"), 2.0, 16)[0] == pytest.approx(
         8.163002773376352, rel=1e-12)
+
+
+# the route of each system, by its band fill (bw + 1) m / nnz
+BAND_ROUTES = [("Z^1", 512, "zero", "band"), ("Z^2", 48, "zero", "band"),
+               ("Z^2", 128, "zero", "band"), ("Z^3", 16, "zero", "band"),
+               ("F_2", 9, "zero", "band"), ("Z^3", 32, "zero", "CG"),
+               ("H3", 12, "zero", "CG"), ("H3", 16, "zero", "CG"),
+               ("Z^2", 64, "ball", "CG"), ("H3", 12, "ball", "CG"),
+               ("F_2", 8, "ball", "CG")]
+
+
+def _solve_narrow_counted(L, b, monkeypatch):
+    """dirichlet._solve_narrow(L, b) and the number of _solve_spd calls it
+    made: 0 on the band route, 1 on CG."""
+    got = []
+    cg_calls = _recorded_systems(
+        monkeypatch, lambda: got.append(dirichlet._solve_narrow(L, b)))
+    return got[0], len(cg_calls)
+
+
+def _relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("spec,R,convention,route", BAND_ROUTES)
+def test_narrow_systems_take_the_band(spec, R, convention, route, monkeypatch):
+    L, b = _p2_system(spec, R, convention)
+    x, cg_calls = _solve_narrow_counted(L, b, monkeypatch)
+    assert cg_calls == {"band": 0, "CG": 1}[route]
+    if route == "band":
+        assert _relative_error(x, spla.spsolve(L.tocsc(), b)) <= 1e-12
+
+
+def test_newton_hessians_take_the_band(monkeypatch):
+    # the p = 2 system, then every Newton Hessian
+    systems = _recorded_systems(
+        monkeypatch, lambda: capacity(make_group("Z^2"), 3.0, 48), "_solve_narrow")
+    assert len(systems) == 1 + DESCENT_CASES["Z^2", 3.0, 48]
+    for L, b in systems:
+        x, cg_calls = _solve_narrow_counted(L, b, monkeypatch)
+        assert cg_calls == 0
+        assert _relative_error(x, spla.spsolve(L.tocsc(), b)) <= 1e-12
+
+
+def test_capacity_z1_r512_on_the_band():
+    assert capacity(Z1, 2.0, 512)[0] == pytest.approx(4.0 / 512, rel=1e-14)
+
+
+def test_indefinite_system_falls_back_to_cg(monkeypatch):
+    # narrow enough for the band, whose Cholesky factorisation then fails
+    # (second leading minor -3); CG solves it in three steps
+    L = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0],
+                                [0.0, 0.0, 1.0]]))
+    b = np.array([1.0, 0.0, 1.0])
+    x, cg_calls = _solve_narrow_counted(L, b, monkeypatch)
+    assert cg_calls == 1
+    assert np.array_equal(x, dirichlet._solve_spd(L, b))
+    assert np.allclose(L @ x, b, rtol=0.0, atol=1e-14)
 
 
 def test_trend_verdicts():

@@ -399,8 +399,6 @@ def vertex_boundary(ball: CayleyBall, subset: SubsetView) -> SubsetView:
     symmetric, the x*g_j^-1 table covers all S-neighbors.
     """
     mask = subset.mask
-    if not mask.any():
-        return SubsetView(ball, np.zeros_like(mask))
     nbr = ball.nbr
     exterior = nbr == EXTERIOR
     # in-A status of each neighbor; exterior slots count as not-in-A

@@ -2,8 +2,9 @@
 
 Three families are shipped: Z^d (free abelian), F_k (free), and the
 discrete Heisenberg group H3.  Elements are plain tuples in a canonical
-normal form, so equality and hashing are byte-for-byte.  Z^d and H3 also
-multiply whole arrays of elements at once (``right_products``), which ball
+normal form, so equality and hashing are byte-for-byte; their text is
+"(a,b,...)", or a word such as "abA" on F_k.  Z^d and H3 also multiply
+whole arrays of elements at once (``right_products``), which ball
 building uses; F_k needs no products there, since its Cayley graph is a
 tree.  Each family keys the orbits of its Cayley graph's automorphisms
 that fix e (``orbit_key``), the cells that energy minimization runs on.
@@ -28,7 +29,8 @@ class UnknownFamilyError(ValueError):
 
 class GroupModel:
     """Common interface: identity/multiply/inverse plus a fixed symmetric
-    generating set S (identity excluded).  Immutable after construction."""
+    generating set S (identity excluded).  Immutable after construction.
+    The text codec "(a,b,...)" is the default; F_k overrides it."""
 
     family: str
     name: str
@@ -55,10 +57,17 @@ class GroupModel:
         raise NotImplementedError
 
     def format_element(self, x: Element) -> str:
-        raise NotImplementedError
+        return "(" + ",".join(str(a) for a in x) + ")"
 
     def parse_element(self, s: str) -> Element:
-        raise NotImplementedError
+        body = s.strip()
+        if not (body.startswith("(") and body.endswith(")")):
+            raise ValueError(f"bad {self.name} element: {s!r}")
+        parts = body[1:-1].split(",")
+        width = len(self.identity())
+        if len(parts) != width:
+            raise ValueError(f"expected {width} coordinates in {s!r}")
+        return tuple(int(p) for p in parts)
 
     def check_elements(self, elements: Iterable[Element]) -> None:
         """Raise ValueError, naming the group, at the first element that
@@ -136,18 +145,6 @@ class ZdGroup(GroupModel):
 
     def inverse(self, x):
         return tuple(-a for a in x)
-
-    def format_element(self, x):
-        return "(" + ",".join(str(a) for a in x) + ")"
-
-    def parse_element(self, s):
-        body = s.strip()
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ValueError(f"bad Z^{self.d} element: {s!r}")
-        parts = body[1:-1].split(",")
-        if len(parts) != self.d:
-            raise ValueError(f"expected {self.d} coordinates in {s!r}")
-        return tuple(int(p) for p in parts)
 
 
 class FreeGroup(GroupModel):
@@ -271,18 +268,6 @@ class HeisenbergGroup(GroupModel):
 
     def inverse(self, u):
         return (-u[0], -u[1], u[0] * u[1] - u[2])
-
-    def format_element(self, x):
-        return "(" + ",".join(str(a) for a in x) + ")"
-
-    def parse_element(self, s):
-        body = s.strip()
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ValueError(f"bad H3 element: {s!r}")
-        parts = body[1:-1].split(",")
-        if len(parts) != 3:
-            raise ValueError(f"expected 3 coordinates in {s!r}")
-        return tuple(int(p) for p in parts)
 
 
 _ZD_RE = re.compile(r"^Z\^?(\d+)$", re.IGNORECASE)

@@ -125,6 +125,41 @@ def test_format_parse_roundtrip(spec):
         assert g.parse_element(g.format_element(x)) == x
 
 
+@pytest.mark.parametrize("spec,text,message", [
+    ("Z^1", "1", "bad Z^1 element: '1'"),
+    ("Z^2", "1,2", "bad Z^2 element: '1,2'"),
+    ("Z^2", "(1,2,3)", "expected 2 coordinates in '(1,2,3)'"),
+    ("Z^3", "(1,2)", "expected 3 coordinates in '(1,2)'"),
+    ("Z^4", " (1,2) ", "expected 4 coordinates in ' (1,2) '"),
+    ("H3", "(1,2", "bad H3 element: '(1,2'"),
+    ("H3", "()", "expected 3 coordinates in '()'"),
+])
+def test_coordinate_codec_errors(spec, text, message):
+    with pytest.raises(ValueError) as exc:
+        make_group(spec).parse_element(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("spec", ["Z^1", "Z^2", "Z^3", "Z^4", "H3"])
+def test_coordinate_codec_roundtrip(spec):
+    g = make_group(spec)
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        x = tuple(int(a) for a in rng.integers(-1000, 1000,
+                                               len(g.identity())))
+        text = g.format_element(x)
+        assert text == "(" + ",".join(map(str, x)) + ")"
+        assert g.parse_element(text) == g.parse_element(f" {text} ") == x
+
+
+def test_free_group_keeps_its_word_codec():
+    f = make_group("F_2")
+    assert f.parse_element("abBA") == () == f.identity()
+    assert f.format_element((1, 2, -1)) == "abA"
+    with pytest.raises(ValueError, match="bad F_2 letter 'c'"):
+        f.parse_element("ac")
+
+
 def test_growth_degree_labels():
     assert make_group("Z^3").growth_degree == 3
     assert make_group("F_1").growth_degree == 1

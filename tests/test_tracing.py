@@ -23,9 +23,12 @@ def test_tracer_layer_functions_resolve(monkeypatch):
 
 def test_tracer_patch_targets_exist():
     """``install`` also wraps the scipy solver that dirichlet calls and
-    counts ``multiply`` where a family class defines it itself."""
+    counts ``multiply`` where a family class defines it itself, on the
+    direct subclasses of ``GroupModel`` only."""
     from caylex import dirichlet
-    from caylex.groups import FreeGroup, HeisenbergGroup, ZdGroup
+    from caylex.groups import (FreeGroup, GroupModel, HeisenbergGroup,
+                               ZdGroup)
     assert callable(dirichlet.spla.spsolve)
     for cls in (ZdGroup, FreeGroup, HeisenbergGroup):
         assert "multiply" in vars(cls), cls.__name__
+        assert cls in GroupModel.__subclasses__(), cls.__name__

@@ -141,10 +141,6 @@ class CayleyBall:
                           self.word_length[:n], self._decode_sphere,
                           lambda: self.cells[:n])
 
-    def neighbor(self, i: int, j: int) -> int:
-        """Index of x_i * g_j^-1, or EXTERIOR."""
-        return int(self.nbr[i, j])
-
     def interior_indices(self) -> np.ndarray:
         return np.where(self.interior)[0]
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__, dirichlet, geometry, verify
 from .cayley import BallSizeError, build_ball
-from .groups import UnknownFamilyError, make_group
+from .groups import make_group
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -267,15 +267,15 @@ def cmd_sobolev(args, group) -> Outcome:
     ball = build_ball(group, 8)
     test_set = geometry.sobolev_test_set(group, profile, args.samples,
                                          np.random.default_rng(args.seed), ball)
-    rep = geometry.sobolev_constant(group, args.d, profile, test_set=test_set)
+    rep = geometry.sobolev_constant(group, args.d, test_set)
     results = {"d": args.d, "constant": rep.constant,
                "maximizer": rep.maximizer_kind, "samples": rep.samples,
                "isd_constant": isd.constant, "isd_verdict": isd.verdict}
     if args.d > 2:
         rng = np.random.default_rng(args.seed + 1)
-        verification = [geometry.random_nonnegative(group, rng, ball=ball)
+        verification = [geometry.random_nonnegative(ball, rng)
                         for _ in range(min(args.samples, 200))]
-        done = geometry.sobolev_p2(rep, group, verification)
+        done = geometry.sobolev_p2(rep, verification)
         results.update({"cprime": done.cprime,
                         "violation_count": done.violation_count,
                         "worst_margin": done.worst_margin,
@@ -355,6 +355,8 @@ def _out_path(text: str) -> str:
     d = os.path.dirname(os.path.abspath(text))
     if not os.path.isdir(d):
         raise argparse.ArgumentTypeError(f"no such directory: {d}")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
     return text
 
 
@@ -456,7 +458,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if outcome.note:
             print(outcome.note, file=sys.stderr)
         return outcome.code
-    except (UsageError, UnknownFamilyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BallSizeError as exc:

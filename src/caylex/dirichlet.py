@@ -381,7 +381,6 @@ def capacity(group: GroupModel, p: float, radius: int):
 
 @dataclass
 class CapacityScan:
-    group_spec: str
     p: float
     radii: List[int]
     capacities: List[float]
@@ -430,8 +429,7 @@ def parabolicity_scan(group: GroupModel, p: float,
         if caps[k] > caps[k - 1] * (1.0 + 1e-9):
             raise SolverFailure(
                 f"capacity increased from R={radii[k - 1]} to R={radii[k]}")
-    return CapacityScan(group.name, p, radii, caps,
-                        trend_verdict(radii, caps), reports)
+    return CapacityScan(p, radii, caps, trend_verdict(radii, caps), reports)
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +465,8 @@ def null_sequence(scan: CapacityScan) -> List[NullSequenceTerm]:
         alpha = scan.reports[k].minimizer.to_formal_sum()
         beta = float(n) * alpha
         a_semi = seminorms[k]
-        b_semi = n * a_semi
-        assert b_semi <= 1.0 / n + 1e-12
         terms.append(NullSequenceTerm(n, scan.radii[k], alpha, beta,
-                                      a_semi, b_semi))
+                                      a_semi, n * a_semi))
         n += 1
     if not terms:
         raise NullSequenceError(
@@ -510,7 +506,6 @@ class RoydenEntry:
 
 @dataclass
 class RoydenReport:
-    group_spec: str
     source: str
     radii: List[int]
     entries: List[RoydenEntry]
@@ -549,7 +544,7 @@ def royden_split(group: GroupModel, source: str, radii: Sequence[int],
         return RoydenEntry(R, rep.energy, float(vals.max()), float(vals.min()))
 
     entries = _scan(group, radii, step, f"royden split of {group.name} at ")
-    return RoydenReport(group.name, source, radii, entries,
+    return RoydenReport(source, radii, entries,
                         _royden_verdict(radii, [e.energy for e in entries]))
 
 

@@ -87,9 +87,6 @@ class FormalSum:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "FormalSum":
-        return self * (-1.0)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, FormalSum) and self.group is other.group
                 and self.data == other.data)
@@ -97,21 +94,6 @@ class FormalSum:
     def __repr__(self):
         n = len(self.data)
         return f"<FormalSum on {self.group.name}, support {n}>"
-
-    def to_json_obj(self) -> list:
-        fmt = self.group.format_element
-        return [{"element": fmt(x), "re": complex(v).real, "im": complex(v).imag}
-                for x, v in sorted(self.data.items(), key=lambda kv: fmt(kv[0]))]
-
-    @classmethod
-    def from_json_obj(cls, group: GroupModel, obj: list) -> "FormalSum":
-        data = {}
-        for rec in obj:
-            v = rec["re"] + 1j * rec.get("im", 0.0)
-            if v.imag == 0:
-                v = v.real
-            data[group.parse_element(rec["element"])] = v
-        return cls(group, data)
 
 
 class BallFunction:
@@ -167,11 +149,9 @@ class BallFunction:
 
     __rmul__ = __mul__
 
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.values) or bool(np.all(self.values.imag == 0))
-
     def is_nonnegative(self) -> bool:
-        return self.is_real() and bool(np.all(np.real(self.values) >= 0))
+        real = np.isrealobj(self.values) or np.all(self.values.imag == 0)
+        return bool(real and np.all(self.values.real >= 0))
 
     def __repr__(self):
         return f"<BallFunction on {self.ball!r}, convention={self.convention}>"

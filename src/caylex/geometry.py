@@ -446,51 +446,36 @@ def random_formal_sum(ball: CayleyBall, rng: np.random.Generator,
                                   for i, v in zip(ids.tolist(), vals.tolist())})
 
 
-def random_nonnegative(group: GroupModel, rng: np.random.Generator,
-                       support_radius: int = 5, ball=None) -> FormalSum:
-    """Random non-negative function on 1..40 vertices of a ball window."""
-    if ball is None:
-        ball = build_ball(group, support_radius)
+def random_nonnegative(ball: CayleyBall, rng: np.random.Generator) -> FormalSum:
+    """Random non-negative function on 1..40 vertices of the ball."""
     return random_formal_sum(ball, rng, 40, "nonnegative")
 
 
-def sobolev_test_set(group: GroupModel, profile: Optional[IsoperimetricProfile],
+def sobolev_test_set(group: GroupModel, profile: IsoperimetricProfile,
                      n_random: int, rng: np.random.Generator,
-                     ball: Optional[CayleyBall] = None) -> List[Tuple[str, FormalSum]]:
+                     ball: CayleyBall) -> List[Tuple[str, FormalSum]]:
     """Indicators of the profile witnesses, tents of radius 2, 4 and 8, and
-    n_random random non-negative functions in the radius-8 ball.  One ball,
-    B_8, is built unless given; the smaller tents are read from its
-    restrictions."""
-    if profile is not None and profile.group_spec != group.name:
+    n_random random non-negative functions in the given ball, which is B_8
+    of the group: the tents are read from its restrictions."""
+    if profile.group_spec != group.name:
         raise ValueError(f"profile of {profile.group_spec} given for "
                          f"group {group.name}")
-    out: List[Tuple[str, FormalSum]] = []
-    if profile is not None:
-        for rec in profile.records:
-            out.append((f"indicator-n{rec.n}",
-                        FormalSum.indicator(group, rec.witness)))
-    if ball is None:
-        ball = build_ball(group, 8)
+    out = [(f"indicator-n{rec.n}", FormalSum.indicator(group, rec.witness))
+           for rec in profile.records]
     for r in (2, 4, 8):
         out.append((f"tent-R{r}", _tent(ball.restrict(r))))
     for i in range(n_random):
-        out.append((f"random-{i}",
-                    random_nonnegative(group, rng, ball=ball)))
+        out.append((f"random-{i}", random_nonnegative(ball, rng)))
     return out
 
 
 def sobolev_constant(group: GroupModel, d: float,
-                     profile: Optional[IsoperimetricProfile] = None,
-                     n_random: int = 500, seed: int = 0,
-                     test_set: Optional[List[Tuple[str, FormalSum]]] = None) -> SobolevReport:
-    """Empirical max of ||a||_{d/(d-1)} / ||a||_D(1) over the test set
-    (indicators of profile witnesses, tents, random non-negative functions);
-    a lower bound for the true constant."""
+                     test_set: List[Tuple[str, FormalSum]]) -> SobolevReport:
+    """Empirical max of ||a||_{d/(d-1)} / ||a||_D(1) over the test set, a
+    list of (kind, function) pairs such as sobolev_test_set builds; a lower
+    bound for the true constant.  Zero functions are skipped."""
     if d <= 1:
         raise ValueError("sobolev_constant requires d > 1")
-    if test_set is None:
-        rng = np.random.default_rng(seed)
-        test_set = sobolev_test_set(group, profile, n_random, rng)
     q = d / (d - 1.0)
     best = 0.0
     best_kind = ""
@@ -550,7 +535,7 @@ def mean_value_step(r, s, t):
     return t * (r ** (t - 1) + s ** (t - 1)) * (r - s) - (r ** t - s ** t)
 
 
-def sobolev_p2(report: SobolevReport, group: GroupModel,
+def sobolev_p2(report: SobolevReport,
                verification_set: Iterable[FormalSum]) -> SobolevReport:
     """Complete the report with C' = 2 C (2d-2)/(d-2) and check the p = 2
     inequality ||a||_{2d/(d-2)} <= C' ||a||_D(2) on the verification set,
@@ -617,7 +602,9 @@ def is_equivalence_probe(group: GroupModel, d: float, n_max: int = 10,
     |A|^{(d-1)/d} while ||1_A||_D(1) is between 2|dA| and 2|S||dA|, so the
     two conditions track each other up to that bounded factor."""
     profile = isoperimetric_profile(group, n_max)
-    sob = sobolev_constant(group, d, profile, n_random=n_random)
+    test_set = sobolev_test_set(group, profile, n_random,
+                                np.random.default_rng(0), build_ball(group, 8))
+    sob = sobolev_constant(group, d, test_set)
     factors = []
     for rec in profile.records:
         ind = FormalSum.indicator(group, set(rec.witness))

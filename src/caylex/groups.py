@@ -196,8 +196,6 @@ class FreeGroup(GroupModel):
         return tuple(-c for c in reversed(x))
 
     def format_element(self, x):
-        if not x:
-            return ""
         out = []
         for c in x:
             ch = _LETTERS[abs(c) - 1]
@@ -205,18 +203,13 @@ class FreeGroup(GroupModel):
         return "".join(out)
 
     def parse_element(self, s):
-        word: list[int] = []
+        letters = []
         for ch in s.strip():
-            low = ch.lower()
-            i = _LETTERS.find(low) + 1
+            i = _LETTERS.find(ch.lower()) + 1
             if i == 0 or i > self.k:
                 raise ValueError(f"bad F_{self.k} letter {ch!r}")
-            c = i if ch.islower() else -i
-            if word and word[-1] == -c:
-                word.pop()
-            else:
-                word.append(c)
-        return tuple(word)
+            letters.append(i if ch.islower() else -i)
+        return self.multiply((), letters)
 
 
 class HeisenbergGroup(GroupModel):

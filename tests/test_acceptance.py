@@ -140,9 +140,9 @@ def test_criterion_05_truncation():
 def test_criterion_06_power_estimate():
     rng = np.random.default_rng(13)
     violations = 0
+    balls = [build_ball(make_group(spec), 4) for spec in ("Z^2", "Z^3", "F_2")]
     for i in range(1000):
-        group = make_group(("Z^2", "Z^3", "F_2")[i % 3])
-        alpha = random_nonnegative(group, rng, support_radius=4)
+        alpha = random_nonnegative(balls[i % 3], rng)
         t = float(rng.choice([2.0, 2.5, 3.0]))
         res = lemma61_check(alpha, t)
         if res.margin < -1e-12 * (1.0 + res.rhs):
@@ -160,16 +160,15 @@ def test_criterion_07_l2_sobolev_bootstrap():
     d = 3.0
     rng = np.random.default_rng(14)
     ball = build_ball(group, 8)
-    verification = [random_nonnegative(group, rng, ball=ball)
-                    for _ in range(500)]
+    verification = [random_nonnegative(ball, rng) for _ in range(500)]
     profile = isoperimetric_profile(group, 6, "exhaustive")
-    test_set = sobolev_test_set(group, profile, 200, rng)
+    test_set = sobolev_test_set(group, profile, 200, rng, ball)
     # the bootstrap applies the L^1 inequality to alpha^{(2d-2)/(d-2)}; the
     # empirical C must cover those powers over the same support region
     t = (2 * d - 2) / (d - 2)
     test_set += [(f"power-{i}", power(a, t)) for i, a in enumerate(verification)]
-    rep = sobolev_constant(group, d, profile, test_set=test_set)
-    done = sobolev_p2(rep, group, verification)
+    rep = sobolev_constant(group, d, test_set)
+    done = sobolev_p2(rep, verification)
     ok = (done.cprime == 8.0 * rep.constant
           and done.violation_count == 0
           and done.exponent_identity_residual <= 1e-10)

@@ -189,9 +189,9 @@ def test_neighbor_table_involution():
         inv = group.inverse_gen_index
         for i in range(ball.n_vertices):
             for j in range(len(group.generators)):
-                k = ball.neighbor(i, j)
+                k = ball.nbr[i, j]
                 if k != EXTERIOR:
-                    back = ball.neighbor(k, inv[j])
+                    back = ball.nbr[k, inv[j]]
                     assert back == i or back == EXTERIOR
 
 
@@ -201,7 +201,7 @@ def test_neighbor_table_matches_arithmetic():
     for i in range(ball.n_vertices):
         for j, g in enumerate(group.generators):
             y = group.multiply(ball.elements[i], group.inverse(g))
-            k = ball.neighbor(i, j)
+            k = ball.nbr[i, j]
             if k == EXTERIOR:
                 assert y not in ball.index
             else:

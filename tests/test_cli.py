@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -200,11 +201,14 @@ def test_thin_commands_exit_1_on_failed_check(tmp_path, monkeypatch):
     (["royden", "--group", "F_2", "--source", "end-separating", "--radii", "3:4",
       "--damping", "-0.1"], None),
     (["verify", "--suite", "norms", "--workers", "0"], None),
+    (["ball", "--group", "Z^2", "--radius", "2", "--out", "EXISTING"], None),
 ])
 def test_bad_input_is_a_usage_error(argv, cap, tmp_path, monkeypatch, capsys):
-    """Out-of-range flags, a missing output directory and a bad vertex cap
-    exit 2 with an error line (an exception would fail the test)."""
-    argv = [a.replace("MISSING", str(tmp_path / "missing")) for a in argv]
+    """Out-of-range flags, a missing output directory, an --out that is a
+    directory and a bad vertex cap exit 2 with an error line (an exception
+    would fail the test)."""
+    argv = [a.replace("MISSING", str(tmp_path / "missing"))
+            .replace("EXISTING", str(tmp_path)) for a in argv]
     if cap is not None:
         monkeypatch.setenv("CAYLEX_MAX_VERTICES", cap)
     assert main(argv) == EXIT_USAGE
@@ -524,3 +528,28 @@ def test_suite_command_results_pinned(argv, want, tmp_path):
 def test_verify_all_stdout_pinned(capsys):
     assert main(["verify", "--suite", "all", "--seed", "1"]) == EXIT_OK
     assert capsys.readouterr().out == PINNED_VERIFY_ALL
+
+
+# sha256 of reports that hold no floats, so no BLAS or summation order can
+# move a byte.  Greedy profiles are left out: their tie-break may change.
+PINNED_DIGESTS = [
+    (["ball", "--group", "F_2", "--radius", "6", "--neighbors"],
+     "ce18f2b58faaa25c1c2bcbd55d9bd479ba2855a3d82f141af62db9b7a09ac9bc"),
+    (["ball", "--group", "H3", "--radius", "3", "--neighbors"],
+     "ddc9ce677806e96683bad247713abd02533f1ba0313dba93ea11c89926c8acad"),
+    (["iso", "--group", "Z^2", "--nmax", "8"],
+     "cb45d190aeb481511e855f4bdecb64b7e5e5305e3e04404e4df3c6a8d8d58a1d"),
+    (["iso", "--group", "F_2", "--nmax", "200", "--strategy", "ball-family"],
+     "72abaf301f6c1fb391e8dd9259188c5202cd26c2874f407bda5f9eeebc34082b"),
+    (["iso", "--group", "Z^3", "--nmax", "200", "--strategy", "cube-family",
+      "--format", "csv"],
+     "14f5b8e07711c217f92bb44c010d8c333c65028c76401b627d90d1086c5cab70"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_DIGESTS,
+                         ids=[" ".join(a[:3]) for a, _ in PINNED_DIGESTS])
+def test_integer_reports_pinned(argv, digest, tmp_path):
+    out = tmp_path / "report"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -335,17 +335,6 @@ def test_modulus_contracts_dirichlet(pairs):
             dirichlet_seminorm_pow(a, p) * (1 + 1e-9) + 1e-9
 
 
-def test_serialization_roundtrip():
-    for group in (Z2, F2):
-        ball = build_ball(group, 3)
-        rng = np.random.default_rng(6)
-        data = {ball.elements[i]: complex(rng.normal(), rng.normal())
-                for i in rng.choice(ball.n_vertices, 8, replace=False)}
-        a = FormalSum(group, data)
-        back = FormalSum.from_json_obj(group, a.to_json_obj())
-        assert back == a
-
-
 def test_ball_function_roundtrip():
     ball = build_ball(Z2, 3)
     a = FormalSum(Z2, {(0, 0): 1.0, (1, 1): -2.0})

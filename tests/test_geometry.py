@@ -401,7 +401,8 @@ def test_exhaustive_minima_brute_force(spec):
 def test_sobolev_rejects_profile_of_another_group():
     profile = isoperimetric_profile(make_group("Z^3"), 4)
     with pytest.raises(ValueError, match=r"Z\^3.*Z\^2"):
-        sobolev_constant(Z2, 3.0, profile, n_random=5)
+        geometry.sobolev_test_set(Z2, profile, 5, np.random.default_rng(0),
+                                  build_ball(Z2, 8))
 
 
 def test_isd_bounded_for_matching_dimension():
@@ -461,7 +462,8 @@ def test_sobolev_square_ratio():
 
 def test_sobolev_constant_report():
     profile = isoperimetric_profile(Z2, 6, "exhaustive")
-    rep = sobolev_constant(Z2, 2.0, profile, n_random=50, seed=0)
+    rep = sobolev_constant(Z2, 2.0, geometry.sobolev_test_set(
+        Z2, profile, 50, np.random.default_rng(0), build_ball(Z2, 8)))
     assert rep.constant > 0
     assert rep.maximizer_kind
     assert rep.samples >= 50
@@ -550,9 +552,12 @@ def test_tent_function():
 
 @pytest.mark.parametrize("spec", ["Z^2", "Z^3", "F_2", "H3"])
 def test_sobolev_test_set_builds_one_ball(spec, monkeypatch):
-    """One B_8 serves the tents and the random functions; each tent equals
-    tent_function, in the same element order."""
+    """The caller's B_8 serves the tents and the random functions, and no
+    ball is built; each tent equals tent_function, in the same element
+    order."""
     group = make_group(spec)
+    profile = isoperimetric_profile(group, 3)
+    ball = build_ball(group, 8)
     built = []
 
     def counted(group, radius, *args, **kwargs):
@@ -560,9 +565,9 @@ def test_sobolev_test_set_builds_one_ball(spec, monkeypatch):
         return build_ball(group, radius, *args, **kwargs)
 
     monkeypatch.setattr(geometry, "build_ball", counted)
-    test_set = dict(geometry.sobolev_test_set(group, None, 3,
-                                              np.random.default_rng(0)))
-    assert built == [8]
+    test_set = dict(geometry.sobolev_test_set(group, profile, 3,
+                                              np.random.default_rng(0), ball))
+    assert built == []
     monkeypatch.undo()
     for r in (2, 4, 8):
         tent = test_set[f"tent-R{r}"]
@@ -573,15 +578,19 @@ def test_sobolev_test_set_builds_one_ball(spec, monkeypatch):
 def test_sobolev_p2_constant_and_identities():
     group = make_group("Z^3")
     profile = isoperimetric_profile(group, 6, "exhaustive")
-    rep = sobolev_constant(group, 3.0, profile, n_random=100, seed=0)
+    rep = sobolev_constant(group, 3.0, geometry.sobolev_test_set(
+        group, profile, 100, np.random.default_rng(0), build_ball(group, 8)))
     rng = np.random.default_rng(1)
-    verification = [random_nonnegative(group, rng) for _ in range(50)]
-    done = sobolev_p2(rep, group, verification)
+    ball = build_ball(group, 5)
+    verification = [random_nonnegative(ball, rng) for _ in range(50)]
+    done = sobolev_p2(rep, verification)
     assert done.cprime == pytest.approx(8.0 * rep.constant, rel=1e-15)
     assert done.exponent_identity_residual <= 1e-10
     z2_profile = isoperimetric_profile(Z2, 6, "exhaustive")
     with pytest.raises(ValueError, match="requires d > 2"):
-        sobolev_p2(sobolev_constant(Z2, 2.0, z2_profile, n_random=5), Z2, [])
+        sobolev_p2(sobolev_constant(Z2, 2.0, geometry.sobolev_test_set(
+            Z2, z2_profile, 5, np.random.default_rng(0), build_ball(Z2, 8))),
+            [])
 
 
 def test_equivalence_probe():

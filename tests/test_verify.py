@@ -44,6 +44,25 @@ def test_unknown_suite():
         verify.run_suite("bogus", 0)
 
 
+def test_lemma31_reads_beta_itself(monkeypatch):
+    """The beta bound is checked on the term's function, not on the
+    seminorm recorded beside it."""
+    real = verify.dirichlet.null_sequence
+    recorded = []
+
+    def scaled(scan):
+        terms = real(scan)
+        recorded.extend(terms)
+        return [dataclasses.replace(t, beta=10.0 * t.beta) for t in terms]
+
+    monkeypatch.setattr(verify.dirichlet, "null_sequence", scaled)
+    res = verify.suite_lemma31(0)
+    assert res.checked == CHECKED["lemma31"]
+    want = [f"beta_{t.n} seminorm {10.0 * t.beta_seminorm:.3e} > 1/n"
+            for t in recorded if 10.0 * t.beta_seminorm > 1.0 / t.n]
+    assert want and [f for f in res.failures if f.startswith("beta_")] == want
+
+
 def test_per_suite_seeds_differ():
     seeds = {verify._suite_seed(1, n) for n in verify.SUITE_NAMES}
     assert len(seeds) == len(verify.SUITE_NAMES)

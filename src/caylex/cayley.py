@@ -6,10 +6,10 @@ order with the generator index as tie-break, so two builds of the same ball
 are identical and B_r is the index prefix of B_R (CayleyBall.restrict).
 The neighbor table stores, for vertex i and generator index j, the index
 of x_i * g_j^-1, or EXTERIOR when that element lies outside the ball.  A
-window stores a seed set and its 1-step S-closure in the same format.  A
-ball keeps its elements as arrays and builds the element tuples, the
-element -> index dict and its cells (orbits under the automorphisms fixing
-e) only when they are first read.
+window stores a seed set, with or without its 1-step S-closure, in the
+same format.  A ball keeps its elements as arrays and builds the element
+tuples, the element -> index dict and its cells (orbits under the
+automorphisms fixing e) only when they are first read.
 """
 
 from __future__ import annotations
@@ -305,26 +305,18 @@ def _seed_products(group: GroupModel, seeds) -> list:
     return _tuples(group.right_products(rows).reshape(-1, width))
 
 
-def window(group: GroupModel, seeds: Iterable[Element]) -> CayleyBall:
-    """The seed set and its 1-step S-closure, in the CayleyBall format.
-
-    Seeds come first (given order, repeats dropped) with word length 0,
-    then the new elements x g^-1 in discovery order with word length 1, so
-    the window has radius 1, its interior is the seed set and its sphere
-    the closure.  Seed rows come from _seed_products.  Closure rows are the
-    transpose of the seed rows: y = x g_j^-1 has x = y g_k^-1 for k the
-    index of g_j^-1, so no further products are made; a closure row keeps
-    EXTERIOR where its neighbor is not a seed.  Every function supported on
-    the seeds therefore has exact differences, Laplacian and pairings here.
-    funcspace lifts onto this window for function-valued differences, and
-    onto _window(group, seeds, False), the seeds alone with their seed rows
-    (made on first read of nbr), for everything else: there an EXTERIOR
-    slot stands for a neighbor off the support, valued 0.  Seeds of the wrong shape raise ValueError.
-    """
-    return _window(group, seeds, True)
-
-
-def _window(group, seeds, closure):
+def window(group: GroupModel, seeds: Iterable[Element], closure: bool) -> CayleyBall:
+    """The seed set, with its 1-step S-closure if ``closure``, in the
+    CayleyBall format.  Seeds come first (given order, repeats dropped)
+    with word length 0, then the closure elements x g^-1 in discovery
+    order with word length 1, so the interior is the seed set.  A slot to
+    a neighbor outside the window is EXTERIOR: on the seeds alone, a
+    neighbor off the seeds.  Seed rows come from _seed_products, on first
+    read of nbr without the closure.  Closure rows are the transpose of
+    the seed rows: y = x g_j^-1 has x = y g_k^-1 for k the index of
+    g_j^-1, so no further products are made.  Every function supported on
+    the seeds has exact differences, Laplacian and pairings on the
+    closure.  Seeds of the wrong shape raise ValueError."""
     index = {x: i for i, x in enumerate(dict.fromkeys(seeds))}
     group.check_elements(index)
     seeds = list(index)
@@ -405,7 +397,7 @@ def vertex_boundary(ball: CayleyBall, subset: SubsetView) -> SubsetView:
 
 def vertex_boundary_elements(group: GroupModel, A: Set[Element]) -> Set[Element]:
     """Vertex boundary of an explicit element set: vertex_boundary on the
-    window of A, whose seeds (word length 0) are A itself."""
-    win = window(group, A)
-    seeds = SubsetView(win, win.word_length == 0)
-    return set(vertex_boundary(win, seeds).element_set())
+    window of A alone, where every slot that leaves A is EXTERIOR."""
+    win = window(group, A, False)
+    every = SubsetView(win, np.ones(win.n_vertices, dtype=bool))
+    return set(vertex_boundary(win, every).element_set())

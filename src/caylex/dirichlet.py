@@ -7,17 +7,19 @@ principle check.
 
 A problem is solved on the cells of its ball (CayleyBall.cells, an
 equitable partition) if its pins are constant on them, else on single
-vertices: the minimizer is constant on cells, so the cell graph, with slot
-multiplicities as weights, gives it, and residuals and gradient norms are
-those of its lift onto the whole ball.  The p = 2 route assembles the
-(SPD) graph Laplacian on free cells and solves it; other exponents run
-damped Newton steps on the D(p) energy (the same Laplacian with |d|^(p-2)
-weights, the same inner solve, Armijo backtracking), warm-started from the
-p = 2 solution.  The inner solve factors a narrow system directly, as a
-band: cells are numbered in BFS order, so a cell system couples only
-neighbouring spheres, and the capacity cells of Z^1, of Z^2 up to R = 154,
-of Z^3 up to R = 31, of H3 up to R = 7 and of F_k, with every Newton
-Hessian on them, take this route.  Wide systems stay on a Jacobi-
+vertices: the minimizer is constant on cells, so the cell graph, with
+slot multiplicities as weights, gives it, and its energy
+(funcspace.energy_value with those weights), residuals and gradient
+norms are those of its lift onto the whole ball; the report takes the
+energy from the cells.  The p = 2 route assembles the (SPD) graph
+Laplacian on free cells and solves it; other exponents run damped Newton
+steps on the D(p) energy (the same Laplacian with |d|^(p-2) weights, the
+same inner solve, Armijo backtracking), warm-started from the p = 2
+solution.  The inner solve factors a narrow system directly, as a band:
+cells are numbered in BFS order, so a cell system couples only
+neighbouring spheres, and the capacity cells of Z^1, of Z^2 up to
+R = 154, of Z^3 up to R = 31, of H3 up to R = 7 and of F_k, with every
+Newton Hessian on them, take this route.  Wide systems stay on a Jacobi-
 preconditioned conjugate gradient loop of this module's own, in the
 arithmetic of scipy's cg, which falls back to sparse LU only when CG has
 not converged after one iteration per unknown: harmonic extensions on
@@ -87,6 +89,8 @@ class EnergyProblem:
             raise ValueError("energy minimization requires p > 1")
         if not self.constraints:
             raise ValueError("constraint set must be non-empty")
+        if self.convention not in ("zero", "ball"):
+            raise ValueError(f"unknown exterior convention {self.convention!r}")
 
 
 @dataclass
@@ -154,12 +158,11 @@ def _setup(problem: EnergyProblem) -> _Cells:
 
 
 # ---------------------------------------------------------------------------
-# energy and gradient on cells (the lift's energy is funcspace.energy_value)
+# energy and gradient on cells: the energy of the lift, each slot of a
+# cell's first vertex standing for the slots of all its vertices
 
 def _energy(x, p, q: _Cells):
-    src, dst, ext = q.edges
-    return (np.sum(q.w * np.abs(x[dst] - x[src]) ** p)
-            + 2.0 * np.sum(q.w_ext * np.abs(x[ext]) ** p))
+    return energy_value(x, p, *q.edges, q.w, q.w_ext)
 
 
 def _energy_grad(x, p, q: _Cells):
@@ -320,12 +323,10 @@ def _newton(x0: np.ndarray, p: float, q: _Cells) -> Tuple[np.ndarray, int, float
 
 
 def _report(problem: EnergyProblem, q: _Cells, solver, x, iterations, residual):
-    """The report of cell values x, lifted onto the ball."""
-    u = x[q.cells]
-    return SolveReport(BallFunction(problem.ball, u, problem.convention),
-                       energy_value(u, problem.p, *edge_arrays(problem.ball),
-                                    problem.convention),
-                       iterations, residual, solver)
+    """The report of cell values x: their lift onto the ball, and the
+    energy of x on the cells, which is that of the lift."""
+    return SolveReport(BallFunction(problem.ball, x[q.cells], problem.convention),
+                       _energy(x, problem.p, q), iterations, residual, solver)
 
 
 def solve(problem: EnergyProblem) -> SolveReport:

@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from .cayley import EXTERIOR, CayleyBall, _window, edge_arrays
+from .cayley import EXTERIOR, CayleyBall, edge_arrays, window
 from .groups import Element, GroupModel
 
 P_MIN, P_MAX = 1.0, 16.0
@@ -88,7 +88,7 @@ class FormalSum:
     __rmul__ = __mul__
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, FormalSum) and self.group is other.group
+        return (isinstance(other, FormalSum) and self.group == other.group
                 and self.data == other.data)
 
     def __repr__(self):
@@ -204,10 +204,10 @@ def _lift(fs, domain=None, closure: bool = False):
     if not all(isinstance(f, FormalSum) for f in fs):
         raise TypeError("operands must all be FormalSums or all BallFunctions")
     group = fs[0].group
-    if any(f.group is not group for f in fs):
+    if any(f.group != group for f in fs):
         raise ValueError("functions live on different groups")
     domain = [] if domain is None else list(domain)
-    ball = _window(group, [x for f in fs for x in f.data] + domain, closure)
+    ball = window(group, [x for f in fs for x in f.data] + domain, closure)
     idx = np.array([ball.index[x] for x in domain], dtype=np.int64)
     return ([BallFunction.from_formal_sum(ball, f) for f in fs], idx,
             BallFunction.to_formal_sum)
@@ -223,16 +223,15 @@ def _differences(f: BallFunction) -> np.ndarray:
     return np.where(ext, 0.0, d) if f.convention == "ball" else d
 
 
-def energy_value(u: np.ndarray, p: float, src, dst, ext_src, convention: str) -> float:
-    """sum |u(dst) - u(src)|^p over the directed in-ball pairs, per row of
-    a stack u; under 'zero' each exterior-incident slot also appears with
-    the exterior endpoint as x, contributing |u|^p a second time."""
+def energy_value(u: np.ndarray, p: float, src, dst, ext_src, w, w_ext) -> float:
+    """sum w |u(dst) - u(src)|^p + 2 sum w_ext |u(ext_src)|^p per row of a
+    stack u: each in-ball slot once per direction, each exterior slot twice
+    under 'zero' (w_ext = 1) and not at all under 'ball' (w_ext = 0).  On
+    cells the weights count the vertices each slot stands for."""
     d = np.take(u, dst, axis=-1) - np.take(u, src, axis=-1)
-    e = _scalar(np.sum(np.abs(d) ** p, axis=-1))
-    if convention == "zero":
-        ext = np.take(u, ext_src, axis=-1)
-        e = e + 2.0 * _scalar(np.sum(np.abs(ext) ** p, axis=-1))
-    return e
+    ext = np.take(u, ext_src, axis=-1)
+    return _scalar(np.sum(w * np.abs(d) ** p, axis=-1)
+                   + 2.0 * np.sum(w_ext * np.abs(ext) ** p, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +271,8 @@ def dirichlet_seminorm_pow(alpha: Carrier, p: float) -> float:
     """sum_{g in S} ||alpha*(g-1)||_p^p."""
     p = _check_p(p)
     (f,), _, _ = _lift([alpha])
-    return energy_value(f.values, p, *edge_arrays(f.ball), f.convention)
+    return energy_value(f.values, p, *edge_arrays(f.ball), 1.0,
+                        float(f.convention == "zero"))
 
 
 def lp_norm(alpha: Carrier, p: float) -> float:

@@ -32,7 +32,6 @@ class GroupModel:
     generating set S (identity excluded).  Immutable after construction.
     The text codec "(a,b,...)" is the default; F_k overrides it."""
 
-    family: str
     name: str
     generators: Tuple[Element, ...]
     inverse_gen_index: Tuple[int, ...]
@@ -98,6 +97,13 @@ class GroupModel:
         is known, and each element is its own orbit."""
         return None
 
+    def __eq__(self, other) -> bool:
+        """Same class, same name: make_group(spec) twice gives equal groups."""
+        return type(self) is type(other) and self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash(self.name)
+
     def __repr__(self):
         return f"<GroupModel {self.name}>"
 
@@ -105,7 +111,6 @@ class GroupModel:
 class ZdGroup(GroupModel):
     """Z^d with S = {+-e_1, ..., +-e_d}; normal form is the integer vector."""
 
-    family = "Z^d"
     lex_left_invariant = True       # left multiplication is a translation
 
     def __init__(self, d: int):
@@ -151,7 +156,6 @@ class FreeGroup(GroupModel):
     """F_k on letters a_1..a_k; normal form is the freely reduced word as a
     tuple of nonzero signed letter indices (-i encodes a_i^-1)."""
 
-    family = "F_k"
     tree = True
 
     def __init__(self, k: int):
@@ -218,7 +222,6 @@ class HeisenbergGroup(GroupModel):
     for a = (1,0,0), b = (0,1,0).  The commutator [a,b] = (0,0,1) is a
     central element of infinite order."""
 
-    family = "H3"
     # (a,b,c)(x,y,z) = (a+x, b+y, c+z+a y) translates x and y, and z too
     # among elements that agree in x and y
     lex_left_invariant = True

@@ -4,9 +4,9 @@ from collections import deque
 import numpy as np
 import pytest
 
-from caylex import cli
+from caylex import cayley, cli
 from caylex.cayley import (EXTERIOR, BallSizeError, CayleyBall, SubsetView,
-                           _window, build_ball, vertex_boundary,
+                           build_ball, vertex_boundary,
                            vertex_boundary_elements, window)
 from caylex.groups import GroupModel, make_group
 from conftest import word_element
@@ -269,7 +269,17 @@ def ref_vertex_boundary(group, A):
     return out
 
 
-def test_subsetview_boundary_agrees_with_element_version():
+def test_subsetview_boundary_agrees_with_element_version(monkeypatch):
+    """The element-set boundary reads the window of A alone (|A| vertices,
+    no closure) and agrees with the ball's and the reference's."""
+    sizes, window_fn = [], cayley.window
+
+    def recording_window(group, seeds, closure):
+        ball = window_fn(group, seeds, closure)
+        sizes.append((ball.n_vertices, closure))
+        return ball
+
+    monkeypatch.setattr(cayley, "window", recording_window)
     rng = np.random.default_rng(0)
     for spec in ["Z^2", "Z^3", "F_2", "H3"]:
         group = make_group(spec)
@@ -282,6 +292,7 @@ def test_subsetview_boundary_agrees_with_element_version():
             want = vertex_boundary_elements(group, A)
             assert got == frozenset(want)
             assert want == ref_vertex_boundary(group, A)
+            assert sizes[-1] == (len(A), False)
 
 
 def test_growth_sanity():
@@ -312,7 +323,7 @@ def test_window_closure_table(spec, monkeypatch):
         m.setattr(group, "right_products",
                   lambda rows: calls.extend([1] * (len(rows) * nS))
                   or right_products(rows))
-        win = window(group, seeds)
+        win = window(group, seeds, True)
     assert len(calls) == n_seeds * nS      # closure rows cost no products
     assert win.elements[:n_seeds] == list(dict.fromkeys(seeds))
     assert win.sphere_sizes == [n_seeds, win.n_vertices - n_seeds]
@@ -348,10 +359,9 @@ def ref_window(group, seeds, closure=True):
                                    ("Z^1", "Z^2", "Z^3", "F_1", "F_2", "H3")]
                          + [Cyclic5()], ids=lambda g: g.name)
 def test_window_matches_reference(group):
-    """window (seeds plus closure) and the support-only window of _window
-    are byte-identical to the multiply-based reference: element order,
-    index and neighbor table, for seed sets that touch, repeat or are
-    empty."""
+    """window, with the closure and on the seeds alone, is byte-identical
+    to the multiply-based reference: element order, index and neighbor
+    table, for seed sets that touch, repeat or are empty."""
     ball = build_ball(group, 3)
     rng = np.random.default_rng(5)
     seed_sets = [[], [group.identity()], list(ball.elements)]
@@ -359,7 +369,7 @@ def test_window_matches_reference(group):
                   for k in (1, 2, 6, 15, 40)]
     for seeds in seed_sets:
         for closure in (True, False):
-            win = window(group, seeds) if closure else _window(group, seeds, False)
+            win = window(group, seeds, closure)
             elements, nbr = ref_window(group, seeds, closure)
             assert win.elements == elements
             assert win.index == {x: i for i, x in enumerate(elements)}
@@ -453,5 +463,5 @@ def test_restricted_cells_are_a_prefix(spec):
 def test_no_key_makes_single_vertex_cells():
     ball = build_ball(Cyclic5(), 2)
     assert np.array_equal(ball.cells, np.arange(ball.n_vertices))
-    win = window(make_group("Z^2"), [(0, 0), (1, 0)])
+    win = window(make_group("Z^2"), [(0, 0), (1, 0)], True)
     assert np.array_equal(win.cells, np.arange(win.n_vertices))

@@ -10,7 +10,7 @@ from caylex.dirichlet import (EnergyProblem, NullSequenceError,
                               maximum_principle_check, null_sequence,
                               parabolicity_scan, royden_source, royden_split,
                               solve, trend_verdict)
-from caylex.funcspace import BallFunction
+from caylex.funcspace import BallFunction, dirichlet_seminorm_pow
 from caylex.groups import make_group
 
 Z1 = make_group("Z^1")
@@ -75,6 +75,14 @@ def test_p_must_exceed_one():
     ball = build_ball(Z1, 3)
     with pytest.raises(ValueError):
         EnergyProblem(ball, 1.0, {0: 1.0})
+
+
+def test_unknown_convention_raises_at_construction(monkeypatch):
+    monkeypatch.setattr(dirichlet, "_setup",
+                        lambda problem: pytest.fail("a bad problem was solved"))
+    ball = build_ball(Z1, 3)
+    with pytest.raises(ValueError, match="unknown exterior convention 'bogus'"):
+        solve(EnergyProblem(ball, 2.0, {0: 1.0}, "bogus"))
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 6.0])
@@ -542,6 +550,10 @@ def test_cell_solve_matches_single_vertex_solve(spec, p, R, monkeypatch):
     assert np.allclose(m.values, m1.values, rtol=0.0, atol=1e-8)
     if (spec, p, R) in DESCENT_CASES:
         assert rep.iterations == rep1.iterations == DESCENT_CASES[spec, p, R]
+    # the energy taken on the cells is the lift's; on single vertices,
+    # with unit weights, it is the same sum bit for bit
+    assert abs(cap - dirichlet_seminorm_pow(m, p)) <= 1e-12 * cap
+    assert want == dirichlet_seminorm_pow(m1, p)
     # the minimizer is constant on cells
     first = np.unique(cells, return_index=True)[1]
     assert np.array_equal(m.values, m.values[first][cells])
@@ -572,3 +584,47 @@ def test_pins_off_the_cells_fall_back_to_single_vertices():
     capacity_step = EnergyProblem(ball, 2.0, {0: 1.0, **dict.fromkeys(
         sphere.tolist(), 0.0)}, "zero")
     assert dirichlet._setup(capacity_step).cells is ball.cells
+
+
+# ---------------------------------------------------------------------------
+# reported energies: taken on the solved cells, equal to the lift's
+
+def test_royden_cell_energy_is_the_lift_energy():
+    group = make_group("Z^3")
+    ball = build_ball(group, 4)
+    f = royden_source(group, "green-like")
+    problem = EnergyProblem(ball, 2.0, dict(zip(
+        ball.sphere_indices(4).tolist(), map(f, ball.sphere_elements(4)))),
+        "ball")
+    assert dirichlet._setup(problem).cells is ball.cells
+    rep = harmonic_extension(problem)
+    assert rep.energy == pytest.approx(
+        dirichlet_seminorm_pow(rep.minimizer, 2.0), rel=1e-12)
+
+
+def test_vertex_route_energy_is_the_lift_energy_exactly():
+    f2 = make_group("F_2")
+    ball = build_ball(f2, 5)
+    source = royden_source(f2, "end-separating")
+    royden_step = EnergyProblem(ball, 2.0, dict(zip(
+        ball.sphere_indices(5).tolist(), map(source, ball.sphere_elements(5)))),
+        "ball")
+    for problem in (royden_step, _p2_problem("Z^2", 8, "ball")):
+        rep = solve(problem)
+        assert rep.energy == dirichlet_seminorm_pow(rep.minimizer, 2.0)
+
+
+def test_solves_read_no_full_ball_edges(monkeypatch):
+    """Every solve reads the slots of its cells' first vertices only."""
+    full, edge_arrays = [], dirichlet.edge_arrays
+
+    def counted(ball, rows=None):
+        full.append(rows is None)
+        return edge_arrays(ball, rows)
+
+    monkeypatch.setattr(dirichlet, "edge_arrays", counted)
+    capacity(make_group("Z^2"), 2.0, 6)
+    capacity(make_group("H3"), 3.0, 3)
+    royden_split(make_group("F_2"), "end-separating", [3, 4])
+    solve(_p2_problem("Z^2", 8, "ball"))
+    assert full and not any(full)

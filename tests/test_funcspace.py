@@ -35,6 +35,17 @@ def test_translate_noncommutative_order():
     assert translate(translate(alpha, g), h) == translate(alpha, F2.multiply(g, h))
 
 
+def test_groups_compare_by_value():
+    """Two make_group calls of one spec give equal groups, so their
+    FormalSums compare and pair; another group still raises."""
+    a, b = (FormalSum.delta(make_group("Z^2")) for _ in range(2))
+    assert a.group is not b.group and len({a.group, b.group}) == 1
+    assert a == b
+    assert pairing(a, b) == 8 + 0j
+    with pytest.raises(ValueError, match="different groups"):
+        pairing(a, FormalSum.delta(make_group("Z^3")))
+
+
 def test_wrong_shape_element_names_the_group():
     """zip in multiply would cut a Z^3 key short on Z^2; the window and
     translate reject it instead."""
@@ -464,7 +475,7 @@ def test_support_only_lift_matches_reference(spec, monkeypatch):
     the S-closure."""
     group = make_group(spec)
     built = []
-    window_fn = funcspace._window
+    window_fn = funcspace.window
 
     def recording_window(group, seeds, closure):
         seeds = list(seeds)
@@ -472,7 +483,7 @@ def test_support_only_lift_matches_reference(spec, monkeypatch):
         built.append((ball.n_vertices, len(set(seeds))))
         return ball
 
-    monkeypatch.setattr(funcspace, "_window", recording_window)
+    monkeypatch.setattr(funcspace, "window", recording_window)
     for alpha, beta in _support_only_cases(group, np.random.default_rng(11)):
         at_e = abs(alpha(group.identity()))
         for p in (1.0, 1.5, 2.0, 3.0):

@@ -5,6 +5,16 @@ duality pairings, isoperimetric profiles, and Sobolev constants.
 
 __version__ = "0.1.0"
 
+import os
+
+# One OpenBLAS thread unless the user has chosen a count: the solves here
+# are small, and on threads their band factorisations and CG inner products
+# lose more to hand-off than they gain (ROADMAP.md section 0), and CG's
+# last bits follow the thread count.  It has to be set before numpy loads.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+        "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .groups import (FreeGroup, GroupModel, HeisenbergGroup,
                      UnknownFamilyError, ZdGroup, make_group)
 from .cayley import (EXTERIOR, BallSizeError, CayleyBall, SubsetView,

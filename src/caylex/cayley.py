@@ -9,7 +9,10 @@ of x_i * g_j^-1, or EXTERIOR when that element lies outside the ball.  A
 window stores a seed set, with or without its 1-step S-closure, in the
 same format.  A ball keeps its elements as arrays and builds the element
 tuples, the element -> index dict and its cells (orbits under the
-automorphisms fixing e) only when they are first read.
+automorphisms fixing e) only when they are first read.  Where the family
+knows these cells in closed form (GroupModel.cell_graph), cell_graph gives
+them without a ball, numbered as a ball's orbit_ranks, so values on the
+cells lift onto a ball as values[ball.orbit_ranks].
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import FrozenSet, Iterable, Set
 
 import numpy as np
 
-from .groups import Element, GroupModel
+from .groups import Element, GroupModel, _row_ranks
 
 EXTERIOR = -1
 
@@ -44,6 +47,11 @@ class BallSizeError(RuntimeError):
     """The requested ball exceeds the vertex cap."""
 
 
+def _cap_error(group: GroupModel, radius: int, cap: int) -> BallSizeError:
+    return BallSizeError(f"ball {group.name} R={radius} exceeds vertex cap "
+                         f"{cap}; lower R or raise {MAX_VERTICES_ENV}")
+
+
 def _vertex_cap(explicit=None) -> int:
     if explicit is not None:
         return int(explicit)
@@ -64,17 +72,18 @@ class CayleyBall:
     given, or left None with ``decode_sphere`` returning the element list of
     one sphere; either way they are built on first read and then cached.
     ``nbr`` is the table or a function that returns it on first read, and
-    so is ``cells``; None makes each vertex its own cell."""
+    so is ``ranks``, the orbit_ranks; None makes each vertex its own cell."""
 
     def __init__(self, group: GroupModel, radius: int, elements, index,
-                 nbr, word_length: np.ndarray, decode_sphere=None, cells=None):
+                 nbr, word_length: np.ndarray, decode_sphere=None, ranks=None):
         self.group = group
         self.radius = radius
         self._elements = elements
         self._index = index
         self._decode_sphere = decode_sphere
         self._nbr = nbr
-        self._cells = cells
+        self._ranks = ranks
+        self._cells = None
         self.word_length = word_length    # (n,) int array
         self.interior = word_length < radius if radius > 0 else word_length < 0
         counts = np.bincount(word_length, minlength=radius + 1)
@@ -88,12 +97,25 @@ class CayleyBall:
         return self._nbr
 
     @property
+    def orbit_ranks(self) -> np.ndarray:
+        """(n,) int array: the cell of each vertex, numbered by word length
+        and then by GroupModel.orbit_key, as GroupModel.cell_graph numbers
+        its cells.  Vertices share a cell iff they share word length and
+        orbit key; each is its own cell if the group has no key."""
+        if self._ranks is None:
+            self._ranks = np.arange(self.n_vertices)
+        elif not isinstance(self._ranks, np.ndarray):
+            self._ranks = self._ranks()
+        return self._ranks
+
+    @property
     def cells(self) -> np.ndarray:
-        """(n,) int array: the cell of each vertex, numbered by first
-        occurrence.  Vertices share a cell iff they share word length and
-        GroupModel.orbit_key; each is its own cell if the group has no key."""
+        """(n,) int array: the cells of orbit_ranks, numbered by first
+        occurrence."""
         if self._cells is None:
-            self._cells = np.arange(self.n_vertices)
+            ranks = self.orbit_ranks
+            first = np.unique(ranks, return_index=True)[1]
+            self._cells = np.argsort(np.argsort(first))[ranks]
         elif not isinstance(self._cells, np.ndarray):
             self._cells = self._cells()
         return self._cells
@@ -128,8 +150,8 @@ class CayleyBall:
         """B_r = build_ball(group, r): the first sum(sphere_sizes[:r + 1])
         vertices, with the slots that leave them EXTERIOR.  It shares the
         element list, if read, or else the sphere decoder, and reads its
-        cells as the prefix of this ball's; restrict(radius) is the ball
-        itself."""
+        orbit_ranks and cells as the prefixes of this ball's;
+        restrict(radius) is the ball itself."""
         if not 0 <= r <= self.radius:
             raise ValueError(f"restrict needs 0 <= r <= {self.radius}, got {r}")
         if r == self.radius:
@@ -137,9 +159,11 @@ class CayleyBall:
         n = sum(self.sphere_sizes[:r + 1])
         nbr = np.where(self.nbr[:n] < n, self.nbr[:n], EXTERIOR)
         elements = None if self._elements is None else self._elements[:n]
-        return CayleyBall(self.group, r, elements, None, nbr,
+        ball = CayleyBall(self.group, r, elements, None, nbr,
                           self.word_length[:n], self._decode_sphere,
-                          lambda: self.cells[:n])
+                          lambda: self.orbit_ranks[:n])
+        ball._cells = lambda: self.cells[:n]
+        return ball
 
     def interior_indices(self) -> np.ndarray:
         return np.where(self.interior)[0]
@@ -150,19 +174,6 @@ class CayleyBall:
     def __repr__(self):
         return (f"<CayleyBall {self.group.name} R={self.radius} "
                 f"n={self.n_vertices}>")
-
-
-def _row_ranks(rows: np.ndarray) -> np.ndarray:
-    """Dense ranks of the rows of an int array under a lexicographic sort
-    (last column first): equal rows, and only they, share a rank.  Coordinates are compared
-    column by column, never packed into one key, so nothing overflows."""
-    order = np.lexsort(rows.T)
-    s = rows[order]
-    step = np.zeros(len(rows), dtype=np.int64)
-    step[1:] = np.any(s[1:] != s[:-1], axis=1)
-    ranks = np.empty_like(step)
-    ranks[order] = np.cumsum(step)
-    return ranks
 
 
 def _lookup_sphere(group, spheres, starts, r):
@@ -212,15 +223,13 @@ def _tree_sphere(group, spheres, starts, r):
     return nbr, n_new, assign
 
 
-def _orbit_cells(group, spheres, word_length):
-    """Cells of a ball from its sphere rows: the vertices ranked by (word
-    length, group.orbit_key), ranks renumbered by first occurrence."""
+def _orbit_ranks(group, spheres, word_length):
+    """orbit_ranks of a ball from its sphere rows: the ranks of (group.
+    orbit_key, word length), or each vertex its own cell without a key."""
     key = group.orbit_key(np.concatenate(spheres))
     if key is None:
         return np.arange(len(word_length))
-    ranks = _row_ranks(np.column_stack([key, word_length]))
-    first = np.unique(ranks, return_index=True)[1]
-    return np.argsort(np.argsort(first))[ranks]
+    return _row_ranks(np.column_stack([key, word_length]))
 
 
 def _tuples(rows: np.ndarray):
@@ -275,15 +284,29 @@ def build_ball(group: GroupModel, radius: int, max_vertices=None) -> CayleyBall:
         if r == radius or n_new == 0:
             break
         if starts[-1] + n_new > cap:
-            raise BallSizeError(
-                f"ball {group.name} R={radius} exceeds vertex cap "
-                f"{cap}; lower R or raise {MAX_VERTICES_ENV}")
+            raise _cap_error(group, radius, cap)
         spheres.append(assign())
         starts.append(starts[-1] + n_new)
     word_length = np.repeat(np.arange(len(blocks)), np.diff(starts))
     return CayleyBall(group, radius, None, None, np.concatenate(blocks),
                       word_length, partial(decode, group, spheres),
-                      partial(_orbit_cells, group, spheres, word_length))
+                      partial(_orbit_ranks, group, spheres, word_length))
+
+
+def cell_graph(group: GroupModel, radius: int, max_vertices=None):
+    """The cells of B_R in closed form, group.cell_graph(radius), or None
+    where the family has none.  |B_R|, group.ball_size(radius), is checked
+    against the vertex cap first, so a ball past the cap is refused as
+    build_ball refuses it, before anything is built."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    n = group.ball_size(radius)
+    if n is None:
+        return None
+    cap = _vertex_cap(max_vertices)
+    if n > cap:
+        raise _cap_error(group, radius, cap)
+    return group.cell_graph(radius)
 
 
 def _seed_products(group: GroupModel, seeds) -> list:

@@ -11,26 +11,32 @@ vertices: the minimizer is constant on cells, so the cell graph, with
 slot multiplicities as weights, gives it, and its energy
 (funcspace.energy_value with those weights), residuals and gradient
 norms are those of its lift onto the whole ball; the report takes the
-energy from the cells.  The p = 2 route assembles the (SPD) graph
-Laplacian on free cells and solves it; other exponents run damped Newton
-steps on the D(p) energy (the same Laplacian with |d|^(p-2) weights, the
-same inner solve, Armijo backtracking), warm-started from the p = 2
-solution.  The inner solve factors a narrow system directly, as a band:
-cells are numbered in BFS order, so a cell system couples only
-neighbouring spheres, and the capacity cells of Z^1, of Z^2 up to
-R = 154, of Z^3 up to R = 31, of H3 up to R = 7 and of F_k, with every
-Newton Hessian on them, take this route.  Wide systems stay on a Jacobi-
-preconditioned conjugate gradient loop of this module's own, in the
-arithmetic of scipy's cg, which falls back to sparse LU only when CG has
-not converged after one iteration per unknown: harmonic extensions on
-single vertices and larger cell systems, whose band would cost more time
-or memory than CG (BAND_MAX_FILL).
+energy from the cells.  Capacities of Z^d and F_k need no ball: their
+cells come in closed form (cayley.cell_graph), numbered by word length
+and then orbit key (CayleyBall.orbit_ranks), and a scan lifts a
+minimizer onto one ball only when it is read.  Harmonic extensions, the
+Royden split and H3 capacities solve on the cells of a built ball,
+numbered by first occurrence (CayleyBall.cells).  The p = 2 route
+assembles the (SPD) graph Laplacian on free cells and solves it; other
+exponents run damped Newton steps on the D(p) energy (the same Laplacian
+with |d|^(p-2) weights, the same inner solve, Armijo backtracking),
+warm-started from the p = 2 solution.  The inner solve factors a narrow
+system directly, as a band: either numbering runs sphere by sphere, so a
+cell system couples only neighbouring spheres, and the capacity cells of
+Z^1, of Z^2 up to R = 154, of Z^3 up to R = 31, of H3 up to R = 7 and of
+F_k, with every Newton Hessian on them, take this route.  Wide systems
+stay on a Jacobi-preconditioned conjugate gradient loop of this module's
+own, in the arithmetic of scipy's cg, which falls back to sparse LU only
+when CG has not converged after one iteration per unknown: harmonic
+extensions on single vertices and larger cell systems, whose band would
+cost more time or memory than CG (BAND_MAX_FILL).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +44,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cayley import CayleyBall, build_ball, edge_arrays
+from .cayley import CayleyBall, build_ball, cell_graph, edge_arrays
 from .funcspace import BallFunction, FormalSum, energy_value, is_harmonic
 from .groups import FreeGroup, GroupModel, ZdGroup
 
@@ -50,10 +56,14 @@ DESCENT_GRAD_TOL = 1e-8
 NEWTON_MAX_ITER = 200
 # An SPD system of m unknowns and band width bw (the largest col - row of
 # its CSR) is factored as a band when its band, (bw + 1) m entries, is at
-# most BAND_MAX_FILL times its nnz.  Cells are numbered in BFS order, so a
-# cell couples only to cells one sphere away and cell systems are narrow.
-# Best of 5 single solves on a 2-CPU VM, default BLAS threads ('zero':
-# capacity cells, 'ball': harmonic extensions on vertices):
+# most BAND_MAX_FILL times its nnz.  Cells are numbered sphere by sphere
+# (word length, then orbit key, on the closed-form cells of Z^d and F_k;
+# first occurrence on a ball), so a cell couples only to cells one sphere
+# away and cell systems are narrow.
+# Best of 5 single solves on a 2-CPU VM, two BLAS threads ('zero':
+# capacity cells, 'ball': harmonic extensions on vertices); on the one
+# thread that import caylex now defaults to, the band is faster still
+# (Z^2 R=128 cells: 2.4 ms):
 #   system               m     bw  band/nnz    CG        band
 #   Z^1 R=512 cells     511     1     0.7     9.1 ms    0.08 ms
 #   Z^2 R=48 cells      599    25     5.5     3.2 ms    1.1 ms
@@ -95,12 +105,21 @@ class EnergyProblem:
 
 @dataclass
 class SolveReport:
-    minimizer: BallFunction
+    _minimizer: object                # BallFunction, or a function that
+                                      # returns it on first read
     energy: float                     # D(p) seminorm^p under the convention
     iterations: int
     residual: float                   # p = 2: |Lx - b| / |b|; else |g_free|
     solver: str                       # 'direct-linear' (p = 2 system: band,
                                       # CG or LU) | 'iterative-convex' (Newton)
+
+    @property
+    def minimizer(self) -> BallFunction:
+        """The minimizer on the ball.  A capacity solved on a closed-form
+        cell graph is lifted onto its ball when this is first read."""
+        if not isinstance(self._minimizer, BallFunction):
+            self._minimizer = self._minimizer()
+        return self._minimizer
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +131,7 @@ class _Cells:
     vertex of cell a has the same slots into each cell, so the slots of a's
     first vertex, each weighted by the cell size n_a, stand for all of a's
     slots; in-ball weights are symmetric, as every slot has an inverse."""
-    cells: np.ndarray       # (n,) cell of each vertex
+    cells: np.ndarray       # (n,) cell of each vertex; None without a ball
     sizes: np.ndarray       # (k,) vertices per cell, as floats
     x0: np.ndarray          # (k,) pinned values, zeros elsewhere
     free: np.ndarray        # unpinned cells
@@ -134,6 +153,11 @@ def _pin_indices(problem: EnergyProblem) -> np.ndarray:
     return pins
 
 
+def _on_cells(cells, sizes, x0, fixed, src, dst, ext, zero: bool) -> _Cells:
+    return _Cells(cells, sizes, x0, np.flatnonzero(~fixed), (src, dst, ext),
+                  sizes[src], sizes[ext] * float(zero))
+
+
 def _setup(problem: EnergyProblem) -> _Cells:
     """The problem on the cells of its ball (CayleyBall.cells) when the
     pins are constant on them, and on single vertices otherwise."""
@@ -153,8 +177,26 @@ def _setup(problem: EnergyProblem) -> _Cells:
     first = np.unique(cells, return_index=True)[1]
     sizes = np.bincount(cells, minlength=k).astype(float)
     src, dst, ext = edge_arrays(ball, first)
-    return _Cells(cells, sizes, x0, np.flatnonzero(~fixed), (src, cells[dst], ext),
-                  sizes[src], sizes[ext] * float(problem.convention == "zero"))
+    return _on_cells(cells, sizes, x0, fixed, src, cells[dst], ext,
+                     problem.convention == "zero")
+
+
+def _capacity_cells(graph, R: int) -> _Cells:
+    """The capacity problem of B_R on a closed-form cell graph (GroupModel.
+    cell_graph) of B_R or a larger ball: its cells of word length <= R,
+    with the slots that leave them exterior, e pinned to 1 and sphere R to
+    0 under 'zero'."""
+    word_length, sizes, nbr = graph
+    k = int(np.searchsorted(word_length, R, side="right"))
+    fixed = word_length[:k] == R
+    fixed[0] = True
+    x0 = np.zeros(k)
+    x0[0] = 1.0
+    src = np.repeat(np.arange(k), nbr.shape[1])
+    dst = nbr[:k].ravel()
+    inside = dst < k
+    return _on_cells(None, sizes[:k].astype(float), x0, fixed, src[inside],
+                     dst[inside], src[~inside], True)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +364,15 @@ def _newton(x0: np.ndarray, p: float, q: _Cells) -> Tuple[np.ndarray, int, float
                         f"(gradient norm {gn:.3e}, energy {E:.6e})")
 
 
+def _minimize(q: _Cells, p: float):
+    """(solver, x, iterations, residual) of the minimizing cell values x:
+    the p = 2 solve, then Newton from it for p != 2."""
+    x, residual = _solve_linear(q)
+    if p == 2.0:
+        return "direct-linear", x, 0, residual
+    return ("iterative-convex", *_newton(x, p, q))
+
+
 def _report(problem: EnergyProblem, q: _Cells, solver, x, iterations, residual):
     """The report of cell values x: their lift onto the ball, and the
     energy of x on the cells, which is that of the lift."""
@@ -332,10 +383,7 @@ def _report(problem: EnergyProblem, q: _Cells, solver, x, iterations, residual):
 def solve(problem: EnergyProblem) -> SolveReport:
     """Minimize the D(p) energy subject to the pinned values."""
     q = _setup(problem)
-    x2, res = _solve_linear(q)
-    if problem.p == 2.0:
-        return _report(problem, q, "direct-linear", x2, 0, res)
-    return _report(problem, q, "iterative-convex", *_newton(x2, problem.p, q))
+    return _report(problem, q, *_minimize(q, problem.p))
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +403,20 @@ def harmonic_extension(problem: EnergyProblem) -> SolveReport:
 # ---------------------------------------------------------------------------
 # radius scans and capacity
 
-def _scan(group: GroupModel, radii: List[int], step, what: str) -> list:
-    """step(B_R, R) for each R of a strictly increasing schedule of radii
-    R >= 1, every B_R restricted from one build of the largest ball.  A
-    SolverFailure is re-raised with the prefix what + "R=<R>"."""
+def _radii(radii: Sequence[int]) -> List[int]:
+    radii = list(radii)
     if not radii or radii[0] < 1 or any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be >= 1 and strictly increasing")
-    ball = build_ball(group, radii[-1])
+    return radii
+
+
+def _scan(radii: List[int], step, what: str) -> list:
+    """step(R) for each R of a radius schedule.  A SolverFailure is
+    re-raised with the prefix what + "R=<R>"."""
     out = []
     for R in radii:
         try:
-            out.append(step(ball.restrict(R), R))
+            out.append(step(R))
         except SolverFailure as exc:
             raise SolverFailure(f"{what}R={R}: {exc}") from exc
     return out
@@ -415,16 +466,42 @@ def parabolicity_scan(group: GroupModel, p: float,
                       radii: Sequence[int]) -> CapacityScan:
     """Capacity over a strictly increasing radius schedule, with a trend
     verdict.  Capacities are checked to be nonincreasing (nested feasible
-    sets)."""
+    sets).
+
+    Where the family has a closed-form cell graph (Z^d, F_k) every radius
+    is solved on the cells of one graph of the largest ball, which is
+    checked against the vertex cap first and is not built: each report
+    keeps its cell values and lifts them onto the ball when its minimizer
+    is first read, every lift restricted from one build of the largest
+    ball.  Other families solve on the restrictions of one build of it."""
     if p <= 1.0:
         raise ValueError("capacity requires p > 1")
-    radii = list(radii)
+    radii = _radii(radii)
+    graph = cell_graph(group, radii[-1])
+    if graph is None:
+        ball = build_ball(group, radii[-1])
 
-    def step(ball, R):
-        pins = {0: 1.0, **dict.fromkeys(ball.sphere_indices(R).tolist(), 0.0)}
-        return solve(EnergyProblem(ball, p, pins, convention="zero"))
+        def step(R):
+            sub = ball.restrict(R)
+            pins = {0: 1.0, **dict.fromkeys(sub.sphere_indices(R).tolist(), 0.0)}
+            return solve(EnergyProblem(sub, p, pins, convention="zero"))
+    else:
+        largest = None
 
-    reports = _scan(group, radii, step, f"capacity of {group.name} at p={p}, ")
+        def lift(x, R):
+            nonlocal largest
+            if largest is None:
+                largest = build_ball(group, radii[-1])
+            ball = largest.restrict(R)
+            return BallFunction(ball, x[ball.orbit_ranks], "zero")
+
+        def step(R):
+            q = _capacity_cells(graph, R)
+            solver, x, iterations, residual = _minimize(q, p)
+            return SolveReport(partial(lift, x, R), _energy(x, p, q),
+                               iterations, residual, solver)
+
+    reports = _scan(radii, step, f"capacity of {group.name} at p={p}, ")
     caps = [rep.energy for rep in reports]
     for k in range(1, len(caps)):
         if caps[k] > caps[k - 1] * (1.0 + 1e-9):
@@ -535,16 +612,18 @@ def royden_split(group: GroupModel, source: str, radii: Sequence[int],
     p = 2 Dirichlet problem on the interior; report the (ball-only) energy
     trend of the harmonic extensions."""
     f = royden_source(group, source, damping)
-    radii = list(radii)
+    radii = _radii(radii)
+    ball = build_ball(group, radii[-1])
 
-    def step(ball, R):
-        pins = dict(zip(ball.sphere_indices(R).tolist(),
-                        map(f, ball.sphere_elements(R))))
-        rep = harmonic_extension(EnergyProblem(ball, 2.0, pins, "ball"))
+    def step(R):
+        sub = ball.restrict(R)
+        pins = dict(zip(sub.sphere_indices(R).tolist(),
+                        map(f, sub.sphere_elements(R))))
+        rep = harmonic_extension(EnergyProblem(sub, 2.0, pins, "ball"))
         vals = rep.minimizer.values
         return RoydenEntry(R, rep.energy, float(vals.max()), float(vals.min()))
 
-    entries = _scan(group, radii, step, f"royden split of {group.name} at ")
+    entries = _scan(radii, step, f"royden split of {group.name} at ")
     return RoydenReport(source, radii, entries,
                         _royden_verdict(radii, [e.energy for e in entries]))
 

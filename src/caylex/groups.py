@@ -8,11 +8,15 @@ whole arrays of elements at once (``right_products``), which ball
 building uses; F_k needs no products there, since its Cayley graph is a
 tree.  Each family keys the orbits of its Cayley graph's automorphisms
 that fix e (``orbit_key``), the cells that energy minimization runs on.
+Z^d and F_k also give those cells of B_R, with their sizes and slots, in
+closed form (``cell_graph``), and |B_R| (``ball_size``), so that a
+capacity is solved without building the ball.
 """
 
 from __future__ import annotations
 
 import re
+from math import comb, factorial
 from operator import add
 from typing import Iterable, Optional, Tuple
 
@@ -25,6 +29,20 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 class UnknownFamilyError(ValueError):
     """Group spec names a family we do not ship."""
+
+
+def _row_ranks(rows: np.ndarray) -> np.ndarray:
+    """Dense ranks of the rows of an int array under a lexicographic sort
+    (last column first): equal rows, and only they, share a rank.
+    Coordinates are compared column by column, never packed into one key,
+    so nothing overflows."""
+    order = np.lexsort(rows.T)
+    s = rows[order]
+    step = np.zeros(len(rows), dtype=np.int64)
+    step[1:] = np.any(s[1:] != s[:-1], axis=1)
+    ranks = np.empty_like(step)
+    ranks[order] = np.cumsum(step)
+    return ranks
 
 
 class GroupModel:
@@ -97,6 +115,24 @@ class GroupModel:
         is known, and each element is its own orbit."""
         return None
 
+    def ball_size(self, radius: int) -> Optional[int]:
+        """|B_R| in closed form, or None where the family has none."""
+        return None
+
+    def cell_graph(self, radius: int):
+        """The cells of B_R in closed form, or None where the family has
+        none (the cells then come from a built ball, CayleyBall.cells).
+
+        Returns (word_length, sizes, nbr), arrays over the k cells numbered
+        as CayleyBall.orbit_ranks numbers them: by word length, then by
+        orbit_key.  sizes counts the vertices of each cell, and row a of
+        the (k, |S|) table nbr holds the cells of the slots x g_j^-1 of one
+        vertex x of cell a; every vertex of a has the same slots up to
+        order.  A slot that leaves B_R holds a number >= k.  So the cells
+        of B_r, r < R, are the first k_r cells, those of word length <= r,
+        and a slot of theirs leaves B_r iff it holds a number >= k_r."""
+        return None
+
     def __eq__(self, other) -> bool:
         """Same class, same name: make_group(spec) twice gives equal groups."""
         return type(self) is type(other) and self.name == other.name
@@ -142,6 +178,46 @@ class ZdGroup(GroupModel):
         # the signed coordinate permutations preserve S
         return np.sort(np.abs(rows), axis=1)
 
+    def ball_size(self, radius):
+        # k nonzero coordinates, their signs, and k positive |x_i|, sum <= R
+        return sum(2 ** k * comb(self.d, k) * comb(radius, k)
+                   for k in range(self.d + 1))
+
+    def cell_graph(self, radius):
+        """Cells are the sorted |x|, the tuples a_1 <= ... <= a_d of
+        nonnegative ints with sum <= R; the cell of a has d!/prod(run
+        length)! 2^(#nonzero) vertices, and the slots of the vertex a go
+        to the sorted |a -+ e_i|."""
+        d = self.d
+        # the tuples, as rows a_d, a_(d-1), ..., each next entry 0, 1, ...
+        # up to the last one and to what the sum leaves; then reversed
+        a = np.arange(radius + 1)[:, None]
+        for _ in range(d - 1):
+            reps = np.minimum(a[:, -1], radius - a.sum(axis=1)) + 1
+            below = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+            a = np.column_stack([np.repeat(a, reps, axis=0), below])
+        a = a[:, ::-1]
+        k = len(a)
+        prods = self.right_products(a).reshape(-1, d)
+        # rank cells and slot targets together, each as (orbit_key, |x|):
+        # the targets outside B_R have |x| = R + 1 and rank after every cell
+        keys = [np.column_stack([self.orbit_key(x), np.abs(x).sum(axis=1)])
+                for x in (a, prods)]
+        ranks = _row_ranks(np.concatenate(keys))
+        cell = ranks[:k]
+        nbr = np.empty((k, 2 * d), dtype=np.int64)
+        nbr[cell] = ranks[k:].reshape(k, 2 * d)
+        run = np.ones(len(a), dtype=np.int64)   # position in its run of equals
+        runs = run.copy()                       # prod(run length)!
+        for i in range(1, d):
+            run = np.where(a[:, i] == a[:, i - 1], run + 1, 1)
+            runs *= run
+        sizes = np.empty(k, dtype=np.int64)
+        sizes[cell] = factorial(d) // runs << np.count_nonzero(a, axis=1)
+        word_length = np.empty(k, dtype=np.int64)
+        word_length[cell] = keys[0][:, -1]
+        return word_length, sizes, nbr
+
     def identity(self):
         return (0,) * self.d
 
@@ -183,6 +259,23 @@ class FreeGroup(GroupModel):
     def orbit_key(self, rows):
         # automorphisms of the tree fixing e are transitive on each sphere
         return np.empty((len(rows), 0), dtype=np.int64)
+
+    def ball_size(self, radius):
+        if self.k == 1:
+            return 2 * radius + 1
+        return 1 + self.k * ((2 * self.k - 1) ** radius - 1) // (self.k - 1)
+
+    def cell_graph(self, radius):
+        """Cells are the spheres, of 2k(2k-1)^(r-1) vertices for r >= 1;
+        a vertex of sphere r >= 1 has one slot into sphere r - 1 and
+        2k - 1 into sphere r + 1, and e has 2k into sphere 1."""
+        r = np.arange(radius + 1)
+        n = 2 * self.k
+        sizes = np.array([1] + [n * (n - 1) ** (t - 1) for t in r[1:].tolist()],
+                         dtype=np.int64)
+        nbr = np.repeat(r[:, None] + 1, n, axis=1)
+        nbr[1:, 0] = r[:-1]
+        return r, sizes, nbr
 
     def identity(self):
         return ()
@@ -247,14 +340,24 @@ class HeisenbergGroup(GroupModel):
     def orbit_key(self, rows):
         """The least image, in lexicographic order, under the 8 automorphisms
         generated by (x,y,z) -> (sx x, sy y, sx sy z) for signs sx, sy and
-        (x,y,z) -> (y, x, xy - z); each maps S onto S."""
+        (x,y,z) -> (y, x, xy - z); each maps S onto S.  Images are compared
+        column by column, never packed into one key."""
         x, y, z = rows.T
-        images = np.concatenate([
-            np.stack(v, axis=1) for s in (1, -1) for t in (1, -1)
-            for v in [(s * x, t * y, s * t * z), (t * y, s * x, s * t * (x * y - z))]])
-        order = np.lexsort(images.T[::-1])
-        first = np.unique(order % len(rows), return_index=True)[1]
-        return images[order[first]]
+        least = None
+        for s in (1, -1):
+            for t in (1, -1):
+                for image in [(s * x, t * y, s * t * z),
+                              (t * y, s * x, s * t * (x * y - z))]:
+                    image = np.stack(image, axis=1)
+                    if least is None:
+                        least = image
+                        continue
+                    less = np.zeros(len(rows), dtype=bool)
+                    for c in (2, 1, 0):
+                        less = (image[:, c] < least[:, c]) | (
+                            (image[:, c] == least[:, c]) & less)
+                    least[less] = image[less]
+        return least
 
     def identity(self):
         return (0, 0, 0)

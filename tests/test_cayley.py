@@ -465,3 +465,50 @@ def test_no_key_makes_single_vertex_cells():
     assert np.array_equal(ball.cells, np.arange(ball.n_vertices))
     win = window(make_group("Z^2"), [(0, 0), (1, 0)], True)
     assert np.array_equal(win.cells, np.arange(win.n_vertices))
+
+
+@pytest.mark.parametrize("spec,R", [
+    *[(spec, R) for spec, R in CELL_BALLS if spec != "H3"],
+    ("Z^4", 3), ("F_3", 4), ("F_1", 5)])
+def test_cell_graph_is_the_quotient_of_the_ball(spec, R):
+    """cell_graph numbers cells as orbit_ranks does, with their vertex
+    counts and word lengths, and each cell's slots are those of each of its
+    vertices, up to order; at a larger radius, the cells of B_R are a
+    prefix whose slots out of it point past it."""
+    group = make_group(spec)
+    ball = build_ball(group, R)
+    ranks = ball.orbit_ranks
+    word_length, sizes, nbr = cayley.cell_graph(group, R)
+    k = len(sizes)
+    assert np.array_equal(np.bincount(ranks), sizes)
+    assert np.array_equal(word_length[ranks], ball.word_length)
+    assert np.array_equal(np.unique(ranks, return_inverse=True)[1], ranks)
+    cell_slots = np.sort(np.where(nbr < k, nbr, k), axis=1)
+    vertex_slots = np.where(ball.nbr == EXTERIOR, k,
+                            ranks[np.clip(ball.nbr, 0, None)])
+    assert np.array_equal(np.sort(vertex_slots, axis=1), cell_slots[ranks])
+    wider = cayley.cell_graph(group, R + 2)
+    assert np.array_equal(wider[0][:k], word_length)
+    assert np.array_equal(wider[1][:k], sizes)
+    assert np.array_equal(np.where(wider[2][:k] < k, wider[2][:k], k),
+                          np.where(nbr < k, nbr, k))
+
+
+def test_cell_graph_is_refused_past_the_cap_before_it_is_built(monkeypatch):
+    z2 = make_group("Z^2")
+    monkeypatch.setattr(type(z2), "cell_graph",
+                        lambda self, R: pytest.fail("cells were built"))
+    with pytest.raises(BallSizeError, match="Z\\^2 R=3000000 exceeds vertex "
+                                            "cap 5000000; lower R or raise "
+                                            "CAYLEX_MAX_VERTICES"):
+        cayley.cell_graph(z2, 3_000_000)
+    assert cayley.cell_graph(make_group("H3"), 3_000_000) is None
+    # the cap counts vertices as build_ball does: |B_R| = cap passes
+    monkeypatch.setenv("CAYLEX_MAX_VERTICES", str(z2.ball_size(10)))
+    with pytest.raises(BallSizeError):
+        cayley.cell_graph(z2, 11)
+    with pytest.raises(pytest.fail.Exception, match="cells were built"):
+        cayley.cell_graph(z2, 10)
+    build_ball(z2, 10)
+    with pytest.raises(BallSizeError):
+        build_ball(z2, 11)

@@ -94,6 +94,21 @@ def test_vertex_cap_exit_code():
     assert b"vertex cap" in proc.stderr
 
 
+def test_capacity_past_the_cap_fails_before_any_solve(monkeypatch, capsys):
+    """Z^1 reaches the 5e6 cap at R = 2.5e6: the scan refuses |B_3000000|
+    before it solves a radius or builds a ball."""
+    monkeypatch.delenv("CAYLEX_MAX_VERTICES", raising=False)
+    monkeypatch.setattr(dirichlet, "_minimize",
+                        lambda q, p: pytest.fail("a radius was solved"))
+    monkeypatch.setattr(dirichlet, "build_ball",
+                        lambda *a, **k: pytest.fail("a ball was built"))
+    assert main(["capacity", "--group", "Z^1", "--radii",
+                 "1:3000000"]) == EXIT_RESOURCE
+    assert capsys.readouterr().err == (
+        "error: ball Z^1 R=3000000 exceeds vertex cap 5000000; lower R or "
+        "raise CAYLEX_MAX_VERTICES\n")
+
+
 def test_royden_json(tmp_path):
     out = tmp_path / "trend.json"
     assert main(["royden", "--group", "Z^2", "--source", "constant",

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -435,15 +440,113 @@ def _count_builds(monkeypatch):
     ("Z^2", 2.0, [2, 4, 8]), ("H3", 2.0, [1, 2, 4]), ("F_2", 3.0, [2, 3, 4]),
 ])
 def test_parabolicity_scan_builds_one_ball(spec, p, radii, monkeypatch):
-    """The scan builds only its largest ball, and each capacity equals
-    capacity(group, p, R) exactly."""
+    """The scan builds only its largest ball, and none on the closed-form
+    cell graphs of Z^d and F_k, and each capacity equals capacity(group,
+    p, R) exactly."""
     group = make_group(spec)
     built = _count_builds(monkeypatch)
     scan = parabolicity_scan(group, p, radii)
-    assert built == [radii[-1]]
+    assert built == ([radii[-1]] if spec == "H3" else [])
     assert scan.capacities == [rep.energy for rep in scan.reports]
     for R, cap in zip(radii, scan.capacities):
         assert capacity(group, p, R)[0] == cap
+
+
+def test_scan_lifts_onto_one_ball_when_a_minimizer_is_read(monkeypatch):
+    group = make_group("Z^2")
+    built = _count_builds(monkeypatch)
+    scan = parabolicity_scan(group, 3.0, [2, 4, 8])
+    assert built == []
+    lifted = [scan.reports[k].minimizer for k in (1, 0, 1)]
+    assert built == [8]
+    assert lifted[0] is lifted[2]
+    for m, R in zip(lifted, [4, 2]):
+        want = capacity(group, 3.0, R)[1]
+        assert m.ball.radius == R and m.convention == "zero"
+        assert np.array_equal(m.values, want.values)
+
+
+def _capacity_on_the_ball(group, p, R):
+    ball = build_ball(group, R)
+    pins = {0: 1.0, **dict.fromkeys(ball.sphere_indices(R).tolist(), 0.0)}
+    return solve(EnergyProblem(ball, p, pins, convention="zero"))
+
+
+@pytest.mark.parametrize("spec,radii", [
+    ("Z^1", [1, 2, 5, 16, 64]), ("Z^2", [1, 3, 8, 16]),
+    ("Z^3", [1, 4, 8, 16]), ("F_2", [1, 4, 8])])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_cell_graph_capacity_matches_the_ball_route(spec, radii, p):
+    """The closed-form cells give the capacities and minimizers that the
+    cells of a built ball give."""
+    if (spec, p) == ("Z^3", 1.5):
+        radii = radii[:-1]          # R = 16 stalls at the Newton cap
+    scan = parabolicity_scan(make_group(spec), p, radii)
+    for R, cap, rep in zip(radii, scan.capacities, scan.reports):
+        want = _capacity_on_the_ball(make_group(spec), p, R)
+        assert abs(cap - want.energy) <= 1e-12 * want.energy
+        assert rep.solver == want.solver
+        assert np.allclose(rep.minimizer.values, want.minimizer.values,
+                           rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("k,p,radii", [(2, 2.0, [10, 12]), (2, 3.0, [12]),
+                                       (3, 2.0, [9]), (3, 3.0, [4, 9])])
+def test_free_group_capacity_past_the_balls_built_here(k, p, radii,
+                                                        monkeypatch):
+    """2 (sum_{r<R} N_r^(-1/(p-1)))^(1-p), N_r = 2k(2k-1)^r, on up to a
+    million vertices, with no ball built."""
+    built = _count_builds(monkeypatch)
+    scan = parabolicity_scan(make_group(f"F_{k}"), p, radii)
+    assert built == []
+    for R, cap in zip(radii, scan.capacities):
+        series = sum((2.0 * k * (2 * k - 1) ** r) ** (-1.0 / (p - 1.0))
+                     for r in range(R))
+        assert cap == pytest.approx(2.0 * series ** (1.0 - p), rel=1e-12)
+
+
+def test_z3_capacity_past_the_default_cap(monkeypatch):
+    """ROADMAP section 5: Z^3 at R = 160 (5,512,961 vertices, past the
+    default cap of 5e6) lies within 5/R above Watson's limit 12/W."""
+    monkeypatch.setenv("CAYLEX_MAX_VERTICES", "6000000")
+    built = _count_builds(monkeypatch)
+    R = 160
+    cap = parabolicity_scan(make_group("Z^3"), 2.0, [R]).capacities[0]
+    assert built == []
+    watson = 12.0 / 1.516386059151978
+    assert 0.0 < cap - watson < 5.0 / R
+
+
+def test_scan_keeps_cell_values_not_balls():
+    """The scan of Z^1 over R = 1..1000 holds 30.4 MB when every report
+    keeps a restricted ball and its lift; cell values take under a quarter
+    of that."""
+    tracemalloc.start()
+    try:
+        scan = parabolicity_scan(Z1, 2.0, range(1, 1001))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert scan.capacities[-1] == pytest.approx(4.0 / 1000, rel=1e-12)
+    assert held <= 30.4e6 / 4
+
+
+@pytest.mark.parametrize("preset", [None, "OPENBLAS_NUM_THREADS",
+                                    "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+def test_import_defaults_blas_to_one_thread(preset):
+    """import caylex sets OPENBLAS_NUM_THREADS=1 unless one of the three
+    thread variables is set; then it leaves the environment as it is."""
+    names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    if preset is not None:
+        env[preset] = "2"
+    code = ("import os, caylex; print(repr([os.environ.get(k) for k in "
+            f"{names!r}]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    want = ["1", None, None] if preset is None else \
+        [env.get(k) for k in names]
+    assert out.strip() == repr(want)
 
 
 @pytest.mark.parametrize("spec,source,radii", [
@@ -523,10 +626,14 @@ def test_maximum_principle():
 # solves on cells
 
 def _capacity_on_single_vertices(group, p, R, monkeypatch):
-    """capacity(group, p, R) with each vertex its own cell."""
+    """The capacity problem of build_ball(group, R), each vertex its own
+    cell: (capacity, minimizer, report)."""
     with monkeypatch.context() as m:
         m.setattr(type(group), "orbit_key", lambda self, rows: None)
-        return capacity(group, p, R)
+        ball = build_ball(group, R)
+        pins = {0: 1.0, **dict.fromkeys(ball.sphere_indices(R).tolist(), 0.0)}
+        report = solve(EnergyProblem(ball, p, pins, convention="zero"))
+    return report.energy, report.minimizer, report
 
 
 # (group, p, R) -> Newton steps

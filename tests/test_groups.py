@@ -1,8 +1,11 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caylex.cayley import build_ball
 from caylex.groups import (FreeGroup, HeisenbergGroup, UnknownFamilyError,
                            make_group)
 from conftest import word_element
@@ -188,3 +191,53 @@ def test_free_group_lexicographic_order_is_not_left_invariant():
     # () < (1,), but a^-1 () = (-1,) > () = a^-1 a
     assert f.identity() < (1,)
     assert f.multiply((-1,), f.identity()) > f.multiply((-1,), (1,))
+
+
+# ---------------------------------------------------------------------------
+# closed-form cells
+
+def _zd_ball_size(d, R):
+    return sum(2 ** k * comb(d, k) * comb(R, k) for k in range(d + 1))
+
+
+def _fk_ball_size(k, R):
+    return 1 + k * ((2 * k - 1) ** R - 1) // (k - 1)
+
+
+@pytest.mark.parametrize("spec,R,want", [
+    *[(f"Z^{d}", R, _zd_ball_size(d, R)) for d in (1, 2, 3, 4)
+      for R in (0, 1, 2, 7, 20)],
+    *[(f"F_{k}", R, _fk_ball_size(k, R)) for k in (2, 3)
+      for R in (0, 1, 2, 7, 12)],
+])
+def test_cell_sizes_sum_to_the_ball_size(spec, R, want):
+    group = make_group(spec)
+    word_length, sizes, nbr = group.cell_graph(R)
+    assert int(sizes.sum()) == group.ball_size(R) == want
+    assert len(word_length) == len(sizes) == len(nbr)
+    assert np.all(np.diff(word_length) >= 0) and word_length[-1] == R
+
+
+def test_h3_has_no_closed_form_cells():
+    h3 = make_group("H3")
+    assert h3.ball_size(4) is None and h3.cell_graph(4) is None
+
+
+def _h3_least_images(rows):
+    """orbit_key's reference: the least of the 8 images of each row, as
+    tuples, by Python's comparison."""
+    out = []
+    for x, y, z in rows.tolist():
+        out.append(min((a * s, b * t, c * s * t)
+                       for s in (1, -1) for t in (1, -1)
+                       for a, b, c in [(x, y, z), (y, x, x * y - z)]))
+    return np.array(out, dtype=np.int64)
+
+
+def test_h3_orbit_key_is_the_least_image():
+    rows = np.array(build_ball(make_group("H3"), 8).elements, dtype=np.int64)
+    # and rows far from e, whose coordinates no packed key could hold
+    rng = np.random.default_rng(5)
+    big = rng.integers(-2 ** 30, 2 ** 30, size=(200, 3))
+    for r in (rows, big):
+        assert np.array_equal(make_group("H3").orbit_key(r), _h3_least_images(r))

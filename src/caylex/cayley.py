@@ -8,11 +8,12 @@ The neighbor table stores, for vertex i and generator index j, the index
 of x_i * g_j^-1, or EXTERIOR when that element lies outside the ball.  A
 window stores a seed set, with or without its 1-step S-closure, in the
 same format.  A ball keeps its elements as arrays and builds the element
-tuples, the element -> index dict and its cells (orbits under the
-automorphisms fixing e) only when they are first read.  Where the family
-knows these cells in closed form (GroupModel.cell_graph), cell_graph gives
-them without a ball, numbered as a ball's orbit_ranks, so values on the
-cells lift onto a ball as values[ball.orbit_ranks].
+tuples, the element -> index dict and its cells (orbit_ranks: the orbits
+under the automorphisms fixing e) only when they are first read.  Its
+cell graph (CayleyBall.cell_graph) is what every cell solve runs on;
+where the family knows the cells in closed form (GroupModel.cell_graph),
+cell_graph gives the same graph without a ball, so values on the cells
+lift onto a ball as values[ball.orbit_ranks].
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ class CayleyBall:
         self._decode_sphere = decode_sphere
         self._nbr = nbr
         self._ranks = ranks
-        self._cells = None
         self.word_length = word_length    # (n,) int array
         self.interior = word_length < radius if radius > 0 else word_length < 0
         counts = np.bincount(word_length, minlength=radius + 1)
@@ -108,17 +108,16 @@ class CayleyBall:
             self._ranks = self._ranks()
         return self._ranks
 
-    @property
-    def cells(self) -> np.ndarray:
-        """(n,) int array: the cells of orbit_ranks, numbered by first
-        occurrence."""
-        if self._cells is None:
-            ranks = self.orbit_ranks
-            first = np.unique(ranks, return_index=True)[1]
-            self._cells = np.argsort(np.argsort(first))[ranks]
-        elif not isinstance(self._cells, np.ndarray):
-            self._cells = self._cells()
-        return self._cells
+    def cell_graph(self):
+        """The cells orbit_ranks in GroupModel.cell_graph's format,
+        (word_length, sizes, nbr) over the k cells: row a of nbr holds the
+        cells of the slots of the first vertex of cell a, k for EXTERIOR."""
+        ranks = self.orbit_ranks
+        first = np.unique(ranks, return_index=True)[1]
+        k = len(first)
+        nbr = self.nbr[first]
+        nbr = np.where(nbr == EXTERIOR, k, ranks[nbr])
+        return self.word_length[first], np.bincount(ranks, minlength=k), nbr
 
     @property
     def elements(self):
@@ -150,7 +149,7 @@ class CayleyBall:
         """B_r = build_ball(group, r): the first sum(sphere_sizes[:r + 1])
         vertices, with the slots that leave them EXTERIOR.  It shares the
         element list, if read, or else the sphere decoder, and reads its
-        orbit_ranks and cells as the prefixes of this ball's;
+        orbit_ranks as the prefix of this ball's;
         restrict(radius) is the ball itself."""
         if not 0 <= r <= self.radius:
             raise ValueError(f"restrict needs 0 <= r <= {self.radius}, got {r}")
@@ -159,11 +158,9 @@ class CayleyBall:
         n = sum(self.sphere_sizes[:r + 1])
         nbr = np.where(self.nbr[:n] < n, self.nbr[:n], EXTERIOR)
         elements = None if self._elements is None else self._elements[:n]
-        ball = CayleyBall(self.group, r, elements, None, nbr,
+        return CayleyBall(self.group, r, elements, None, nbr,
                           self.word_length[:n], self._decode_sphere,
                           lambda: self.orbit_ranks[:n])
-        ball._cells = lambda: self.cells[:n]
-        return ball
 
     def interior_indices(self) -> np.ndarray:
         return np.where(self.interior)[0]
@@ -265,7 +262,7 @@ def build_ball(group: GroupModel, radius: int, max_vertices=None) -> CayleyBall:
     returns; tree groups (group.tree) need no lookup.  The vertex cap is
     checked before a sphere is allocated.  Elements are built on first
     read of ``elements``, ``index`` or ``sphere_elements``, cells on first
-    read of ``cells``."""
+    read of ``orbit_ranks``."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     cap = _vertex_cap(max_vertices)
@@ -293,19 +290,26 @@ def build_ball(group: GroupModel, radius: int, max_vertices=None) -> CayleyBall:
                       partial(_orbit_ranks, group, spheres, word_length))
 
 
+def check_ball_size(group: GroupModel, radius: int, max_vertices=None):
+    """|B_R|, group.ball_size(radius), or None where the family has no
+    closed form; a ball past the vertex cap raises BallSizeError, as
+    build_ball would, before anything is built."""
+    n = group.ball_size(radius)
+    if n is not None:
+        cap = _vertex_cap(max_vertices)
+        if n > cap:
+            raise _cap_error(group, radius, cap)
+    return n
+
+
 def cell_graph(group: GroupModel, radius: int, max_vertices=None):
     """The cells of B_R in closed form, group.cell_graph(radius), or None
-    where the family has none.  |B_R|, group.ball_size(radius), is checked
-    against the vertex cap first, so a ball past the cap is refused as
-    build_ball refuses it, before anything is built."""
+    where the family has none.  |B_R| is checked against the vertex cap
+    first (check_ball_size)."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    n = group.ball_size(radius)
-    if n is None:
+    if check_ball_size(group, radius, max_vertices) is None:
         return None
-    cap = _vertex_cap(max_vertices)
-    if n > cap:
-        raise _cap_error(group, radius, cap)
     return group.cell_graph(radius)
 
 
@@ -366,11 +370,10 @@ def window(group: GroupModel, seeds: Iterable[Element], closure: bool) -> Cayley
     return CayleyBall(group, 1, list(index), index, nbr, word_length)
 
 
-def edge_arrays(ball: CayleyBall, rows=None):
+def edge_arrays(ball: CayleyBall):
     """Directed in-ball pairs (src, dst) over all (vertex, generator) slots,
-    and the sources of exterior-incident slots; given ``rows``, over the
-    slots of those vertices only, with each src its position in ``rows``."""
-    nbr = ball.nbr if rows is None else ball.nbr[rows]
+    and the sources of exterior-incident slots."""
+    nbr = ball.nbr
     n, nS = nbr.shape
     src = np.repeat(np.arange(n), nS)
     dst = nbr.ravel()

@@ -33,8 +33,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, TextIO
 import numpy as np
 
 from . import __version__, dirichlet, geometry, verify
-from .cayley import BallSizeError, build_ball
-from .groups import make_group
+from .cayley import BallSizeError, build_ball, check_ball_size
+from .groups import GroupModel, make_group
 
 EXIT_OK = 0
 EXIT_SUITE_FAILURE = 1
@@ -51,9 +51,10 @@ class UsageError(ValueError):
     pass
 
 
-def parse_radii(spec: str) -> List[int]:
+def parse_radii(spec: str, group: GroupModel) -> List[int]:
     """Radius schedules: `start:stop` (step 1), `start:stop:+step`,
-    `start:stop:*factor` (geometric)."""
+    `start:stop:*factor` (geometric).  The group's ball of the last radius
+    is checked against the vertex cap before the list is built."""
     parts = spec.split(":")
     if len(parts) not in (2, 3):
         raise UsageError(f"bad radii schedule {spec!r}")
@@ -63,29 +64,26 @@ def parse_radii(spec: str) -> List[int]:
         raise UsageError(f"bad radii schedule {spec!r}")
     if start < 1 or stop < start:
         raise UsageError(f"bad radii schedule {spec!r}")
-    radii = []
-    if len(parts) == 2:
-        return list(range(start, stop + 1))
-    rule = parts[2]
+    rule = parts[2] if len(parts) == 3 else "+1"
     try:
         if rule.startswith("*"):
             factor = int(rule[1:])
             if factor < 2:
                 raise ValueError
-            r = start
-            while r <= stop:
-                radii.append(r)
-                r *= factor
+            radii = [start]
+            while radii[-1] * factor <= stop:
+                radii.append(radii[-1] * factor)
         elif rule.startswith("+"):
             step = int(rule[1:])
             if step < 1:
                 raise ValueError
-            radii.extend(range(start, stop + 1, step))
+            radii = range(start, stop + 1, step)
         else:
             raise ValueError
     except ValueError:
         raise UsageError(f"bad radii schedule rule {rule!r}")
-    return radii
+    check_ball_size(group, radii[-1])
+    return list(radii)
 
 
 def _atomic_write(path: str, write: Callable[[TextIO], None]) -> None:
@@ -451,7 +449,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise UsageError(f"{args.command} has no CSV form")
         group = make_group(args.group) if "group" in args else None
         if "radii" in args:
-            args.radii = parse_radii(args.radii)
+            args.radii = parse_radii(args.radii, group)
         outcome = globals()[f"cmd_{args.command}"](args, group)
         if outcome.results is not None:
             _write_report(args, None if group is None else group.name, outcome)

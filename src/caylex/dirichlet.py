@@ -5,38 +5,39 @@ identity, capacity scans with trend verdicts, null-sequence construction
 from capacity minimizers, the Royden-split experiment, and a maximum
 principle check.
 
-A problem is solved on the cells of its ball (CayleyBall.cells, an
-equitable partition) if its pins are constant on them, else on single
-vertices: the minimizer is constant on cells, so the cell graph, with
-slot multiplicities as weights, gives it, and its energy
-(funcspace.energy_value with those weights), residuals and gradient
-norms are those of its lift onto the whole ball; the report takes the
-energy from the cells.  Capacities of Z^d and F_k need no ball: their
-cells come in closed form (cayley.cell_graph), numbered by word length
-and then orbit key (CayleyBall.orbit_ranks), and a scan lifts a
-minimizer onto one ball only when it is read.  Harmonic extensions, the
-Royden split and H3 capacities solve on the cells of a built ball,
-numbered by first occurrence (CayleyBall.cells).  The p = 2 route
-assembles the (SPD) graph Laplacian on free cells and solves it; other
-exponents run damped Newton steps on the D(p) energy (the same Laplacian
-with |d|^(p-2) weights, the same inner solve, Armijo backtracking),
-warm-started from the p = 2 solution.  The inner solve factors a narrow
-system directly, as a band: either numbering runs sphere by sphere, so a
-cell system couples only neighbouring spheres, and the capacity cells of
-Z^1, of Z^2 up to R = 154, of Z^3 up to R = 31, of H3 up to R = 7 and of
-F_k, with every Newton Hessian on them, take this route.  Wide systems
-stay on a Jacobi-preconditioned conjugate gradient loop of this module's
-own, in the arithmetic of scipy's cg, which falls back to sparse LU only
-when CG has not converged after one iteration per unknown: harmonic
-extensions on single vertices and larger cell systems, whose band would
-cost more time or memory than CG (BAND_MAX_FILL).
+Every problem is solved on a cell graph (word_length, sizes, nbr), the
+one input of a cell solve: the cells of an equitable partition of its
+ball, numbered by word length and then orbit key (CayleyBall.orbit_ranks),
+with the slots of each cell's first vertex.  The minimizer is constant on
+cells, so the graph, with slot multiplicities as weights, gives it, and
+its energy (funcspace.energy_value with those weights), residuals and
+gradient norms are those of its lift onto the whole ball; the report
+takes the energy from the cells.  A capacity scan takes the graph in
+closed form where the family has one (cayley.cell_graph: Z^d, F_k) and
+from one built ball otherwise (CayleyBall.cell_graph: H3), and lifts a
+minimizer onto a ball only when it is read.  A problem posed on a ball
+(harmonic extensions, the Royden split) takes its ball's graph when the
+pins are constant on the cells, and single vertices otherwise.  The
+p = 2 route assembles the (SPD) graph Laplacian on free cells and solves
+it; other exponents run damped Newton steps on the D(p) energy (the same
+Laplacian with |d|^(p-2) weights, the same inner solve, Armijo
+backtracking), warm-started from the p = 2 solution.  The inner solve
+factors a narrow system directly, as a band: cells are numbered sphere by
+sphere, so a cell system couples only neighbouring spheres, and the
+capacity cells of Z^1, of Z^2 up to R = 154, of Z^3 up to R = 31, of H3
+up to R = 7 and of F_k, with every Newton Hessian on them, take this
+route.  Wide systems stay on a Jacobi-preconditioned conjugate gradient
+loop of this module's own, in the arithmetic of scipy's cg, which falls
+back to sparse LU only when CG has not converged after one iteration per
+unknown: harmonic extensions on single vertices and larger cell systems,
+whose band would cost more time or memory than CG (BAND_MAX_FILL).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +45,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cayley import CayleyBall, build_ball, cell_graph, edge_arrays
+from .cayley import EXTERIOR, CayleyBall, build_ball, cell_graph
 from .funcspace import BallFunction, FormalSum, energy_value, is_harmonic
 from .groups import FreeGroup, GroupModel, ZdGroup
 
@@ -57,21 +58,21 @@ NEWTON_MAX_ITER = 200
 # An SPD system of m unknowns and band width bw (the largest col - row of
 # its CSR) is factored as a band when its band, (bw + 1) m entries, is at
 # most BAND_MAX_FILL times its nnz.  Cells are numbered sphere by sphere
-# (word length, then orbit key, on the closed-form cells of Z^d and F_k;
-# first occurrence on a ball), so a cell couples only to cells one sphere
-# away and cell systems are narrow.
+# (word length, then orbit key), so a cell couples only to cells one
+# sphere away and cell systems are narrow.
 # Best of 5 single solves on a 2-CPU VM, two BLAS threads ('zero':
 # capacity cells, 'ball': harmonic extensions on vertices); on the one
 # thread that import caylex now defaults to, the band is faster still
-# (Z^2 R=128 cells: 2.4 ms):
+# (Z^2 R=128 cells: 2.4 ms).  The H3 cell rows are taken on one thread;
+# H3 capacity cells band up to R = 7 (band/nnz 15.7):
 #   system               m     bw  band/nnz    CG        band
 #   Z^1 R=512 cells     511     1     0.7     9.1 ms    0.08 ms
 #   Z^2 R=48 cells      599    25     5.5     3.2 ms    1.1 ms
 #   Z^2 R=128 cells    4159    65    13.4    13.6 ms    4.3 ms
 #   Z^3 R=16 cells      173    29     5.7     0.58 ms   0.30 ms
 #   Z^3 R=32 cells     1136   100    16.8     1.9 ms    1.7 ms
-#   H3 R=12 cells       796   247    58       0.82 ms   2.4 ms
-#   H3 R=16 cells      2714   649   146       2.0 ms   23 ms
+#   H3 R=12 cells       796   385    91       0.68 ms   2.9 ms
+#   H3 R=16 cells      2714  1025   231       2.3 ms   29 ms
 #   Z^2 R=64 vertices  8065   252    51      18 ms     34 ms
 #   H3 R=12 vertices   6281  1972   461       3.4 ms    -
 # 16 takes the rows where the band clearly wins.  It also bounds the band's
@@ -115,8 +116,8 @@ class SolveReport:
 
     @property
     def minimizer(self) -> BallFunction:
-        """The minimizer on the ball.  A capacity solved on a closed-form
-        cell graph is lifted onto its ball when this is first read."""
+        """The minimizer on the ball, lifted from the cell values when this
+        is first read."""
         if not isinstance(self._minimizer, BallFunction):
             self._minimizer = self._minimizer()
         return self._minimizer
@@ -131,7 +132,6 @@ class _Cells:
     vertex of cell a has the same slots into each cell, so the slots of a's
     first vertex, each weighted by the cell size n_a, stand for all of a's
     slots; in-ball weights are symmetric, as every slot has an inverse."""
-    cells: np.ndarray       # (n,) cell of each vertex; None without a ball
     sizes: np.ndarray       # (k,) vertices per cell, as floats
     x0: np.ndarray          # (k,) pinned values, zeros elsewhere
     free: np.ndarray        # unpinned cells
@@ -153,14 +153,26 @@ def _pin_indices(problem: EnergyProblem) -> np.ndarray:
     return pins
 
 
-def _on_cells(cells, sizes, x0, fixed, src, dst, ext, zero: bool) -> _Cells:
-    return _Cells(cells, sizes, x0, np.flatnonzero(~fixed), (src, dst, ext),
+def _graph_cells(graph, x0: np.ndarray, fixed: np.ndarray, zero: bool) -> _Cells:
+    """The problem on the first k = len(x0) cells of a cell graph
+    (word_length, sizes, nbr), those of B_r for some r: x0 holds their
+    pinned values and fixed marks them, and a slot that holds a number
+    >= k leaves B_r, into the zero exterior under 'zero'."""
+    k = len(x0)
+    sizes = graph[1][:k].astype(float)
+    nbr = graph[2][:k]
+    src = np.repeat(np.arange(k), nbr.shape[1])
+    dst = nbr.ravel()
+    inside = dst < k
+    src, dst, ext = src[inside], dst[inside], src[~inside]
+    return _Cells(sizes, x0, np.flatnonzero(~fixed), (src, dst, ext),
                   sizes[src], sizes[ext] * float(zero))
 
 
-def _setup(problem: EnergyProblem) -> _Cells:
-    """The problem on the cells of its ball (CayleyBall.cells) when the
-    pins are constant on them, and on single vertices otherwise."""
+def _setup(problem: EnergyProblem) -> Tuple[np.ndarray, _Cells]:
+    """(ranks, q): the problem q on the cells of its ball, ranks the cell
+    of each vertex, ball.orbit_ranks when the pins are constant on those
+    cells and single vertices otherwise."""
     ball = problem.ball
     n = ball.n_vertices
     pins = _pin_indices(problem)
@@ -168,35 +180,17 @@ def _setup(problem: EnergyProblem) -> _Cells:
     u0[pins] = np.fromiter(problem.constraints.values(), dtype=float,
                            count=len(pins))
     pinned[pins] = True
-    cells = ball.cells
-    k = int(cells.max()) + 1
+    ranks = ball.orbit_ranks
+    k = int(ranks.max()) + 1
     x0, fixed = np.zeros(k), np.zeros(k, dtype=bool)
-    x0[cells], fixed[cells] = u0, pinned
-    if not (np.array_equal(x0[cells], u0) and np.array_equal(fixed[cells], pinned)):
-        cells, k, x0, fixed = np.arange(n), n, u0, pinned
-    first = np.unique(cells, return_index=True)[1]
-    sizes = np.bincount(cells, minlength=k).astype(float)
-    src, dst, ext = edge_arrays(ball, first)
-    return _on_cells(cells, sizes, x0, fixed, src, cells[dst], ext,
-                     problem.convention == "zero")
-
-
-def _capacity_cells(graph, R: int) -> _Cells:
-    """The capacity problem of B_R on a closed-form cell graph (GroupModel.
-    cell_graph) of B_R or a larger ball: its cells of word length <= R,
-    with the slots that leave them exterior, e pinned to 1 and sphere R to
-    0 under 'zero'."""
-    word_length, sizes, nbr = graph
-    k = int(np.searchsorted(word_length, R, side="right"))
-    fixed = word_length[:k] == R
-    fixed[0] = True
-    x0 = np.zeros(k)
-    x0[0] = 1.0
-    src = np.repeat(np.arange(k), nbr.shape[1])
-    dst = nbr[:k].ravel()
-    inside = dst < k
-    return _on_cells(None, sizes[:k].astype(float), x0, fixed, src[inside],
-                     dst[inside], src[~inside], True)
+    x0[ranks], fixed[ranks] = u0, pinned
+    if np.array_equal(x0[ranks], u0) and np.array_equal(fixed[ranks], pinned):
+        graph = ball.cell_graph()
+    else:
+        ranks, x0, fixed = np.arange(n), u0, pinned
+        graph = (ball.word_length, np.ones(n),
+                 np.where(ball.nbr == EXTERIOR, n, ball.nbr))
+    return ranks, _graph_cells(graph, x0, fixed, problem.convention == "zero")
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +367,22 @@ def _minimize(q: _Cells, p: float):
     return ("iterative-convex", *_newton(x, p, q))
 
 
-def _report(problem: EnergyProblem, q: _Cells, solver, x, iterations, residual):
-    """The report of cell values x: their lift onto the ball, and the
-    energy of x on the cells, which is that of the lift."""
-    return SolveReport(BallFunction(problem.ball, x[q.cells], problem.convention),
-                       _energy(x, problem.p, q), iterations, residual, solver)
+def _report(lift, p: float, q: _Cells, solver, x, iterations, residual):
+    """The report of cell values x: the energy of x on the cells, which is
+    that of their lift onto the ball, lift(x), made when the minimizer is
+    first read."""
+    return SolveReport(partial(lift, x), _energy(x, p, q), iterations,
+                       residual, solver)
 
 
 def solve(problem: EnergyProblem) -> SolveReport:
     """Minimize the D(p) energy subject to the pinned values."""
-    q = _setup(problem)
-    return _report(problem, q, *_minimize(q, problem.p))
+    ranks, q = _setup(problem)
+
+    def lift(x):
+        return BallFunction(problem.ball, x[ranks], problem.convention)
+
+    return _report(lift, problem.p, q, *_minimize(q, problem.p))
 
 
 # ---------------------------------------------------------------------------
@@ -468,38 +467,31 @@ def parabolicity_scan(group: GroupModel, p: float,
     verdict.  Capacities are checked to be nonincreasing (nested feasible
     sets).
 
-    Where the family has a closed-form cell graph (Z^d, F_k) every radius
-    is solved on the cells of one graph of the largest ball, which is
-    checked against the vertex cap first and is not built: each report
-    keeps its cell values and lifts them onto the ball when its minimizer
-    is first read, every lift restricted from one build of the largest
-    ball.  Other families solve on the restrictions of one build of it."""
+    Every radius is solved on the cells of one cell graph of the largest
+    ball: the closed form where the family has one (Z^d, F_k), checked
+    against the vertex cap and made without the ball, else that of a build
+    of the ball.  Each report keeps its cell values and lifts them onto
+    the ball when its minimizer is first read, every lift restricted from
+    that one build of the largest ball."""
     if p <= 1.0:
         raise ValueError("capacity requires p > 1")
     radii = _radii(radii)
-    graph = cell_graph(group, radii[-1])
-    if graph is None:
-        ball = build_ball(group, radii[-1])
+    ball = cache(partial(build_ball, group, radii[-1]))
+    graph = cell_graph(group, radii[-1]) or ball().cell_graph()
+    word_length = graph[0]
 
-        def step(R):
-            sub = ball.restrict(R)
-            pins = {0: 1.0, **dict.fromkeys(sub.sphere_indices(R).tolist(), 0.0)}
-            return solve(EnergyProblem(sub, p, pins, convention="zero"))
-    else:
-        largest = None
+    def lift(R, x):
+        sub = ball().restrict(R)
+        return BallFunction(sub, x[sub.orbit_ranks], "zero")
 
-        def lift(x, R):
-            nonlocal largest
-            if largest is None:
-                largest = build_ball(group, radii[-1])
-            ball = largest.restrict(R)
-            return BallFunction(ball, x[ball.orbit_ranks], "zero")
-
-        def step(R):
-            q = _capacity_cells(graph, R)
-            solver, x, iterations, residual = _minimize(q, p)
-            return SolveReport(partial(lift, x, R), _energy(x, p, q),
-                               iterations, residual, solver)
+    def step(R):
+        k = int(np.searchsorted(word_length, R, side="right"))
+        fixed = word_length[:k] == R
+        fixed[0] = True
+        x0 = np.zeros(k)
+        x0[0] = 1.0
+        q = _graph_cells(graph, x0, fixed, True)
+        return _report(partial(lift, R), p, q, *_minimize(q, p))
 
     reports = _scan(radii, step, f"capacity of {group.name} at p={p}, ")
     caps = [rep.energy for rep in reports]

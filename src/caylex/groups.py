@@ -111,8 +111,8 @@ class GroupModel:
         """An (m, k) int key of the elements given as the rows of an (m, w)
         array, equal on two elements of one word length iff some
         automorphism of the Cayley graph that fixes e maps one onto the
-        other; balls add the word length (CayleyBall.cells).  None: no key
-        is known, and each element is its own orbit."""
+        other; balls add the word length (CayleyBall.orbit_ranks).  None:
+        no key is known, and each element is its own orbit."""
         return None
 
     def ball_size(self, radius: int) -> Optional[int]:
@@ -121,7 +121,7 @@ class GroupModel:
 
     def cell_graph(self, radius: int):
         """The cells of B_R in closed form, or None where the family has
-        none (the cells then come from a built ball, CayleyBall.cells).
+        none (the cells then come from a built ball, CayleyBall.cell_graph).
 
         Returns (word_length, sizes, nbr), arrays over the k cells numbered
         as CayleyBall.orbit_ranks numbers them: by word length, then by

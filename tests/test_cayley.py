@@ -428,15 +428,20 @@ AUTOMORPHISMS = {
 CELL_BALLS = [("Z^1", 8), ("Z^2", 8), ("Z^3", 5), ("H3", 6), ("F_2", 5)]
 
 
+def cells(ball):
+    """The ball's cells, orbit_ranks, numbered by first occurrence."""
+    return first_occurrence_labels(ball.orbit_ranks.tolist())
+
+
 @pytest.mark.parametrize("spec,R", CELL_BALLS)
 def test_cells_are_an_equitable_partition(spec, R):
     ball = build_ball(make_group(spec), R)
-    cells = ball.cells
-    assert np.array_equal(ref_refine(ball, cells), cells)
+    labels = cells(ball)
+    assert np.array_equal(ref_refine(ball, labels), labels)
     # cells lie in spheres, and e is a cell of its own
-    assert all(len(set(ball.word_length[cells == c])) == 1
-               for c in range(cells.max() + 1))
-    assert np.count_nonzero(cells == cells[0]) == 1
+    assert all(len(set(ball.word_length[labels == c])) == 1
+               for c in range(labels.max() + 1))
+    assert np.count_nonzero(labels == labels[0]) == 1
 
 
 @pytest.mark.parametrize("spec,R", CELL_BALLS)
@@ -447,7 +452,7 @@ def test_cells_are_the_orbits(spec, R):
         want = ball.word_length
     else:
         want = ref_orbits(ball, AUTOMORPHISMS[spec])
-    assert np.array_equal(ball.cells, want)
+    assert np.array_equal(cells(ball), want)
 
 
 @pytest.mark.parametrize("spec", ["Z^2", "Z^3", "H3", "F_2"])
@@ -456,42 +461,65 @@ def test_restricted_cells_are_a_prefix(spec):
     big = build_ball(group, 6)
     for r in range(7):
         small = big.restrict(r)
-        assert np.array_equal(small.cells, big.cells[:small.n_vertices])
-        assert np.array_equal(small.cells, build_ball(group, r).cells)
+        assert np.array_equal(cells(small), cells(big)[:small.n_vertices])
+        assert np.array_equal(cells(small), cells(build_ball(group, r)))
 
 
 def test_no_key_makes_single_vertex_cells():
     ball = build_ball(Cyclic5(), 2)
-    assert np.array_equal(ball.cells, np.arange(ball.n_vertices))
+    assert np.array_equal(cells(ball), np.arange(ball.n_vertices))
     win = window(make_group("Z^2"), [(0, 0), (1, 0)], True)
-    assert np.array_equal(win.cells, np.arange(win.n_vertices))
+    assert np.array_equal(cells(win), np.arange(win.n_vertices))
+
+
+def graphs(group, R):
+    """The cell graphs of B_R: the closed form, where the family has one,
+    and the built ball's."""
+    return [g for g in (cayley.cell_graph(group, R),
+                        build_ball(group, R).cell_graph()) if g is not None]
 
 
 @pytest.mark.parametrize("spec,R", [
-    *[(spec, R) for spec, R in CELL_BALLS if spec != "H3"],
-    ("Z^4", 3), ("F_3", 4), ("F_1", 5)])
+    *CELL_BALLS, ("Z^4", 3), ("F_3", 4), ("F_1", 5)])
 def test_cell_graph_is_the_quotient_of_the_ball(spec, R):
     """cell_graph numbers cells as orbit_ranks does, with their vertex
     counts and word lengths, and each cell's slots are those of each of its
     vertices, up to order; at a larger radius, the cells of B_R are a
-    prefix whose slots out of it point past it."""
+    prefix whose slots out of it point past it.  A built ball's
+    CayleyBall.cell_graph is such a graph too, H3's included."""
     group = make_group(spec)
     ball = build_ball(group, R)
     ranks = ball.orbit_ranks
-    word_length, sizes, nbr = cayley.cell_graph(group, R)
-    k = len(sizes)
-    assert np.array_equal(np.bincount(ranks), sizes)
-    assert np.array_equal(word_length[ranks], ball.word_length)
-    assert np.array_equal(np.unique(ranks, return_inverse=True)[1], ranks)
-    cell_slots = np.sort(np.where(nbr < k, nbr, k), axis=1)
-    vertex_slots = np.where(ball.nbr == EXTERIOR, k,
-                            ranks[np.clip(ball.nbr, 0, None)])
-    assert np.array_equal(np.sort(vertex_slots, axis=1), cell_slots[ranks])
-    wider = cayley.cell_graph(group, R + 2)
-    assert np.array_equal(wider[0][:k], word_length)
-    assert np.array_equal(wider[1][:k], sizes)
-    assert np.array_equal(np.where(wider[2][:k] < k, wider[2][:k], k),
-                          np.where(nbr < k, nbr, k))
+    for (word_length, sizes, nbr), wider in zip(graphs(group, R),
+                                               graphs(group, R + 2)):
+        k = len(sizes)
+        assert np.array_equal(np.bincount(ranks), sizes)
+        assert np.array_equal(word_length[ranks], ball.word_length)
+        assert np.array_equal(np.unique(ranks, return_inverse=True)[1], ranks)
+        cell_slots = np.sort(np.where(nbr < k, nbr, k), axis=1)
+        vertex_slots = np.where(ball.nbr == EXTERIOR, k,
+                                ranks[np.clip(ball.nbr, 0, None)])
+        assert np.array_equal(np.sort(vertex_slots, axis=1), cell_slots[ranks])
+        assert np.array_equal(wider[0][:k], word_length)
+        assert np.array_equal(wider[1][:k], sizes)
+        assert np.array_equal(np.where(wider[2][:k] < k, wider[2][:k], k),
+                              np.where(nbr < k, nbr, k))
+
+
+@pytest.mark.parametrize("spec,R", [
+    *[(f"Z^{d}", R) for d in range(1, 5) for R in range(5)], ("Z^2", 9),
+    *[(f"F_{k}", R) for k in range(1, 4) for R in range(5)]])
+def test_ball_cell_graph_equals_the_closed_form(spec, R):
+    """The ball's cells and the closed-form cells are one graph: the same
+    word lengths and sizes, and the same slot rows once each slot out of
+    B_R reads k and each row is sorted."""
+    closed, built = graphs(make_group(spec), R)
+    k = len(closed[1])
+    assert np.array_equal(built[0], closed[0])
+    assert np.array_equal(built[1], closed[1])
+    assert built[2].max() <= k
+    assert np.array_equal(np.sort(built[2], axis=1),
+                          np.sort(np.where(closed[2] < k, closed[2], k), axis=1))
 
 
 def test_cell_graph_is_refused_past_the_cap_before_it_is_built(monkeypatch):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -13,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caylex import cli, dirichlet, geometry, verify
-from caylex.cayley import build_ball
+from caylex.cayley import BallSizeError, build_ball
 from caylex.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_SOLVER, EXIT_SUITE_FAILURE,
                         EXIT_USAGE, UsageError, main, parse_radii)
+from caylex.groups import make_group
 
 try:
     from importlib.resources import files
@@ -30,13 +32,14 @@ def run_cli(args, **kw):
 
 
 def test_parse_radii():
-    assert parse_radii("3:6") == [3, 4, 5, 6]
-    assert parse_radii("4:64:*2") == [4, 8, 16, 32, 64]
-    assert parse_radii("4:20:+8") == [4, 12, 20]
-    assert parse_radii("5:5") == [5]
+    z1 = make_group("Z^1")
+    assert parse_radii("3:6", z1) == [3, 4, 5, 6]
+    assert parse_radii("4:64:*2", z1) == [4, 8, 16, 32, 64]
+    assert parse_radii("4:20:+8", z1) == [4, 12, 20]
+    assert parse_radii("5:5", z1) == [5]
     for bad in ["", "4", "4:2", "0:5", "4:8:x2", "4:8:*1", "4:8:+0", "a:b"]:
         with pytest.raises(UsageError):
-            parse_radii(bad)
+            parse_radii(bad, z1)
 
 
 def test_ball_json(tmp_path):
@@ -107,6 +110,35 @@ def test_capacity_past_the_cap_fails_before_any_solve(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: ball Z^1 R=3000000 exceeds vertex cap 5000000; lower R or "
         "raise CAYLEX_MAX_VERTICES\n")
+
+
+@pytest.mark.parametrize("command", [["capacity"], [
+    "royden", "--source", "constant"]])
+def test_radii_past_the_cap_build_no_schedule(command, monkeypatch, capsys):
+    """The cap is checked on the schedule's last radius before the list of
+    radii is built: 3e6 radii would hold about 100 MB."""
+    monkeypatch.delenv("CAYLEX_MAX_VERTICES", raising=False)
+    tracemalloc.start()
+    try:
+        code = main([*command, "--group", "Z^1", "--radii", "1:3000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_RESOURCE
+    assert peak < 10 * 2 ** 20
+    assert "exceeds vertex cap 5000000" in capsys.readouterr().err
+
+
+def test_parse_radii_checks_the_cap_on_the_last_radius(monkeypatch):
+    z1 = make_group("Z^1")
+    monkeypatch.setenv("CAYLEX_MAX_VERTICES", str(z1.ball_size(20)))
+    assert parse_radii("1:20", z1) == list(range(1, 21))
+    assert parse_radii("4:22:+8", z1) == [4, 12, 20]
+    assert parse_radii("5:39:*2", z1) == [5, 10, 20]
+    for spec in ["1:21", "4:28:+8", "5:40:*2"]:
+        with pytest.raises(BallSizeError, match="Z\\^1 R=(21|28|40) exceeds"):
+            parse_radii(spec, z1)
+    assert parse_radii("1:64", make_group("H3")) == list(range(1, 65))
 
 
 def test_royden_json(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from caylex import dirichlet
+from caylex import dirichlet, funcspace
 from caylex.cayley import build_ball
 from caylex.dirichlet import (EnergyProblem, NullSequenceError,
                               capacity, harmonic_extension,
@@ -155,8 +155,12 @@ def test_energy_scaling_quadratic():
 def solve_descent_only(problem: EnergyProblem):
     """The Newton route from the pinned start rather than the p = 2
     solution, even at p = 2: a cross-check of the linear solve."""
-    q = dirichlet._setup(problem)
-    return dirichlet._report(problem, q, "iterative-convex",
+    ranks, q = dirichlet._setup(problem)
+
+    def lift(x):
+        return BallFunction(problem.ball, x[ranks], problem.convention)
+
+    return dirichlet._report(lift, problem.p, q, "iterative-convex",
                              *dirichlet._newton(q.x0, problem.p, q))
 
 
@@ -270,7 +274,7 @@ def _scipy_cg(L, b):
 
 
 def _p2_system(spec, R, convention):
-    q = dirichlet._setup(_p2_problem(spec, R, convention))
+    _, q = dirichlet._setup(_p2_problem(spec, R, convention))
     return dirichlet._laplacian(q.x0, q.free, q.edges, q.w, q.w_ext)
 
 
@@ -649,10 +653,10 @@ DESCENT_CASES = {("Z^1", 1.5, 64): 0, ("Z^1", 3.0, 64): 0, ("Z^2", 3.0, 16): 4,
 def test_cell_solve_matches_single_vertex_solve(spec, p, R, monkeypatch):
     group = make_group(spec)
     cap, m, rep = capacity(group, p, R)
-    cells = m.ball.cells
+    cells = m.ball.orbit_ranks
     assert cells.max() + 1 < m.ball.n_vertices
     want, m1, rep1 = _capacity_on_single_vertices(group, p, R, monkeypatch)
-    assert np.array_equal(m1.ball.cells, np.arange(m1.ball.n_vertices))
+    assert np.array_equal(m1.ball.orbit_ranks, np.arange(m1.ball.n_vertices))
     assert abs(cap - want) <= 1e-12 * want
     assert np.allclose(m.values, m1.values, rtol=0.0, atol=1e-8)
     if (spec, p, R) in DESCENT_CASES:
@@ -672,7 +676,7 @@ def test_f2_capacity_on_spheres_matches_closed_form(p):
     scan = parabolicity_scan(make_group("F_2"), p, radii)
     for R, cap, rep in zip(radii, scan.capacities, scan.reports):
         ball = rep.minimizer.ball
-        assert np.array_equal(ball.cells, ball.word_length)
+        assert np.array_equal(ball.orbit_ranks, ball.word_length)
         assert cap == pytest.approx(_f2_capacity(p, R), rel=1e-12)
 
 
@@ -686,11 +690,11 @@ def test_pins_off_the_cells_fall_back_to_single_vertices():
     harmonic = _p2_problem("Z^2", 8, "ball")
     for problem in (royden_step, harmonic):
         n = problem.ball.n_vertices
-        assert problem.ball.cells.max() + 1 < n
-        assert np.array_equal(dirichlet._setup(problem).cells, np.arange(n))
+        assert problem.ball.orbit_ranks.max() + 1 < n
+        assert np.array_equal(dirichlet._setup(problem)[0], np.arange(n))
     capacity_step = EnergyProblem(ball, 2.0, {0: 1.0, **dict.fromkeys(
         sphere.tolist(), 0.0)}, "zero")
-    assert dirichlet._setup(capacity_step).cells is ball.cells
+    assert dirichlet._setup(capacity_step)[0] is ball.orbit_ranks
 
 
 # ---------------------------------------------------------------------------
@@ -703,7 +707,7 @@ def test_royden_cell_energy_is_the_lift_energy():
     problem = EnergyProblem(ball, 2.0, dict(zip(
         ball.sphere_indices(4).tolist(), map(f, ball.sphere_elements(4)))),
         "ball")
-    assert dirichlet._setup(problem).cells is ball.cells
+    assert dirichlet._setup(problem)[0] is ball.orbit_ranks
     rep = harmonic_extension(problem)
     assert rep.energy == pytest.approx(
         dirichlet_seminorm_pow(rep.minimizer, 2.0), rel=1e-12)
@@ -722,16 +726,23 @@ def test_vertex_route_energy_is_the_lift_energy_exactly():
 
 
 def test_solves_read_no_full_ball_edges(monkeypatch):
-    """Every solve reads the slots of its cells' first vertices only."""
-    full, edge_arrays = [], dirichlet.edge_arrays
+    """Every solve reads the slots of its cells' first vertices only: its
+    cell graph has one slot row per cell, and k cells give k |S| slots;
+    none builds the full-ball slot arrays of cayley.edge_arrays."""
+    full, graph_cells = [], dirichlet._graph_cells
 
-    def counted(ball, rows=None):
-        full.append(rows is None)
-        return edge_arrays(ball, rows)
+    def counted(graph, x0, fixed, zero):
+        q = graph_cells(graph, x0, fixed, zero)
+        n_slots = len(q.edges[0]) + len(q.edges[2])
+        full.append(len(graph[2]) != len(graph[1])
+                    or n_slots != len(x0) * graph[2].shape[1])
+        return q
 
-    monkeypatch.setattr(dirichlet, "edge_arrays", counted)
+    monkeypatch.setattr(dirichlet, "_graph_cells", counted)
+    monkeypatch.setattr(funcspace, "edge_arrays",
+                        lambda ball: pytest.fail("full-ball edges were read"))
     capacity(make_group("Z^2"), 2.0, 6)
     capacity(make_group("H3"), 3.0, 3)
     royden_split(make_group("F_2"), "end-separating", [3, 4])
     solve(_p2_problem("Z^2", 8, "ball"))
-    assert full and not any(full)
+    assert len(full) == 5 and not any(full)

@@ -70,7 +70,7 @@ class CayleyBall:
     interior {|x| < R}, and per-radius sphere sizes.
 
     ``elements`` (index -> Element) and ``index`` (Element -> index) may be
-    given, or left None with ``decode_sphere`` returning the element list of
+    given, or left None with ``decode_sphere`` returning the sphere_rows of
     one sphere; either way they are built on first read and then cached.
     ``nbr`` is the table or a function that returns it on first read, and
     so is ``ranks``, the orbit_ranks; None makes each vertex its own cell."""
@@ -123,17 +123,25 @@ class CayleyBall:
     def elements(self):
         if self._elements is None:
             self._elements = [x for r, m in enumerate(self.sphere_sizes) if m
-                              for x in self._decode_sphere(r)]
+                              for x in _tuples(self._decode_sphere(r))]
             self._decode_sphere = None
         return self._elements
 
-    def sphere_elements(self, r: int):
-        """The elements of sphere r in index order.  While ``elements`` is
-        unread, only sphere r is decoded."""
+    def sphere_rows(self, r: int) -> np.ndarray:
+        """Sphere r's elements in index order as the rows of an int array,
+        maybe the ball's own: coordinates, or on a tree group the r letters
+        of each word.  While ``elements`` is unread, only r is decoded."""
         indices = self.sphere_indices(r)
         if self._elements is None and len(indices):
             return self._decode_sphere(r)
-        return [self._elements[i] for i in indices]
+        x = [self._elements[i] for i in indices]
+        return np.array(x, dtype=np.int64).reshape(len(x), -1 if x else 0)
+
+    def sphere_elements(self, r: int):
+        """The elements of sphere r in index order, as tuples."""
+        if self._elements is None:
+            return _tuples(self.sphere_rows(r))
+        return [self._elements[i] for i in self.sphere_indices(r)]
 
     @property
     def index(self):
@@ -234,22 +242,23 @@ def _tuples(rows: np.ndarray):
     return list(zip(*rows.T.tolist())) if rows.shape[1] else [()] * len(rows)
 
 
-def _row_elements(group, spheres, r):
-    return _tuples(spheres[r])
+def _lookup_rows(group, spheres, r):
+    return spheres[r]
 
 
-def _tree_elements(group, spheres, r):
-    """Normal forms of sphere r from (parent, slot) pairs: x = x_parent +
-    g_slot^-1, so the last of the r letters is that of g_slot^-1 and the
-    rest are the parent's, read by walking the links back to e."""
+def _tree_rows(group, spheres, r):
+    """The (m, r) letters of sphere r from (parent, slot) pairs: x =
+    x_parent + g_slot^-1, so the last of the r letters is that of g_slot^-1
+    and the rest are the parent's, read by walking the links back to e."""
     links = np.concatenate(spheres[:r + 1])
     letters = np.array([group.generators[k][0] for k in group.inverse_gen_index])
-    words = np.empty((len(spheres[r]), r), dtype=np.int64)
-    at = spheres[r]
+    parent, letter = links[:, 0], letters[links[:, 1]]
+    words = np.empty((r, len(spheres[r])), dtype=np.int64)
+    at = np.arange(len(links) - len(spheres[r]), len(links))
     for k in range(r - 1, -1, -1):
-        words[:, k] = letters[at[:, 1]]
-        at = links[at[:, 0]]
-    return _tuples(words)
+        words[k] = letter[at]
+        at = parent[at]
+    return words.T
 
 
 def build_ball(group: GroupModel, radius: int, max_vertices=None) -> CayleyBall:
@@ -267,10 +276,10 @@ def build_ball(group: GroupModel, radius: int, max_vertices=None) -> CayleyBall:
         raise ValueError("radius must be >= 0")
     cap = _vertex_cap(max_vertices)
     if group.tree:
-        expand, decode = _tree_sphere, _tree_elements
+        expand, decode = _tree_sphere, _tree_rows
         sphere = np.array([[EXTERIOR, EXTERIOR]])
     else:
-        expand, decode = _lookup_sphere, _row_elements
+        expand, decode = _lookup_sphere, _lookup_rows
         sphere = np.array([group.identity()], dtype=np.int64)
     spheres, starts, blocks = [sphere], [0, 1], []
     for r in range(radius + 1):
@@ -293,13 +302,16 @@ def build_ball(group: GroupModel, radius: int, max_vertices=None) -> CayleyBall:
 def check_ball_size(group: GroupModel, radius: int, max_vertices=None):
     """|B_R|, group.ball_size(radius), or None where the family has no
     closed form; a ball past the vertex cap raises BallSizeError, as
-    build_ball would, before anything is built."""
-    n = group.ball_size(radius)
-    if n is not None:
-        cap = _vertex_cap(max_vertices)
-        if n > cap:
-            raise _cap_error(group, radius, cap)
-    return n
+    build_ball would, before anything is built, and before any |B_r| for r
+    past twice the first radius 1, 2, 4, ... whose ball passes the cap."""
+    if group.ball_size(0) is None:
+        return None
+    cap, r = _vertex_cap(max_vertices), 1
+    while r < radius and group.ball_size(r) <= cap:
+        r *= 2
+    if r < radius or group.ball_size(radius) > cap:
+        raise _cap_error(group, radius, cap)
+    return group.ball_size(radius)
 
 
 def cell_graph(group: GroupModel, radius: int, max_vertices=None):

@@ -22,15 +22,14 @@ p = 2 route assembles the (SPD) graph Laplacian on free cells and solves
 it; other exponents run damped Newton steps on the D(p) energy (the same
 Laplacian with |d|^(p-2) weights, the same inner solve, Armijo
 backtracking), warm-started from the p = 2 solution.  The inner solve
-factors a narrow system directly, as a band: cells are numbered sphere by
-sphere, so a cell system couples only neighbouring spheres, and the
-capacity cells of Z^1, of Z^2 up to R = 154, of Z^3 up to R = 31, of H3
-up to R = 7 and of F_k, with every Newton Hessian on them, take this
-route.  Wide systems stay on a Jacobi-preconditioned conjugate gradient
-loop of this module's own, in the arithmetic of scipy's cg, which falls
-back to sparse LU only when CG has not converged after one iteration per
-unknown: harmonic extensions on single vertices and larger cell systems,
-whose band would cost more time or memory than CG (BAND_MAX_FILL).
+factors a narrow system as a band: the capacity cells of Z^1, of Z^2 up to
+R = 154, of Z^3 up to R = 31, of H3 up to R = 7 and of F_k, with every
+Newton Hessian on them.  A wider 2-D system, Z^2 cells up to R = 361 and
+Z^2 vertices up to R = 128, gets a sparse LU factor (SuperLU).  The rest,
+H3, Z^3 and F_k vertices and larger cell systems, runs a Jacobi-
+preconditioned conjugate gradient loop of this module's own, in the
+arithmetic of scipy's cg, which falls back to sparse LU only when CG has
+not converged after one iteration per unknown (BAND_MAX_FILL).
 """
 
 from __future__ import annotations
@@ -55,31 +54,29 @@ DESCENT_GRAD_TOL = 1e-8
 # The slowest measured capacity (Z^2, Z^3, F_2, H3; p in {1.25, 1.5, 3, 6})
 # that converges at a Newton rate takes 122 steps (Z^3, p = 1.5, R = 8).
 NEWTON_MAX_ITER = 200
-# An SPD system of m unknowns and band width bw (the largest col - row of
-# its CSR) is factored as a band when its band, (bw + 1) m entries, is at
-# most BAND_MAX_FILL times its nnz.  Cells are numbered sphere by sphere
-# (word length, then orbit key), so a cell couples only to cells one
-# sphere away and cell systems are narrow.
-# Best of 5 single solves on a 2-CPU VM, two BLAS threads ('zero':
-# capacity cells, 'ball': harmonic extensions on vertices); on the one
-# thread that import caylex now defaults to, the band is faster still
-# (Z^2 R=128 cells: 2.4 ms).  The H3 cell rows are taken on one thread;
-# H3 capacity cells band up to R = 7 (band/nnz 15.7):
-#   system               m     bw  band/nnz    CG        band
-#   Z^1 R=512 cells     511     1     0.7     9.1 ms    0.08 ms
-#   Z^2 R=48 cells      599    25     5.5     3.2 ms    1.1 ms
-#   Z^2 R=128 cells    4159    65    13.4    13.6 ms    4.3 ms
-#   Z^3 R=16 cells      173    29     5.7     0.58 ms   0.30 ms
-#   Z^3 R=32 cells     1136   100    16.8     1.9 ms    1.7 ms
-#   H3 R=12 cells       796   385    91       0.68 ms   2.9 ms
-#   H3 R=16 cells      2714  1025   231       2.3 ms   29 ms
-#   Z^2 R=64 vertices  8065   252    51      18 ms     34 ms
-#   H3 R=12 vertices   6281  1972   461       3.4 ms    -
-# 16 takes the rows where the band clearly wins.  It also bounds the band's
-# memory by a multiple of L's, which keeps large systems on CG: a flop rule
-# (bw^2 <= nnz) would band the Z^2 R=512 cells (peak RSS 214 -> 277 MB)
-# and, at the vertex cap, allocate a band of about 4 GB.
+# _solve_narrow's routes for an SPD system of m unknowns and band width bw
+# (the largest col - row of its CSR).  Cells are numbered sphere by sphere
+# (word length, then orbit key), so a cell couples only to cells one sphere
+# away and bw spans about two spheres.  The band takes a system whose band,
+# (bw + 1) m entries, is at most BAND_MAX_FILL times its nnz, which bounds
+# its memory by a multiple of L's: a flop rule (bw^2 <= nnz) would band the
+# Z^2 R=512 cells (peak RSS 214 -> 277 MB).  SuperLU takes a wider system
+# with bw^2 <= 8 m, a 2-D one, whose nested-dissection fill is O(m log m):
+# Z^2 cells (bw^2 / m = 1) and vertices (below 8), not Z^3 cells (about
+# R / 4) or H3.  Its factor peaks about 0.7 kB per unknown above CG (Z^2
+# cells at R = 256, 384, 512: +11, +26, +48 MB), so LU_MAX_UNKNOWNS keeps
+# Z^2 cells past R = 361 on CG.  Best of 5 single solves on one BLAS thread
+# of a 2-CPU VM ('zero': capacity cells, 'ball': harmonic extensions on
+# vertices), in ms, * the route taken:
+#   system               m     bw  band/nnz bw^2/m   band     LU      CG
+#   Z^3 R=32 cells     1136    96    16.1     8.1     1.9     4.2   *3.2
+#   Z^2 R=256 cells   16511   128    26       1.0    27     *31     198
+#   Z^2 R=64 vertices  8065   252    51       7.9    38     *18      28
+#   Z^3 R=64 cells     8161   363    56      16      41      61     *16
+#   H3 R=12 vertices   6281  1972   461     619     404      31     *3.6
+#   F_2 R=8 vertices   4373  2916   973    1944     426       1.3   *1.3
 BAND_MAX_FILL = 16
+LU_MAX_UNKNOWNS = 32768
 TREND_THETA_SMALL = 0.05      # a parabolic trend ends below this capacity
 TREND_THETA_LARGE = 0.2       # a non-parabolic trend levels off above it
 
@@ -170,16 +167,22 @@ def _graph_cells(graph, x0: np.ndarray, fixed: np.ndarray, zero: bool) -> _Cells
 
 
 def _setup(problem: EnergyProblem) -> Tuple[np.ndarray, _Cells]:
-    """(ranks, q): the problem q on the cells of its ball, ranks the cell
-    of each vertex, ball.orbit_ranks when the pins are constant on those
-    cells and single vertices otherwise."""
-    ball = problem.ball
+    """(ranks, q): the problem q on the cells of its ball (_ball_cells)."""
+    c = problem.constraints
+    return _ball_cells(problem.ball, _pin_indices(problem),
+                       np.fromiter(c.values(), dtype=float, count=len(c)),
+                       problem.convention == "zero")
+
+
+def _ball_cells(ball: CayleyBall, pins: np.ndarray, values: np.ndarray,
+                zero: bool) -> Tuple[np.ndarray, _Cells]:
+    """(ranks, q): the problem q with the given values on the vertices
+    pins, on the cells of the ball, ranks the cell of each vertex:
+    ball.orbit_ranks when the pins are constant on those cells and single
+    vertices otherwise."""
     n = ball.n_vertices
-    pins = _pin_indices(problem)
     u0, pinned = np.zeros(n), np.zeros(n, dtype=bool)
-    u0[pins] = np.fromiter(problem.constraints.values(), dtype=float,
-                           count=len(pins))
-    pinned[pins] = True
+    u0[pins], pinned[pins] = values, True
     ranks = ball.orbit_ranks
     k = int(ranks.max()) + 1
     x0, fixed = np.zeros(k), np.zeros(k, dtype=bool)
@@ -190,7 +193,7 @@ def _setup(problem: EnergyProblem) -> Tuple[np.ndarray, _Cells]:
         ranks, x0, fixed = np.arange(n), u0, pinned
         graph = (ball.word_length, np.ones(n),
                  np.where(ball.nbr == EXTERIOR, n, ball.nbr))
-    return ranks, _graph_cells(graph, x0, fixed, problem.convention == "zero")
+    return ranks, _graph_cells(graph, x0, fixed, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +250,7 @@ def _solve_spd(L, b: np.ndarray) -> np.ndarray:
     CG_RTOL |b|, checked after every update, the m-th too (scipy's cg
     checks only before each, so it calls a system solved by its m-th
     update unconverged).  The caller certifies the answer.  It serves the
-    systems whose band _solve_narrow finds too wide, and any it cannot
-    factor."""
+    systems _solve_narrow does not factor, and any it cannot."""
     m = len(b)
     bnorm = np.linalg.norm(b)
     x, r, p = np.zeros(m), b.copy(), np.zeros(m)
@@ -275,9 +277,11 @@ def _solve_spd(L, b: np.ndarray) -> np.ndarray:
 def _solve_narrow(L, b: np.ndarray) -> np.ndarray:
     """Solve the SPD system L x = b (L in CSR, as _laplacian builds it) by a
     banded Cholesky factorisation (LAPACK pbsv) when its band is at most
-    BAND_MAX_FILL times its nnz, and by _solve_spd otherwise or when the
-    factorisation finds L not positive definite, so this route adds no
-    failure mode.  The band is copied from L's CSR."""
+    BAND_MAX_FILL times its nnz, else by SuperLU (minimum degree on L + L^T,
+    symmetric mode) when bw^2 <= 8 m <= 8 LU_MAX_UNKNOWNS, and by _solve_spd
+    otherwise or when a factorisation finds L not positive definite or
+    singular, so these routes add no failure mode.  The band is copied from
+    L's CSR."""
     m = len(b)
     rows = np.repeat(np.arange(m), np.diff(L.indptr))
     offset = L.indices - rows
@@ -290,15 +294,20 @@ def _solve_narrow(L, b: np.ndarray) -> np.ndarray:
             return sla.solveh_banded(ab, b, overwrite_ab=True, check_finite=False)
         except np.linalg.LinAlgError:
             pass
+    elif bw * bw <= 8 * m <= 8 * LU_MAX_UNKNOWNS:
+        try:
+            return spla.splu(L.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                             options={"SymmetricMode": True}).solve(b)
+        except RuntimeError:            # exactly singular
+            pass
     return _solve_spd(L, b)
 
 
 def _solve_linear(q: _Cells) -> Tuple[np.ndarray, float]:
     """Minimize the p=2 energy: solve the cell Laplacian on free cells by
-    _solve_narrow (a band factorisation when the system is narrow, else
-    CG) and certify the full-ball residual, |Lx - b| <=
-    LINEAR_RESIDUAL_TOL |b| in the norm _Cells.norm, else raise
-    SolverFailure.
+    _solve_narrow (a band or SuperLU factorisation, else CG) and certify
+    the full-ball residual, |Lx - b| <= LINEAR_RESIDUAL_TOL |b| in the norm
+    _Cells.norm, else raise SolverFailure.
 
     Under the 'zero' convention every vertex has full degree |S| (missing
     neighbors are pinned to 0); under 'ball' the degree is the in-ball
@@ -324,8 +333,8 @@ def _newton(x0: np.ndarray, p: float, q: _Cells) -> Tuple[np.ndarray, int, float
     eps = |g|^2 clamped to [1e-12, 1e-2] (g the free gradient, |g| its
     full-ball norm): the floor bounds the weights for p < 2 and keeps L
     definite for p > 2.  The step solves 2 L s = -g by _solve_narrow, which
-    factors a Hessian as a band when its pattern, that of the p = 2
-    system, is narrow, and leaves the rest to CG; a step that is not
+    factors a Hessian as a band or by SuperLU when its pattern, that of the
+    p = 2 system, allows, and leaves the rest to CG; a step that is not
     finite or not a descent direction becomes the full-ball -g.
     """
     src, dst, ext = q.edges
@@ -549,20 +558,24 @@ def null_sequence(scan: CapacityScan) -> List[NullSequenceTerm]:
 # Royden split experiment
 
 def royden_source(group: GroupModel, name: str, damping: float = 0.5):
+    """The source on each row of one sphere (CayleyBall.sphere_rows)."""
     if name in ("green-like", "coordinate") and not isinstance(group, ZdGroup):
         raise ValueError(f"{name} source is defined on Z^d")
     if name == "green-like":
-        return lambda x: 1.0 / max(1, max(abs(a) for a in x))
+        return lambda x: 1.0 / np.maximum(1, np.abs(x).max(axis=1))
     if name == "coordinate":
-        return lambda x: float(x[0])
+        return lambda x: x[:, 0].astype(float)
     if name == "end-separating":
         if not isinstance(group, FreeGroup) or group.k < 2:
             raise ValueError("end-separating source is defined on F_k, k >= 2")
         # words starting with a^{+-1} get +-(1 - damping^len), others 0
-        return lambda w: ((1.0 - damping ** len(w)) * w[0]
-                          if w and abs(w[0]) == 1 else 0.0)
+        def end_separating(w):
+            first = w[:, :1].sum(axis=1)        # 0 for the empty word
+            return np.where(abs(first) == 1,
+                            (1.0 - damping ** w.shape[1]) * first, 0.0)
+        return end_separating
     if name == "constant":
-        return lambda x: 1.0
+        return lambda x: np.ones(len(x))
     raise ValueError(f"unknown royden source {name!r}")
 
 
@@ -609,11 +622,11 @@ def royden_split(group: GroupModel, source: str, radii: Sequence[int],
 
     def step(R):
         sub = ball.restrict(R)
-        pins = dict(zip(sub.sphere_indices(R).tolist(),
-                        map(f, sub.sphere_elements(R))))
-        rep = harmonic_extension(EnergyProblem(sub, 2.0, pins, "ball"))
-        vals = rep.minimizer.values
-        return RoydenEntry(R, rep.energy, float(vals.max()), float(vals.min()))
+        q = _ball_cells(sub, sub.sphere_indices(R), f(sub.sphere_rows(R)),
+                        False)[1]
+        x = _solve_linear(q)[0]         # each cell holds a vertex of sub
+        return RoydenEntry(R, _energy(x, 2.0, q), float(x.max()),
+                           float(x.min()))
 
     entries = _scan(radii, step, f"royden split of {group.name} at ")
     return RoydenReport(source, radii, entries,

@@ -1,3 +1,8 @@
+# caylex first: it sets the library's one-BLAS-thread default, which takes
+# effect only if numpy has not been imported yet, so every test runs on it
+import caylex  # noqa: F401
+
+
 def word_element(group, gen_indices):
     """Product of generators of ``group`` by index, left to right."""
     x = group.identity()

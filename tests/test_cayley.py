@@ -95,6 +95,25 @@ def test_sphere_elements_decode_only_their_sphere(group, R):
 
 
 @pytest.mark.parametrize("group,R", [
+    *[(make_group(spec), R) for spec in ["Z^2", "H3", "F_2"] for R in (0, 4)],
+    (Cyclic5(), 6),
+], ids=lambda v: getattr(v, "name", v))
+def test_sphere_rows_are_the_sphere_elements(group, R):
+    """sphere_rows gives the elements of sphere_elements as int rows, from
+    the sphere decoder and, once ``elements`` is read, from the elements;
+    restrict shares them."""
+    ball = build_ball(group, R)
+    for read in (False, True):
+        for b in (ball, ball.restrict(R // 2)):
+            for r in range(b.radius + 1):
+                rows = b.sphere_rows(r)
+                assert rows.dtype == np.int64
+                assert [tuple(x) for x in rows.tolist()] == b.sphere_elements(r)
+        assert (ball._elements is not None) == read
+        ball.elements
+
+
+@pytest.mark.parametrize("group,R", [
     *[(make_group(spec), 5)
       for spec in ["Z^1", "Z^2", "Z^3", "F_1", "F_2", "H3"]],
     (Cyclic5(), 6),              # past the diameter 2 of Z/5
@@ -520,6 +539,26 @@ def test_ball_cell_graph_equals_the_closed_form(spec, R):
     assert built[2].max() <= k
     assert np.array_equal(np.sort(built[2], axis=1),
                           np.sort(np.where(closed[2] < k, closed[2], k), axis=1))
+
+
+@pytest.mark.parametrize("spec,last", [("F_2", 13), ("F_3", 9)])
+def test_free_group_cap_is_checked_without_huge_ball_sizes(spec, last,
+                                                           monkeypatch):
+    """The last radius under the default cap passes and the next raises; a
+    radius of 10**7 raises having evaluated |B_r| only for r up to twice
+    the first radius past the cap, not (2k - 1)^(10**7)."""
+    monkeypatch.delenv("CAYLEX_MAX_VERTICES", raising=False)
+    group = make_group(spec)
+    assert group.ball_size(last) <= cayley.DEFAULT_MAX_VERTICES
+    assert cayley.check_ball_size(group, last) == group.ball_size(last)
+    with pytest.raises(BallSizeError, match=f"R={last + 1} exceeds"):
+        cayley.check_ball_size(group, last + 1)
+    evaluated, ball_size = [], group.ball_size
+    monkeypatch.setattr(group, "ball_size",
+                        lambda R: evaluated.append(R) or ball_size(R))
+    with pytest.raises(BallSizeError, match="R=10000000 exceeds vertex cap"):
+        cayley.check_ball_size(group, 10 ** 7)
+    assert max(evaluated) <= 2 * (last + 1)
 
 
 def test_cell_graph_is_refused_past_the_cap_before_it_is_built(monkeypatch):

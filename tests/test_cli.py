@@ -347,6 +347,7 @@ def test_capacity_solver_failure_exit_code(monkeypatch, capsys):
 
 def test_royden_solver_failure_names_the_radius(monkeypatch, capsys):
     monkeypatch.setattr(dirichlet, "BAND_MAX_FILL", 0)     # every system on CG
+    monkeypatch.setattr(dirichlet, "LU_MAX_UNKNOWNS", 0)
     monkeypatch.setattr(dirichlet, "_solve_spd",
                         lambda L, b: np.full(len(b), 7.0))
     assert main(["royden", "--group", "F_2", "--source", "end-separating",

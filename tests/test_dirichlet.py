@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -225,6 +226,7 @@ P2_SYSTEMS = [("Z^3", 8, "zero"), ("H3", 6, "zero"),
 @pytest.mark.parametrize("spec,R,convention", P2_SYSTEMS)
 def test_cg_route_agrees_with_sparse_lu(spec, R, convention, monkeypatch):
     monkeypatch.setattr(dirichlet, "BAND_MAX_FILL", 0)     # every system on CG
+    monkeypatch.setattr(dirichlet, "LU_MAX_UNKNOWNS", 0)
     problem = _p2_problem(spec, R, convention)
     rep = solve(problem)
     assert rep.solver == "direct-linear"
@@ -239,6 +241,7 @@ def test_cg_route_agrees_with_sparse_lu(spec, R, convention, monkeypatch):
 def test_sparse_lu_fallback_when_cg_stops_early(spec, R, convention,
                                                 monkeypatch):
     monkeypatch.setattr(dirichlet, "BAND_MAX_FILL", 0)     # every system on CG
+    monkeypatch.setattr(dirichlet, "LU_MAX_UNKNOWNS", 0)
     problem = _p2_problem(spec, R, convention)
     want = solve(problem).minimizer.values
     calls = _count_spsolve(monkeypatch)
@@ -286,6 +289,7 @@ CG_CASES = [*P2_SYSTEMS, ("Z^2", 32, "zero"), "Z^2 p=3 Newton R=16", "b = 0"]
 def test_cg_loop_matches_scipy_cg(case, monkeypatch):
     """_solve_spd runs scipy's Jacobi-PCG recurrence: bit-identical."""
     monkeypatch.setattr(dirichlet, "BAND_MAX_FILL", 0)     # every system on CG
+    monkeypatch.setattr(dirichlet, "LU_MAX_UNKNOWNS", 0)
     if case == "Z^2 p=3 Newton R=16":
         # every Newton Hessian, the first taken at the p = 2 solution
         systems = _recorded_systems(
@@ -315,6 +319,7 @@ def test_cg_converging_on_its_last_step_needs_no_lu(run, want, monkeypatch):
     """CG that reaches its tolerance on the m-th update of an m-unknown
     system (every Z^1 capacity; F_2 Newton steps) keeps its answer."""
     monkeypatch.setattr(dirichlet, "BAND_MAX_FILL", 0)     # every system on CG
+    monkeypatch.setattr(dirichlet, "LU_MAX_UNKNOWNS", 0)
     calls = _count_spsolve(monkeypatch)
     assert run() == pytest.approx(want, rel=1e-12)
     assert calls == []
@@ -326,13 +331,15 @@ def test_capacity_z3_r16_unchanged_by_cg():
         8.163002773376352, rel=1e-12)
 
 
-# the route of each system, by its band fill (bw + 1) m / nnz
+# the route of each system, by its band fill (bw + 1) m / nnz, then by
+# bw^2 / m and m for the factor
 BAND_ROUTES = [("Z^1", 512, "zero", "band"), ("Z^2", 48, "zero", "band"),
                ("Z^2", 128, "zero", "band"), ("Z^3", 16, "zero", "band"),
                ("F_2", 9, "zero", "band"), ("Z^3", 32, "zero", "CG"),
                ("H3", 12, "zero", "CG"), ("H3", 16, "zero", "CG"),
-               ("Z^2", 64, "ball", "CG"), ("H3", 12, "ball", "CG"),
-               ("F_2", 8, "ball", "CG")]
+               ("Z^2", 64, "ball", "LU"), ("H3", 12, "ball", "CG"),
+               ("F_2", 8, "ball", "CG"), ("Z^2", 256, "zero", "LU"),
+               ("Z^3", 64, "zero", "CG")]
 
 
 def _solve_narrow_counted(L, b, monkeypatch):
@@ -344,6 +351,23 @@ def _solve_narrow_counted(L, b, monkeypatch):
     return got[0], len(cg_calls)
 
 
+def _solve_narrow_route(L, b, monkeypatch):
+    """dirichlet._solve_narrow(L, b) and its route: 'LU' when it factored
+    L by spla.splu, 'CG' when it called _solve_spd, 'LU then CG' when it
+    did both, and 'band' when it did neither."""
+    factored, splu = [], spla.splu
+
+    def counted(A, **options):
+        factored.append(A.shape)
+        return splu(A, **options)
+
+    with monkeypatch.context() as m:
+        m.setattr(spla, "splu", counted)
+        x, cg_calls = _solve_narrow_counted(L, b, m)
+    routes = ["LU"] * len(factored) + ["CG"] * cg_calls
+    return x, " then ".join(routes) or "band"
+
+
 def _relative_error(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
@@ -351,10 +375,33 @@ def _relative_error(got, want):
 @pytest.mark.parametrize("spec,R,convention,route", BAND_ROUTES)
 def test_narrow_systems_take_the_band(spec, R, convention, route, monkeypatch):
     L, b = _p2_system(spec, R, convention)
-    x, cg_calls = _solve_narrow_counted(L, b, monkeypatch)
-    assert cg_calls == {"band": 0, "CG": 1}[route]
-    if route == "band":
+    x, got = _solve_narrow_route(L, b, monkeypatch)
+    assert got == route
+    if route != "CG":
         assert _relative_error(x, spla.spsolve(L.tocsc(), b)) <= 1e-12
+
+
+def test_factor_route_is_bounded_by_its_unknowns(monkeypatch):
+    L, b = _p2_system("Z^2", 64, "ball")
+    m = L.shape[0]
+    monkeypatch.setattr(dirichlet, "LU_MAX_UNKNOWNS", m - 1)
+    assert _solve_narrow_route(L, b, monkeypatch)[1] == "CG"
+    monkeypatch.setattr(dirichlet, "LU_MAX_UNKNOWNS", m)
+    assert _solve_narrow_route(L, b, monkeypatch)[1] == "LU"
+
+
+def test_singular_factor_falls_back_to_cg(monkeypatch):
+    # wide for the band, 2-D enough for the factor (bw^2 = 784 <= 8 m);
+    # the block [[1, -1], [-1, 1]] on unknowns 0 and 28 is singular, and
+    # CG solves the consistent system
+    L = sp.lil_matrix(np.eye(100))
+    L[0, 28] = L[28, 0] = -1.0
+    L = L.tocsr()
+    b = np.zeros(100)
+    b[0], b[28], b[50] = 1.0, -1.0, 2.0
+    x, route = _solve_narrow_route(L, b, monkeypatch)
+    assert route == "LU then CG"
+    assert np.allclose(L @ x, b, rtol=0.0, atol=1e-14)
 
 
 def test_newton_hessians_take_the_band(monkeypatch):
@@ -567,7 +614,7 @@ def test_royden_split_builds_one_ball(spec, source, radii, monkeypatch):
     for R, entry in zip(radii, rep.entries):
         ball = build_ball(group, R)
         pins = dict(zip(ball.sphere_indices(R).tolist(),
-                        map(f, ball.sphere_elements(R))))
+                        f(ball.sphere_rows(R)).tolist()))
         want = harmonic_extension(EnergyProblem(ball, 2.0, pins, "ball"))
         vals = want.minimizer.values
         assert (entry.radius, entry.energy, entry.sup, entry.inf) == \
@@ -582,13 +629,18 @@ def test_scans_reject_a_bad_schedule(radii):
         parabolicity_scan(make_group("Z^2"), 2.0, radii)
 
 
+def _at(source, x):
+    """The source's value on the one element x."""
+    return source(np.array([x], dtype=np.int64))[0]
+
+
 def test_royden_sources():
-    f = royden_source(make_group("Z^3"), "green-like")
+    f = partial(_at, royden_source(make_group("Z^3"), "green-like"))
     assert f((0, 0, 0)) == 1.0
     assert f((3, -1, 2)) == pytest.approx(1.0 / 3.0)
-    g = royden_source(make_group("Z^2"), "coordinate")
+    g = partial(_at, royden_source(make_group("Z^2"), "coordinate"))
     assert g((4, -7)) == 4.0
-    h = royden_source(make_group("F_2"), "end-separating")
+    h = partial(_at, royden_source(make_group("F_2"), "end-separating"))
     assert h(()) == 0.0
     assert h((1, 1)) == pytest.approx(0.75)
     assert h((-1,)) == pytest.approx(-0.5)
@@ -597,6 +649,34 @@ def test_royden_sources():
         royden_source(make_group("F_2"), "green-like")
     with pytest.raises(ValueError):
         royden_source(Z1, "nope")
+
+
+def _element_source(name, damping):
+    """The source on one element, as a formula of its tuple."""
+    return {"green-like": lambda x: 1.0 / max(1, max(abs(a) for a in x)),
+            "coordinate": lambda x: float(x[0]),
+            "constant": lambda x: 1.0,
+            "end-separating": lambda w: ((1.0 - damping ** len(w)) * w[0]
+                                         if w and abs(w[0]) == 1 else 0.0),
+            }[name]
+
+
+@pytest.mark.parametrize("spec,name,damping", [
+    *[(spec, name, 0.5) for spec in ("Z^2", "Z^3")
+      for name in ("green-like", "coordinate", "constant")],
+    *[(spec, "end-separating", damping) for spec in ("F_2", "F_3")
+      for damping in (0.5, 0.3)]])
+def test_royden_sources_match_the_element_formulas(spec, name, damping):
+    """On every sphere of B_6, the source of the sphere rows is the formula
+    on each element, bit for bit."""
+    group = make_group(spec)
+    source, formula = royden_source(group, name, damping), \
+        _element_source(name, damping)
+    ball = build_ball(group, 6)
+    for r in range(7):
+        got = source(ball.sphere_rows(r))
+        want = np.array([formula(x) for x in ball.sphere_elements(r)])
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_royden_constant_source_vanishes():
@@ -686,7 +766,7 @@ def test_pins_off_the_cells_fall_back_to_single_vertices():
     sphere = ball.sphere_indices(5)
     source = royden_source(f2, "end-separating")
     royden_step = EnergyProblem(ball, 2.0, dict(zip(
-        sphere.tolist(), map(source, ball.sphere_elements(5)))), "ball")
+        sphere.tolist(), source(ball.sphere_rows(5)).tolist())), "ball")
     harmonic = _p2_problem("Z^2", 8, "ball")
     for problem in (royden_step, harmonic):
         n = problem.ball.n_vertices
@@ -705,7 +785,7 @@ def test_royden_cell_energy_is_the_lift_energy():
     ball = build_ball(group, 4)
     f = royden_source(group, "green-like")
     problem = EnergyProblem(ball, 2.0, dict(zip(
-        ball.sphere_indices(4).tolist(), map(f, ball.sphere_elements(4)))),
+        ball.sphere_indices(4).tolist(), f(ball.sphere_rows(4)).tolist())),
         "ball")
     assert dirichlet._setup(problem)[0] is ball.orbit_ranks
     rep = harmonic_extension(problem)
@@ -718,8 +798,8 @@ def test_vertex_route_energy_is_the_lift_energy_exactly():
     ball = build_ball(f2, 5)
     source = royden_source(f2, "end-separating")
     royden_step = EnergyProblem(ball, 2.0, dict(zip(
-        ball.sphere_indices(5).tolist(), map(source, ball.sphere_elements(5)))),
-        "ball")
+        ball.sphere_indices(5).tolist(),
+        source(ball.sphere_rows(5)).tolist())), "ball")
     for problem in (royden_step, _p2_problem("Z^2", 8, "ball")):
         rep = solve(problem)
         assert rep.energy == dirichlet_seminorm_pow(rep.minimizer, 2.0)

@@ -84,6 +84,7 @@ class CayleyBall:
         self._decode_sphere = decode_sphere
         self._nbr = nbr
         self._ranks = ranks
+        self._cells = None
         self.word_length = word_length    # (n,) int array
         self.interior = word_length < radius if radius > 0 else word_length < 0
         counts = np.bincount(word_length, minlength=radius + 1)
@@ -111,13 +112,16 @@ class CayleyBall:
     def cell_graph(self):
         """The cells orbit_ranks in GroupModel.cell_graph's format,
         (word_length, sizes, nbr) over the k cells: row a of nbr holds the
-        cells of the slots of the first vertex of cell a, k for EXTERIOR."""
-        ranks = self.orbit_ranks
-        first = np.unique(ranks, return_index=True)[1]
-        k = len(first)
-        nbr = self.nbr[first]
-        nbr = np.where(nbr == EXTERIOR, k, ranks[nbr])
-        return self.word_length[first], np.bincount(ranks, minlength=k), nbr
+        cells of the slots of the first vertex of cell a, k for EXTERIOR.
+        Built on the first call and then cached."""
+        if self._cells is None:
+            ranks = self.orbit_ranks
+            first = np.unique(ranks, return_index=True)[1]
+            nbr, k = self.nbr[first], len(first)
+            self._cells = (self.word_length[first],
+                           np.bincount(ranks, minlength=k),
+                           np.where(nbr == EXTERIOR, k, ranks[nbr]))
+        return self._cells
 
     @property
     def elements(self):
@@ -136,12 +140,6 @@ class CayleyBall:
             return self._decode_sphere(r)
         x = [self._elements[i] for i in indices]
         return np.array(x, dtype=np.int64).reshape(len(x), -1 if x else 0)
-
-    def sphere_elements(self, r: int):
-        """The elements of sphere r in index order, as tuples."""
-        if self._elements is None:
-            return _tuples(self.sphere_rows(r))
-        return [self._elements[i] for i in self.sphere_indices(r)]
 
     @property
     def index(self):
@@ -270,8 +268,8 @@ def build_ball(group: GroupModel, radius: int, max_vertices=None) -> CayleyBall:
     Lookup groups find products among the rows that group.right_products
     returns; tree groups (group.tree) need no lookup.  The vertex cap is
     checked before a sphere is allocated.  Elements are built on first
-    read of ``elements``, ``index`` or ``sphere_elements``, cells on first
-    read of ``orbit_ranks``."""
+    read of ``elements`` or ``index``, one sphere's rows on a read of
+    ``sphere_rows``, and cells on first read of ``orbit_ranks``."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     cap = _vertex_cap(max_vertices)
@@ -299,14 +297,14 @@ def build_ball(group: GroupModel, radius: int, max_vertices=None) -> CayleyBall:
                       partial(_orbit_ranks, group, spheres, word_length))
 
 
-def check_ball_size(group: GroupModel, radius: int, max_vertices=None):
+def check_ball_size(group: GroupModel, radius: int):
     """|B_R|, group.ball_size(radius), or None where the family has no
     closed form; a ball past the vertex cap raises BallSizeError, as
     build_ball would, before anything is built, and before any |B_r| for r
     past twice the first radius 1, 2, 4, ... whose ball passes the cap."""
     if group.ball_size(0) is None:
         return None
-    cap, r = _vertex_cap(max_vertices), 1
+    cap, r = _vertex_cap(), 1
     while r < radius and group.ball_size(r) <= cap:
         r *= 2
     if r < radius or group.ball_size(radius) > cap:
@@ -314,13 +312,13 @@ def check_ball_size(group: GroupModel, radius: int, max_vertices=None):
     return group.ball_size(radius)
 
 
-def cell_graph(group: GroupModel, radius: int, max_vertices=None):
+def cell_graph(group: GroupModel, radius: int):
     """The cells of B_R in closed form, group.cell_graph(radius), or None
     where the family has none.  |B_R| is checked against the vertex cap
     first (check_ball_size)."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    if check_ball_size(group, radius, max_vertices) is None:
+    if check_ball_size(group, radius) is None:
         return None
     return group.cell_graph(radius)
 
@@ -382,15 +380,15 @@ def window(group: GroupModel, seeds: Iterable[Element], closure: bool) -> Cayley
     return CayleyBall(group, 1, list(index), index, nbr, word_length)
 
 
-def edge_arrays(ball: CayleyBall):
-    """Directed in-ball pairs (src, dst) over all (vertex, generator) slots,
-    and the sources of exterior-incident slots."""
-    nbr = ball.nbr
-    n, nS = nbr.shape
-    src = np.repeat(np.arange(n), nS)
-    dst = nbr.ravel()
-    ext = dst == EXTERIOR
-    return src[~ext], dst[~ext], src[ext]
+def edge_arrays(nbr: np.ndarray, k: int):
+    """The slots of the first k rows of a neighbor table (of a ball, k =
+    |B_r| for its prefix B_r, or of a cell graph) in (row, slot) order:
+    the pairs (src, dst) that stay in those rows, and the sources ext of
+    those that leave them, holding EXTERIOR or an index >= k."""
+    src = np.repeat(np.arange(k), nbr.shape[1])
+    dst = nbr[:k].ravel()
+    inside = (dst != EXTERIOR) & (dst < k)
+    return src[inside], dst[inside], src[~inside]
 
 
 @dataclass(frozen=True)

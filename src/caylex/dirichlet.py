@@ -5,31 +5,34 @@ identity, capacity scans with trend verdicts, null-sequence construction
 from capacity minimizers, the Royden-split experiment, and a maximum
 principle check.
 
-Every problem is solved on a cell graph (word_length, sizes, nbr), the
-one input of a cell solve: the cells of an equitable partition of its
-ball, numbered by word length and then orbit key (CayleyBall.orbit_ranks),
-with the slots of each cell's first vertex.  The minimizer is constant on
+Every problem is solved on a cell graph (word_length, sizes, nbr), the one
+input of a cell solve: the cells of an equitable partition of its ball,
+numbered by word length and then orbit key (CayleyBall.orbit_ranks), with
+the slots of each cell's first vertex.  B_r is the index prefix of B_R, so
+its cells are the first rows of B_R's graph, and a solve on B_r drops the
+slots that leave them (cayley.edge_arrays).  The minimizer is constant on
 cells, so the graph, with slot multiplicities as weights, gives it, and
 its energy (funcspace.energy_value with those weights), residuals and
-gradient norms are those of its lift onto the whole ball; the report
-takes the energy from the cells.  A capacity scan takes the graph in
-closed form where the family has one (cayley.cell_graph: Z^d, F_k) and
-from one built ball otherwise (CayleyBall.cell_graph: H3), and lifts a
-minimizer onto a ball only when it is read.  A problem posed on a ball
-(harmonic extensions, the Royden split) takes its ball's graph when the
-pins are constant on the cells, and single vertices otherwise.  The
-p = 2 route assembles the (SPD) graph Laplacian on free cells and solves
-it; other exponents run damped Newton steps on the D(p) energy (the same
-Laplacian with |d|^(p-2) weights, the same inner solve, Armijo
-backtracking), warm-started from the p = 2 solution.  The inner solve
-factors a narrow system as a band: the capacity cells of Z^1, of Z^2 up to
-R = 154, of Z^3 up to R = 31, of H3 up to R = 7 and of F_k, with every
-Newton Hessian on them.  A wider 2-D system, Z^2 cells up to R = 361 and
-Z^2 vertices up to R = 128, gets a sparse LU factor (SuperLU).  The rest,
-H3, Z^3 and F_k vertices and larger cell systems, runs a Jacobi-
-preconditioned conjugate gradient loop of this module's own, in the
-arithmetic of scipy's cg, which falls back to sparse LU only when CG has
-not converged after one iteration per unknown (BAND_MAX_FILL).
+gradient norms are those of its lift onto the whole ball; the report takes
+the energy from the cells.  A capacity scan takes the graph in closed form
+where the family has one (cayley.cell_graph: Z^d, F_k) and from one built
+ball otherwise (CayleyBall.cell_graph: H3), and lifts a minimizer onto a
+ball only when it is read.  A problem posed on a ball (harmonic
+extensions; the Royden split, on prefixes of one ball) takes its ball's
+graph when the pins are constant on the cells, and its table nbr, each
+vertex a cell, otherwise.  The p = 2 route assembles the (SPD) graph
+Laplacian on free cells and solves it; other exponents run damped Newton
+steps on the D(p) energy (the same Laplacian with |d|^(p-2) weights, the
+same inner solve, Armijo backtracking), warm-started from the p = 2
+solution.  The inner solve factors a narrow system as a band: the capacity
+cells of Z^1, of Z^2 up to R = 154, of Z^3 up to R = 31, of H3 up to R = 7
+and of F_k, with every Newton Hessian on them.  A wider 2-D system, Z^2
+cells up to R = 361 and Z^2 vertices up to R = 128, gets a sparse LU
+factor (SuperLU).  The rest, H3, Z^3 and F_k vertices and larger cell
+systems, runs a Jacobi-preconditioned conjugate gradient loop of this
+module's own, in the arithmetic of scipy's cg, which falls back to sparse
+LU only when CG has not converged after one iteration per unknown
+(BAND_MAX_FILL).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cayley import EXTERIOR, CayleyBall, build_ball, cell_graph
+from .cayley import CayleyBall, build_ball, cell_graph, edge_arrays
 from .funcspace import BallFunction, FormalSum, energy_value, is_harmonic
 from .groups import FreeGroup, GroupModel, ZdGroup
 
@@ -153,37 +156,34 @@ def _pin_indices(problem: EnergyProblem) -> np.ndarray:
 def _graph_cells(graph, x0: np.ndarray, fixed: np.ndarray, zero: bool) -> _Cells:
     """The problem on the first k = len(x0) cells of a cell graph
     (word_length, sizes, nbr), those of B_r for some r: x0 holds their
-    pinned values and fixed marks them, and a slot that holds a number
-    >= k leaves B_r, into the zero exterior under 'zero'."""
+    pinned values and fixed marks them, and a slot that leaves them
+    (cayley.edge_arrays) leaves B_r, into the zero exterior under 'zero'."""
     k = len(x0)
     sizes = graph[1][:k].astype(float)
-    nbr = graph[2][:k]
-    src = np.repeat(np.arange(k), nbr.shape[1])
-    dst = nbr.ravel()
-    inside = dst < k
-    src, dst, ext = src[inside], dst[inside], src[~inside]
+    src, dst, ext = edge_arrays(graph[2], k)
     return _Cells(sizes, x0, np.flatnonzero(~fixed), (src, dst, ext),
                   sizes[src], sizes[ext] * float(zero))
 
 
 def _setup(problem: EnergyProblem) -> Tuple[np.ndarray, _Cells]:
     """(ranks, q): the problem q on the cells of its ball (_ball_cells)."""
-    c = problem.constraints
-    return _ball_cells(problem.ball, _pin_indices(problem),
+    ball, c = problem.ball, problem.constraints
+    return _ball_cells(ball, ball.radius, _pin_indices(problem),
                        np.fromiter(c.values(), dtype=float, count=len(c)),
                        problem.convention == "zero")
 
 
-def _ball_cells(ball: CayleyBall, pins: np.ndarray, values: np.ndarray,
+def _ball_cells(ball: CayleyBall, r: int, pins: np.ndarray, values: np.ndarray,
                 zero: bool) -> Tuple[np.ndarray, _Cells]:
     """(ranks, q): the problem q with the given values on the vertices
-    pins, on the cells of the ball, ranks the cell of each vertex:
-    ball.orbit_ranks when the pins are constant on those cells and single
-    vertices otherwise."""
-    n = ball.n_vertices
+    pins, on the prefix B_r of the ball, ranks the cell of each vertex of
+    B_r: ball.orbit_ranks (its prefix) when the pins are constant on those
+    cells, on the ball's cell graph, and single vertices, on its nbr,
+    otherwise."""
+    n = sum(ball.sphere_sizes[:r + 1])
     u0, pinned = np.zeros(n), np.zeros(n, dtype=bool)
     u0[pins], pinned[pins] = values, True
-    ranks = ball.orbit_ranks
+    ranks = ball.orbit_ranks if r == ball.radius else ball.orbit_ranks[:n]
     k = int(ranks.max()) + 1
     x0, fixed = np.zeros(k), np.zeros(k, dtype=bool)
     x0[ranks], fixed[ranks] = u0, pinned
@@ -191,8 +191,7 @@ def _ball_cells(ball: CayleyBall, pins: np.ndarray, values: np.ndarray,
         graph = ball.cell_graph()
     else:
         ranks, x0, fixed = np.arange(n), u0, pinned
-        graph = (ball.word_length, np.ones(n),
-                 np.where(ball.nbr == EXTERIOR, n, ball.nbr))
+        graph = ball.word_length, np.ones(ball.n_vertices), ball.nbr
     return ranks, _graph_cells(graph, x0, fixed, zero)
 
 
@@ -615,16 +614,15 @@ def royden_split(group: GroupModel, source: str, radii: Sequence[int],
                  damping: float = 0.5) -> RoydenReport:
     """For each R, pin the source on the sphere of radius R and solve the
     p = 2 Dirichlet problem on the interior; report the (ball-only) energy
-    trend of the harmonic extensions."""
+    trend of the harmonic extensions, each on a prefix of one ball."""
     f = royden_source(group, source, damping)
     radii = _radii(radii)
     ball = build_ball(group, radii[-1])
 
     def step(R):
-        sub = ball.restrict(R)
-        q = _ball_cells(sub, sub.sphere_indices(R), f(sub.sphere_rows(R)),
-                        False)[1]
-        x = _solve_linear(q)[0]         # each cell holds a vertex of sub
+        q = _ball_cells(ball, R, ball.sphere_indices(R),
+                        f(ball.sphere_rows(R)), False)[1]
+        x = _solve_linear(q)[0]         # each cell holds a vertex of B_R
         return RoydenEntry(R, _energy(x, 2.0, q), float(x.max()),
                            float(x.min()))
 

@@ -271,8 +271,8 @@ def dirichlet_seminorm_pow(alpha: Carrier, p: float) -> float:
     """sum_{g in S} ||alpha*(g-1)||_p^p."""
     p = _check_p(p)
     (f,), _, _ = _lift([alpha])
-    return energy_value(f.values, p, *edge_arrays(f.ball), 1.0,
-                        float(f.convention == "zero"))
+    edges = edge_arrays(f.ball.nbr, f.ball.n_vertices)
+    return energy_value(f.values, p, *edges, 1.0, float(f.convention == "zero"))
 
 
 def lp_norm(alpha: Carrier, p: float) -> float:

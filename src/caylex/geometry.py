@@ -18,8 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .cayley import (EXTERIOR, BallSizeError, CayleyBall, SubsetView,
-                     build_ball, vertex_boundary, vertex_boundary_elements)
+from .cayley import EXTERIOR, BallSizeError, CayleyBall, build_ball, window
 from .funcspace import (BallFunction, Carrier, FormalSum, _differences,
                         _lift, _scalar, dirichlet_seminorm_pow, lp_norm,
                         modulus, power)
@@ -50,8 +49,8 @@ class PrefixSet(AbstractSet):
     """The first n elements of an element order, as a read-only set.
 
     ``order`` holds distinct elements and ``position`` maps each to its
-    index in ``order``.  The greedy and ball-family records of one profile
-    share both, so a record costs the same memory at every n.
+    index in ``order``.  The records of one profile of any strategy but
+    exhaustive share both, so a record costs the same memory at every n.
     Membership, size, iteration (in order), equality and hash agree with
     frozenset(order[:n]); set operators return frozensets."""
 
@@ -130,7 +129,7 @@ def _exhaustive_profile(group: GroupModel, n_max: int) -> List[IsoperimetricReco
     |dA| in the order of the set-based recursion whose banned set starts as
     the marked vertices, on Z^d and H3 a translate whose least element is
     e."""
-    univ_ball = build_ball(group, max(n_max - 1, 0))
+    univ_ball = build_ball(group, n_max - 1)
     order = univ_ball.elements
     nS = len(group.generators)
     slots, leaf = [], []
@@ -149,9 +148,8 @@ def _exhaustive_profile(group: GroupModel, n_max: int) -> List[IsoperimetricReco
     seen = ([x < e for x in order] if group.lex_left_invariant
             else [False] * len(order))
     seen[0] = True
-    top = max(n_max, 1)
-    best_size = [len(order) + 1] * (top + 1)
-    best_ids: List[Optional[List[int]]] = [None] * (top + 1)
+    best_size = [len(order) + 1] * (n_max + 1)
+    best_ids: List[Optional[List[int]]] = [None] * (n_max + 1)
     path: List[int] = []
     cand = [0]
 
@@ -201,7 +199,7 @@ def _exhaustive_profile(group: GroupModel, n_max: int) -> List[IsoperimetricReco
     return [IsoperimetricRecord(n, best_size[n],
                                 frozenset(order[k] for k in best_ids[n]),
                                 "exhaustive", True)
-            for n in range(1, top + 1) if best_ids[n] is not None]
+            for n in range(1, n_max + 1) if best_ids[n] is not None]
 
 
 def _greedy_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRecord]:
@@ -260,13 +258,23 @@ def _greedy_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRecord]:
     return records
 
 
+def _prefix_boundary_sizes(nbr: np.ndarray, sizes: Sequence[int]) -> List[int]:
+    """|d(first n rows)| = n - #{x < n : every slot of x is < n}, EXTERIOR
+    counting as >= n, for each n in sizes: one sort of reach(x), the
+    largest of x and its slots, as x is interior iff reach(x) < n."""
+    reach = np.maximum(nbr.max(axis=1), np.arange(len(nbr)))
+    reach[(nbr == EXTERIOR).any(axis=1)] = len(nbr)
+    reach.sort()
+    return (np.asarray(sizes) - np.searchsorted(reach, sizes)).tolist()
+
+
 def _ball_family_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRecord]:
     """The balls B_r with at most n_max vertices.  One ball is built, its
     radius doubled until it holds more than n_max vertices or the whole
     (finite) group; once a radius exceeds the vertex cap, the radius is
     bisected between the last one that fit and the least one that
-    exceeded.  Each B_r is read from it by restrict, and its witness is
-    the PrefixSet of B_r's vertices in the built ball's element order."""
+    exceeded.  Each B_r is the prefix of its first |B_r| vertices, read
+    off the built ball's table and element order (_nested_records)."""
     cap = max(4 * n_max, 1000)
     fits, over, r = 0, None, 1      # B_fits has at most n_max vertices,
     while True:                     # B_over more than cap
@@ -284,33 +292,29 @@ def _ball_family_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRec
             raise overflow
         else:
             r = (fits + over) // 2
-    records = []
-    for r in range(ball.radius + 1):
-        sub = ball.restrict(r)
-        if sub.n_vertices > n_max or not sub.sphere_sizes[r]:
-            break
-        whole = np.ones(sub.n_vertices, dtype=bool)
-        b = vertex_boundary(sub, SubsetView(sub, whole))
-        records.append(IsoperimetricRecord(
-            sub.n_vertices, len(b),
-            PrefixSet(ball.elements, ball.index, sub.n_vertices),
-            "ball-family", False))
-    return records
+    sizes = [n for n, m in zip(np.cumsum(ball.sphere_sizes).tolist(),
+                               ball.sphere_sizes) if m and n <= n_max]
+    return _nested_records(ball, sizes, "ball-family")
 
 
 def _cube_family_profile(group: GroupModel, n_max: int) -> List[IsoperimetricRecord]:
+    """The cubes [0, m)^d with at most n_max elements: prefixes of the
+    largest, ordered by greatest coordinate, read off its one window."""
     if not isinstance(group, ZdGroup):
         raise ValueError("cube-family profiles are defined on Z^d")
-    d = group.d
-    records = []
-    m = 1
-    while m ** d <= n_max:
-        A = set(itertools.product(range(m), repeat=d))
-        records.append(IsoperimetricRecord(
-            len(A), len(vertex_boundary_elements(group, A)), frozenset(A),
-            "cube-family", False))
-        m += 1
-    return records
+    sizes = list(itertools.takewhile(
+        lambda n: n <= n_max, (m ** group.d for m in itertools.count(1))))
+    cube = itertools.product(range(len(sizes)), repeat=group.d)
+    return _nested_records(window(group, sorted(cube, key=max), False),
+                           sizes, "cube-family")
+
+
+def _nested_records(ball: CayleyBall, sizes: List[int], strategy: str):
+    """The records of the first n vertices of a ball or window for each n
+    in sizes, each witness a PrefixSet of its element order."""
+    return [IsoperimetricRecord(n, b, PrefixSet(ball.elements, ball.index, n),
+                                strategy, False)
+            for n, b in zip(sizes, _prefix_boundary_sizes(ball.nbr, sizes))]
 
 
 _STRATEGIES = {
@@ -323,17 +327,15 @@ _STRATEGIES = {
 
 def isoperimetric_profile(group: GroupModel, n_max: int,
                           strategy: str = "exhaustive") -> IsoperimetricProfile:
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    fn = _STRATEGIES[strategy]
     limit = {"exhaustive": EXHAUSTIVE_N_MAX,
              "greedy": GREEDY_N_MAX}.get(strategy, HEURISTIC_N_MAX)
-    truncated = None
-    if n_max > limit:
-        truncated = limit
-        n_max = limit
-    records = fn(group, n_max)
-    return IsoperimetricProfile(group.name, strategy, records, truncated)
+    records = _STRATEGIES[strategy](group, min(n_max, limit))
+    return IsoperimetricProfile(group.name, strategy, records,
+                                limit if n_max > limit else None)
 
 
 # ---------------------------------------------------------------------------

@@ -83,15 +83,15 @@ def test_build_ball_matches_reference_bfs(group, R):
     (Cyclic5(), 6),              # spheres 3..6 of Z/5 are empty
 ], ids=lambda v: getattr(v, "name", v))
 def test_sphere_elements_decode_only_their_sphere(group, R):
+    """Reading sphere_rows(r) decodes sphere r alone, not ``elements``."""
     want = ref_build_ball(group, R)
     for r in range(R + 1):
         ball = build_ball(group, R)
-        assert ball.sphere_elements(r) == [want.elements[i]
-                                           for i in want.sphere_indices(r)]
+        sphere = [want.elements[i] for i in want.sphere_indices(r)]
+        assert [tuple(x) for x in ball.sphere_rows(r).tolist()] == sphere
         assert ball._elements is None
         assert ball.elements == want.elements
-        assert ball.sphere_elements(r) == [want.elements[i]
-                                           for i in want.sphere_indices(r)]
+        assert [ball.elements[i] for i in ball.sphere_indices(r)] == sphere
 
 
 @pytest.mark.parametrize("group,R", [
@@ -99,8 +99,8 @@ def test_sphere_elements_decode_only_their_sphere(group, R):
     (Cyclic5(), 6),
 ], ids=lambda v: getattr(v, "name", v))
 def test_sphere_rows_are_the_sphere_elements(group, R):
-    """sphere_rows gives the elements of sphere_elements as int rows, from
-    the sphere decoder and, once ``elements`` is read, from the elements;
+    """sphere_rows gives the elements of a sphere as int rows, from the
+    sphere decoder and, once ``elements`` is read, from the elements;
     restrict shares them."""
     ball = build_ball(group, R)
     for read in (False, True):
@@ -108,7 +108,9 @@ def test_sphere_rows_are_the_sphere_elements(group, R):
             for r in range(b.radius + 1):
                 rows = b.sphere_rows(r)
                 assert rows.dtype == np.int64
-                assert [tuple(x) for x in rows.tolist()] == b.sphere_elements(r)
+                assert [tuple(x) for x in rows.tolist()] == (
+                    [b.elements[i] for i in b.sphere_indices(r)] if read
+                    else [tuple(x) for x in b.sphere_rows(r).tolist()])
         assert (ball._elements is not None) == read
         ball.elements
 
@@ -135,7 +137,7 @@ def test_restrict_equals_a_fresh_build(group, R, read_first):
         assert np.array_equal(got.word_length, want.word_length)
         assert got.sphere_sizes == want.sphere_sizes
         assert np.array_equal(got.interior, want.interior)
-        assert got.sphere_elements(r) == want.sphere_elements(r)
+        assert got.sphere_rows(r).tolist() == want.sphere_rows(r).tolist()
         assert got.elements == want.elements
         assert got.index == want.index
     assert big.restrict(R) is big
@@ -496,6 +498,27 @@ def graphs(group, R):
     and the built ball's."""
     return [g for g in (cayley.cell_graph(group, R),
                         build_ball(group, R).cell_graph()) if g is not None]
+
+
+@pytest.mark.parametrize("spec,R", [("H3", 3), ("F_2", 4), ("Z^2", 5)])
+def test_edge_arrays_keep_the_slots_inside_the_first_rows(spec, R):
+    """edge_arrays(nbr, k) lists the slots of rows 0..k-1 in (row, slot)
+    order, a slot leaving when it holds EXTERIOR or an index >= k, on a
+    ball's table (B_r the first rows of B_R) and on its cell graph, which
+    is cached."""
+    ball = build_ball(make_group(spec), R)
+    graph = ball.cell_graph()
+    assert ball.cell_graph() is graph
+    n_cells = len(graph[1])
+    for nbr, ks in ((ball.nbr, [1, ball.sphere_sizes[0] + ball.sphere_sizes[1],
+                                 17, ball.n_vertices]),
+                    (graph[2], [1, n_cells // 2, n_cells])):
+        for k in ks:
+            rows = [(i, j) for i in range(k) for j in nbr[i].tolist()]
+            src, dst, ext = cayley.edge_arrays(nbr, k)
+            assert list(zip(src.tolist(), dst.tolist())) == \
+                [(i, j) for i, j in rows if 0 <= j < k]
+            assert ext.tolist() == [i for i, j in rows if not 0 <= j < k]
 
 
 @pytest.mark.parametrize("spec,R", [

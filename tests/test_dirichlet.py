@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from caylex import dirichlet, funcspace
-from caylex.cayley import build_ball
+from caylex.cayley import CayleyBall, build_ball
 from caylex.dirichlet import (EnergyProblem, NullSequenceError,
                               capacity, harmonic_extension,
                               maximum_principle_check, null_sequence,
@@ -621,6 +621,42 @@ def test_royden_split_builds_one_ball(spec, source, radii, monkeypatch):
             (R, want.energy, vals.max(), vals.min())
 
 
+@pytest.mark.parametrize("spec,source,radii", [
+    ("F_2", "end-separating", [3, 4, 6]), ("Z^2", "coordinate", [2, 4, 8, 16]),
+    ("Z^3", "green-like", [4, 5, 6, 8]),
+])
+def test_royden_prefixes_equal_restricted_balls(spec, source, radii,
+                                                 monkeypatch):
+    """Each entry, posed on the prefix B_R of the split's one ball, equals
+    bit for bit the solve on ball.restrict(R).  The split restricts no
+    ball and builds the ball's cell graph at most once."""
+    group = make_group(spec)
+    f = royden_source(group, source)
+    ball = build_ball(group, radii[-1])
+    want = []
+    for R in radii:
+        sub = ball.restrict(R)
+        rep = solve(EnergyProblem(sub, 2.0, dict(zip(
+            sub.sphere_indices(R).tolist(), f(sub.sphere_rows(R)).tolist())),
+            "ball"))
+        vals = rep.minimizer.values
+        want.append((R, rep.energy.hex(), vals.max().hex(), vals.min().hex()))
+    built, cell_graph = [], CayleyBall.cell_graph
+
+    def counted(self):
+        built.append(self._cells is None)
+        return cell_graph(self)
+
+    monkeypatch.setattr(CayleyBall, "cell_graph", counted)
+    monkeypatch.setattr(CayleyBall, "restrict",
+                        lambda self, r: pytest.fail("a sub-ball was built"))
+    got = [(e.radius, e.energy.hex(), e.sup.hex(), e.inf.hex())
+           for e in royden_split(group, source, radii).entries]
+    assert got == want
+    assert sum(built) <= 1
+    assert (source == "green-like") == bool(built)
+
+
 @pytest.mark.parametrize("radii", [[4, 3], [3, 3], [0, 2], []])
 def test_scans_reject_a_bad_schedule(radii):
     with pytest.raises(ValueError):
@@ -675,7 +711,8 @@ def test_royden_sources_match_the_element_formulas(spec, name, damping):
     ball = build_ball(group, 6)
     for r in range(7):
         got = source(ball.sphere_rows(r))
-        want = np.array([formula(x) for x in ball.sphere_elements(r)])
+        want = np.array([formula(ball.elements[i])
+                         for i in ball.sphere_indices(r)])
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -820,7 +857,7 @@ def test_solves_read_no_full_ball_edges(monkeypatch):
 
     monkeypatch.setattr(dirichlet, "_graph_cells", counted)
     monkeypatch.setattr(funcspace, "edge_arrays",
-                        lambda ball: pytest.fail("full-ball edges were read"))
+                        lambda nbr, k: pytest.fail("full-ball edges were read"))
     capacity(make_group("Z^2"), 2.0, 6)
     capacity(make_group("H3"), 3.0, 3)
     royden_split(make_group("F_2"), "end-separating", [3, 4])

@@ -458,7 +458,7 @@ def _support_only_cases(group, rng):
     yield (FormalSum(group, {x: complex(k + 1, k - 1) for k, x in enumerate(path)}),
            FormalSum(group, {x: 1.0 - k for k, x in enumerate(path[1:])}))
     ball = build_ball(group, 2)
-    sphere = ball.sphere_elements(2)
+    sphere = [ball.elements[i] for i in ball.sphere_indices(2)]
     yield (FormalSum(group, {x: 1.0 + k for k, x in enumerate(sphere)}),
            FormalSum(group, {x: -0.5 * k for k, x in enumerate(sphere[::2])}
                      | {gens[0]: 2.0}))

@@ -1,3 +1,4 @@
+import itertools
 from typing import Dict, FrozenSet, List, Set, Tuple
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from caylex import cli, geometry
 from caylex.cayley import (EXTERIOR, BallSizeError, SubsetView, build_ball,
-                           vertex_boundary)
+                           vertex_boundary, vertex_boundary_elements)
 from caylex.funcspace import (BallFunction, FormalSum, dirichlet_seminorm_pow,
                               lp_norm)
 from caylex.geometry import (GREEDY_N_MAX, IsoperimetricRecord, check_ISd,
@@ -174,16 +175,34 @@ def test_ball_family_matches_reference_records(group, n_max, monkeypatch):
         assert radius not in [r for r, _ in tried[:k]]
 
 
-@pytest.mark.parametrize("spec", ["Z^1", "Z^2", "Z^3", "H3", "F_2"])
-@pytest.mark.parametrize("strategy,n_max", [("greedy", 150),
-                                            ("ball-family", 400)])
-def test_prefix_witnesses_behave_as_frozensets(spec, strategy, n_max):
-    """Greedy and ball-family witnesses are views of one shared order, and
-    answer ==, hash, set(), len and `in` as the frozensets of the
-    references do; cmd_iso lists the same sorted names for them."""
+def ref_cube_family_profile(group, n_max):
+    """Reference cube family: each cube [0, m)^d as its own set, its
+    boundary by vertex_boundary_elements."""
+    records, m = [], 1
+    while m ** group.d <= n_max:
+        A = frozenset(itertools.product(range(m), repeat=group.d))
+        records.append(IsoperimetricRecord(
+            len(A), len(vertex_boundary_elements(group, A)), A,
+            "cube-family", False))
+        m += 1
+    return records
+
+
+@pytest.mark.parametrize("strategy,n_max,spec", [
+    *[(strategy, n_max, spec)
+      for strategy, n_max in [("greedy", 150), ("ball-family", 400)]
+      for spec in ["Z^1", "Z^2", "Z^3", "H3", "F_2"]],
+    *[("cube-family", 400, spec) for spec in ["Z^1", "Z^2", "Z^3"]],
+])
+def test_prefix_witnesses_behave_as_frozensets(strategy, n_max, spec):
+    """Greedy, ball-family and cube-family witnesses are views of one
+    shared order, and answer ==, hash, set(), len and `in` as the
+    frozensets of the references do; cmd_iso lists the same sorted names
+    for them."""
     group = make_group(spec)
     ref = {"greedy": ref_greedy_profile,
-           "ball-family": ref_ball_family_profile}[strategy](group, n_max)
+           "ball-family": ref_ball_family_profile,
+           "cube-family": ref_cube_family_profile}[strategy](group, n_max)
     records = isoperimetric_profile(group, n_max, strategy).records
     assert len(records) == len(ref)
     assert len({id(r.witness.order) for r in records}) == 1
@@ -200,6 +219,36 @@ def test_prefix_witnesses_behave_as_frozensets(spec, strategy, n_max):
     fmt = group.format_element
     assert cli._sorted_witness_names(group, records) == \
         [sorted(map(fmt, r.witness)) for r in ref]
+
+
+@pytest.mark.parametrize("group,strategy,n_max", [
+    (Z1, "ball-family", 60), (Z2, "ball-family", 300),
+    (make_group("H3"), "ball-family", 400),
+    (make_group("F_2"), "ball-family", 500), (Cyclic5(), "ball-family", 100),
+    (Z1, "cube-family", 40), (Z2, "cube-family", 300),
+    (make_group("Z^3"), "cube-family", 400),
+], ids=lambda v: getattr(v, "name", v))
+def test_nested_family_boundaries_are_those_of_the_element_sets(
+        group, strategy, n_max):
+    """Each ball- and cube-family record, its |dA| read off one table of
+    the largest set, equals the record whose |dA| vertex_boundary_elements
+    finds on the record's element set alone."""
+    records = isoperimetric_profile(group, n_max, strategy).records
+    ref = [IsoperimetricRecord(
+        len(frozenset(r.witness)),
+        len(vertex_boundary_elements(group, set(r.witness))),
+        frozenset(r.witness), strategy, False) for r in records]
+    assert records == ref
+    assert [r.n for r in records] == sorted({r.n for r in records})
+    assert records[-1].n <= n_max
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "greedy", "ball-family",
+                                      "cube-family"])
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_profiles_reject_n_max_below_one(strategy, n_max):
+    with pytest.raises(ValueError, match="n_max must be >= 1"):
+        isoperimetric_profile(Z2, n_max, strategy)
 
 
 def test_ball_family_raises_when_the_next_ball_exceeds_the_cap():

@@ -359,20 +359,20 @@ def window(group: GroupModel, seeds: Iterable[Element], closure: bool) -> Cayley
     seeds = list(index)
     n_seeds, n_gens = len(seeds), len(group.generators)
 
-    def seed_rows(prods):
-        return np.array([index.get(y, EXTERIOR) for y in prods],
-                        dtype=np.int64).reshape(n_seeds, n_gens)
-
     if not closure:
         # pointwise operators never read the table; products wait for a read
-        return CayleyBall(group, 1, seeds, index,
-                          lambda: seed_rows(_seed_products(group, seeds)),
+        def seed_rows():
+            prods = _seed_products(group, seeds)
+            return np.array([index.get(y, EXTERIOR) for y in prods],
+                            dtype=np.int64).reshape(n_seeds, n_gens)
+        return CayleyBall(group, 1, seeds, index, seed_rows,
                           np.zeros(n_seeds, dtype=np.int64))
+    # a product off the seeds gets the next closure index, so the returned
+    # indices are the seed rows
     prods = _seed_products(group, seeds)
-    for y in prods:
-        index.setdefault(y, len(index))
+    rows = [index.setdefault(y, len(index)) for y in prods]
     nbr = np.full((len(index), n_gens), EXTERIOR, dtype=np.int64)
-    nbr[:n_seeds] = seed_rows(prods)
+    nbr[:n_seeds] = np.reshape(rows, (n_seeds, n_gens))
     i, j = np.nonzero(nbr[:n_seeds] >= n_seeds)
     nbr[nbr[i, j], np.asarray(group.inverse_gen_index)[j]] = i
     word_length = np.zeros(len(index), dtype=np.int64)

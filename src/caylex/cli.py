@@ -392,9 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("royden", help="harmonic-extension energy trends")
     common(p, radii=True)
-    p.add_argument("--source", required=True,
-                   choices=["green-like", "coordinate", "end-separating",
-                            "constant"])
+    p.add_argument("--source", required=True, choices=dirichlet.ROYDEN_SOURCES)
     p.add_argument("--damping", type=_damping, default=0.5)
 
     p = sub.add_parser("iso", help="isoperimetric profile")

@@ -11,36 +11,36 @@ numbered by word length and then orbit key (CayleyBall.orbit_ranks), with
 the slots of each cell's first vertex.  B_r is the index prefix of B_R, so
 its cells are the first rows of B_R's graph, and a solve on B_r drops the
 slots that leave them (cayley.edge_arrays).  The minimizer is constant on
-cells, so the graph, with slot multiplicities as weights, gives it, and
-its energy (funcspace.energy_value with those weights), residuals and
-gradient norms are those of its lift onto the whole ball; the report takes
-the energy from the cells.  A capacity scan takes the graph in closed form
-where the family has one (cayley.cell_graph: Z^d, F_k) and from one built
-ball otherwise (CayleyBall.cell_graph: H3), and lifts a minimizer onto a
-ball only when it is read.  A problem posed on a ball (harmonic
-extensions; the Royden split, on prefixes of one ball) takes its ball's
-graph when the pins are constant on the cells, and its table nbr, each
-vertex a cell, otherwise.  The p = 2 route assembles the (SPD) graph
-Laplacian on free cells and solves it; other exponents run damped Newton
-steps on the D(p) energy (the same Laplacian with |d|^(p-2) weights, the
-same inner solve, Armijo backtracking), warm-started from the p = 2
-solution.  The inner solve factors a narrow system as a band: the capacity
-cells of Z^1, of Z^2 up to R = 154, of Z^3 up to R = 31, of H3 up to R = 7
-and of F_k, with every Newton Hessian on them.  A wider 2-D system, Z^2
-cells up to R = 361 and Z^2 vertices up to R = 128, gets a sparse LU
-factor (SuperLU).  The rest, H3, Z^3 and F_k vertices and larger cell
-systems, runs a Jacobi-preconditioned conjugate gradient loop of this
-module's own, in the arithmetic of scipy's cg, which falls back to sparse
-LU only when CG has not converged after one iteration per unknown
-(BAND_MAX_FILL).
+cells, so the graph, with slot multiplicities as weights, gives it, and its
+energy (funcspace.energy_value with those weights), residuals and gradient
+norms are those of its lift onto the whole ball.  A capacity scan takes the
+graph in closed form where the family has one (cayley.cell_graph: Z^d, F_k)
+and from one built ball otherwise (CayleyBall.cell_graph: H3).  A problem
+posed on a ball (harmonic extensions; the Royden split, on prefixes of one
+ball) takes its ball's graph when the pins are constant on the cells, and
+its table nbr, each vertex a cell, otherwise.  One path, _solve, solves
+each capacity radius, Royden step and harmonic extension; its SolveReport
+keeps the cell values and their energy and lifts them onto the ball when
+its minimizer is read.  The p = 2 route assembles the (SPD) graph Laplacian
+on free cells and solves it; other exponents run damped Newton steps on the
+D(p) energy (the same Laplacian with |d|^(p-2) weights, the same inner
+solve, Armijo backtracking), warm-started from the p = 2 solution.  The
+inner solve factors a narrow system as a band: the capacity cells of Z^1,
+of Z^2 up to R = 154, of Z^3 up to R = 31, of H3 up to R = 7 and of F_k,
+with every Newton Hessian on them.  A wider 2-D system, Z^2 cells up to
+R = 361 and Z^2 vertices up to R = 128, gets a sparse LU factor (SuperLU).
+The rest, H3, Z^3 and F_k vertices and larger cell systems, runs a
+Jacobi-preconditioned conjugate gradient loop of this module's own, in the
+arithmetic of scipy's cg, which falls back to sparse LU only when CG has
+not converged after one iteration per unknown (BAND_MAX_FILL).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cache, partial
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import cache, cached_property, partial
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -82,6 +82,7 @@ BAND_MAX_FILL = 16
 LU_MAX_UNKNOWNS = 32768
 TREND_THETA_SMALL = 0.05      # a parabolic trend ends below this capacity
 TREND_THETA_LARGE = 0.2       # a non-parabolic trend levels off above it
+ROYDEN_SOURCES = ("green-like", "coordinate", "end-separating", "constant")
 
 
 class SolverFailure(RuntimeError):
@@ -104,23 +105,21 @@ class EnergyProblem:
             raise ValueError(f"unknown exterior convention {self.convention!r}")
 
 
-@dataclass
+@dataclass(eq=False)                  # holds arrays: equal only to itself
 class SolveReport:
-    _minimizer: object                # BallFunction, or a function that
-                                      # returns it on first read
+    cell_values: np.ndarray           # the minimizer on the cells
     energy: float                     # D(p) seminorm^p under the convention
     iterations: int
     residual: float                   # p = 2: |Lx - b| / |b|; else |g_free|
     solver: str                       # 'direct-linear' (p = 2 system: band,
                                       # CG or LU) | 'iterative-convex' (Newton)
+    lift: Callable = field(repr=False)    # cell values -> BallFunction
 
-    @property
+    @cached_property
     def minimizer(self) -> BallFunction:
         """The minimizer on the ball, lifted from the cell values when this
         is first read."""
-        if not isinstance(self._minimizer, BallFunction):
-            self._minimizer = self._minimizer()
-        return self._minimizer
+        return self.lift(self.cell_values)
 
 
 # ---------------------------------------------------------------------------
@@ -366,31 +365,22 @@ def _newton(x0: np.ndarray, p: float, q: _Cells) -> Tuple[np.ndarray, int, float
                         f"(gradient norm {gn:.3e}, energy {E:.6e})")
 
 
-def _minimize(q: _Cells, p: float):
-    """(solver, x, iterations, residual) of the minimizing cell values x:
-    the p = 2 solve, then Newton from it for p != 2."""
+def _solve(q: _Cells, p: float, lift: Callable) -> SolveReport:
+    """Minimize the D(p) energy of the problem q: the p = 2 solve, then
+    Newton from it for p != 2.  The report keeps the cell values x and their
+    energy, that of their lift onto the ball, lift(x), made on first read."""
     x, residual = _solve_linear(q)
-    if p == 2.0:
-        return "direct-linear", x, 0, residual
-    return ("iterative-convex", *_newton(x, p, q))
-
-
-def _report(lift, p: float, q: _Cells, solver, x, iterations, residual):
-    """The report of cell values x: the energy of x on the cells, which is
-    that of their lift onto the ball, lift(x), made when the minimizer is
-    first read."""
-    return SolveReport(partial(lift, x), _energy(x, p, q), iterations,
-                       residual, solver)
+    solver, iterations = "direct-linear", 0
+    if p != 2.0:
+        solver, (x, iterations, residual) = "iterative-convex", _newton(x, p, q)
+    return SolveReport(x, _energy(x, p, q), iterations, residual, solver, lift)
 
 
 def solve(problem: EnergyProblem) -> SolveReport:
     """Minimize the D(p) energy subject to the pinned values."""
     ranks, q = _setup(problem)
-
-    def lift(x):
-        return BallFunction(problem.ball, x[ranks], problem.convention)
-
-    return _report(lift, problem.p, q, *_minimize(q, problem.p))
+    return _solve(q, problem.p, lambda x: BallFunction(
+        problem.ball, x[ranks], problem.convention))
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +488,8 @@ def parabolicity_scan(group: GroupModel, p: float,
         fixed[0] = True
         x0 = np.zeros(k)
         x0[0] = 1.0
-        q = _graph_cells(graph, x0, fixed, True)
-        return _report(partial(lift, R), p, q, *_minimize(q, p))
+        return _solve(_graph_cells(graph, x0, fixed, True), p,
+                      partial(lift, R))
 
     reports = _scan(radii, step, f"capacity of {group.name} at p={p}, ")
     caps = [rep.energy for rep in reports]
@@ -557,7 +547,9 @@ def null_sequence(scan: CapacityScan) -> List[NullSequenceTerm]:
 # Royden split experiment
 
 def royden_source(group: GroupModel, name: str, damping: float = 0.5):
-    """The source on each row of one sphere (CayleyBall.sphere_rows)."""
+    """The named source on each row of one sphere (CayleyBall.sphere_rows)."""
+    if name not in ROYDEN_SOURCES:
+        raise ValueError(f"unknown royden source {name!r}")
     if name in ("green-like", "coordinate") and not isinstance(group, ZdGroup):
         raise ValueError(f"{name} source is defined on Z^d")
     if name == "green-like":
@@ -573,9 +565,7 @@ def royden_source(group: GroupModel, name: str, damping: float = 0.5):
             return np.where(abs(first) == 1,
                             (1.0 - damping ** w.shape[1]) * first, 0.0)
         return end_separating
-    if name == "constant":
-        return lambda x: np.ones(len(x))
-    raise ValueError(f"unknown royden source {name!r}")
+    return lambda x: np.ones(len(x))            # constant
 
 
 @dataclass
@@ -620,11 +610,12 @@ def royden_split(group: GroupModel, source: str, radii: Sequence[int],
     ball = build_ball(group, radii[-1])
 
     def step(R):
-        q = _ball_cells(ball, R, ball.sphere_indices(R),
-                        f(ball.sphere_rows(R)), False)[1]
-        x = _solve_linear(q)[0]         # each cell holds a vertex of B_R
-        return RoydenEntry(R, _energy(x, 2.0, q), float(x.max()),
-                           float(x.min()))
+        ranks, q = _ball_cells(ball, R, ball.sphere_indices(R),
+                               f(ball.sphere_rows(R)), False)
+        rep = _solve(q, 2.0, lambda x: BallFunction(ball.restrict(R), x[ranks],
+                                                    "ball"))
+        x = rep.cell_values             # each cell holds a vertex of B_R
+        return RoydenEntry(R, rep.energy, float(x.max()), float(x.min()))
 
     entries = _scan(radii, step, f"royden split of {group.name} at ")
     return RoydenReport(source, radii, entries,

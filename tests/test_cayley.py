@@ -602,3 +602,29 @@ def test_cell_graph_is_refused_past_the_cap_before_it_is_built(monkeypatch):
     build_ball(z2, 10)
     with pytest.raises(BallSizeError):
         build_ball(z2, 11)
+
+
+@pytest.mark.parametrize("build", [build_ball, cayley.cell_graph])
+def test_negative_radius_is_rejected(build):
+    with pytest.raises(ValueError, match=r"^radius must be >= 0$"):
+        build(make_group("Z^2"), -1)
+
+
+@pytest.mark.parametrize("spec", ["Z^2", "H3", "F_2"])
+def test_closure_window_seed_rows_are_the_seeds_alone_rows(spec):
+    """A closure window numbers each product off the seeds as it first
+    meets it in its seed rows, and those rows, each closure index read as
+    EXTERIOR, are the rows of the window of the seeds alone
+    (test_window_matches_reference checks both against multiply)."""
+    group = make_group(spec)
+    ball = build_ball(group, 3)
+    rng = np.random.default_rng(11)
+    for k in (1, 4, 17):
+        seeds = [ball.elements[i] for i in rng.integers(0, ball.n_vertices, k)]
+        n_seeds = len(set(seeds))
+        closed, alone = window(group, seeds, True), window(group, seeds, False)
+        seed_rows = closed.nbr[:n_seeds]
+        assert np.array_equal(np.where(seed_rows < n_seeds, seed_rows, EXTERIOR),
+                              alone.nbr)
+        firsts = dict.fromkeys(y for y in seed_rows.ravel() if y >= n_seeds)
+        assert list(firsts) == list(range(n_seeds, closed.n_vertices))

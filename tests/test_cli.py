@@ -101,8 +101,8 @@ def test_capacity_past_the_cap_fails_before_any_solve(monkeypatch, capsys):
     """Z^1 reaches the 5e6 cap at R = 2.5e6: the scan refuses |B_3000000|
     before it solves a radius or builds a ball."""
     monkeypatch.delenv("CAYLEX_MAX_VERTICES", raising=False)
-    monkeypatch.setattr(dirichlet, "_minimize",
-                        lambda q, p: pytest.fail("a radius was solved"))
+    monkeypatch.setattr(dirichlet, "_solve",
+                        lambda q, p, lift: pytest.fail("a radius was solved"))
     monkeypatch.setattr(dirichlet, "build_ball",
                         lambda *a, **k: pytest.fail("a ball was built"))
     assert main(["capacity", "--group", "Z^1", "--radii",
@@ -601,3 +601,35 @@ def test_integer_reports_pinned(argv, digest, tmp_path):
     out = tmp_path / "report"
     assert main([*argv, "--out", str(out)]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_non_numeric_flag_text_is_a_usage_error(capsys):
+    """Text that float() refuses reads as NaN, which no range admits."""
+    assert main(["capacity", "--group", "Z^2", "--radii", "2:4",
+                 "--p", "abc"]) == EXIT_USAGE
+    assert "argument --p: p must lie in (1, 16], got 'abc'" in \
+        capsys.readouterr().err
+
+
+def test_verify_exits_1_when_a_suite_fails(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "run_suites", lambda names, seed, workers: [
+        verify.SuiteResult("norms", 3, ["witness"])])
+    assert main(["verify", "--suite", "norms"]) == EXIT_SUITE_FAILURE
+    assert capsys.readouterr().out.startswith("suite=norms FAIL checked=3")
+
+
+def test_atomic_write_survives_a_vanished_temp_file(tmp_path):
+    """A write that fails after its temp file is gone re-raises its own
+    error and leaves the target untouched."""
+    out = tmp_path / "r.json"
+    out.write_text("old")
+
+    def write(fh):
+        for p in tmp_path.glob(".caylex-*.tmp"):
+            p.unlink()
+        raise RuntimeError("write failed")
+
+    with pytest.raises(RuntimeError, match="^write failed$"):
+        cli._atomic_write(str(out), write)
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+    assert out.read_text() == "old"

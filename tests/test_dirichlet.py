@@ -3,6 +3,7 @@ import subprocess
 import sys
 import tracemalloc
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -153,16 +154,26 @@ def test_energy_scaling_quadratic():
     assert e2 == pytest.approx(9.0 * e1, rel=1e-10)
 
 
+class _NewtonAtTwo(float):
+    """An exponent that is 2.0 in arithmetic but not to dirichlet._solve's
+    route test, so that _solve runs Newton at p = 2."""
+
+    def __ne__(self, other):
+        return True
+
+
 def solve_descent_only(problem: EnergyProblem):
     """The Newton route from the pinned start rather than the p = 2
-    solution, even at p = 2: a cross-check of the linear solve."""
+    solution, even at p = 2: a cross-check of the linear solve.  It runs
+    dirichlet._solve with the linear solve replaced by the pinned start."""
     ranks, q = dirichlet._setup(problem)
 
     def lift(x):
         return BallFunction(problem.ball, x[ranks], problem.convention)
 
-    return dirichlet._report(lift, problem.p, q, "iterative-convex",
-                             *dirichlet._newton(q.x0, problem.p, q))
+    with mock.patch.object(dirichlet, "_solve_linear",
+                           lambda q: (q.x0.copy(), 0.0)):
+        return dirichlet._solve(q, _NewtonAtTwo(problem.p), lift)
 
 
 def test_descent_agrees_with_linear_solver():
@@ -657,6 +668,33 @@ def test_royden_prefixes_equal_restricted_balls(spec, source, radii,
     assert (source == "green-like") == bool(built)
 
 
+@pytest.mark.parametrize("spec,source,radii", [
+    ("F_2", "end-separating", [3, 5]), ("Z^2", "constant", [2, 4]),
+])
+def test_royden_reports_lift_onto_their_prefix_balls(spec, source, radii,
+                                                      monkeypatch):
+    """Each Royden step is solved and reported by dirichlet._solve: read,
+    its report's minimizer is the solve on ball.restrict(R), and the entry
+    holds the report's energy and the extrema of its cell values."""
+    group = make_group(spec)
+    reports, real = [], dirichlet._solve
+    monkeypatch.setattr(dirichlet, "_solve", lambda q, p, lift: reports.append(
+        real(q, p, lift)) or reports[-1])
+    entries = royden_split(group, source, radii).entries
+    f = royden_source(group, source)
+    ball = build_ball(group, radii[-1])
+    for R, entry, rep in zip(radii, entries, reports):
+        sub = ball.restrict(R)
+        want = solve(EnergyProblem(sub, 2.0, dict(zip(
+            sub.sphere_indices(R).tolist(), f(sub.sphere_rows(R)).tolist())),
+            "ball")).minimizer
+        got = rep.minimizer
+        assert (got.ball.radius, got.convention) == (R, "ball")
+        assert np.array_equal(got.values, want.values)
+        assert (entry.energy, entry.sup, entry.inf) == \
+            (rep.energy, rep.cell_values.max(), rep.cell_values.min())
+
+
 @pytest.mark.parametrize("radii", [[4, 3], [3, 3], [0, 2], []])
 def test_scans_reject_a_bad_schedule(radii):
     with pytest.raises(ValueError):
@@ -863,3 +901,69 @@ def test_solves_read_no_full_ball_edges(monkeypatch):
     royden_split(make_group("F_2"), "end-separating", [3, 4])
     solve(_p2_problem("Z^2", 8, "ball"))
     assert len(full) == 5 and not any(full)
+
+
+def test_guards_of_posing_and_scanning():
+    """Empty pins, p <= 1 and an end-separating source on F_1 are refused;
+    a one-radius Royden run has no trend."""
+    ball = build_ball(make_group("Z^2"), 2)
+    with pytest.raises(ValueError, match=r"^constraint set must be non-empty$"):
+        EnergyProblem(ball, 2.0, {})
+    with pytest.raises(ValueError, match=r"^capacity requires p > 1$"):
+        parabolicity_scan(Z1, 1.0, [2])
+    with pytest.raises(ValueError, match=r"^end-separating source is defined "
+                                         r"on F_k, k >= 2$"):
+        royden_source(make_group("F_1"), "end-separating")
+    assert royden_split(make_group("Z^2"), "constant", [3]).verdict == \
+        "inconclusive"
+
+
+def test_scan_refuses_a_capacity_that_increases(monkeypatch):
+    """Capacities of nested balls cannot rise; a solve whose energy is its
+    cell count does, and the scan names the two radii."""
+    monkeypatch.setattr(dirichlet, "_energy", lambda x, p, q: float(len(x)))
+    with pytest.raises(dirichlet.SolverFailure,
+                       match=r"^capacity increased from R=2 to R=4$"):
+        parabolicity_scan(make_group("Z^2"), 2.0, [2, 4])
+
+
+def test_null_sequence_needs_a_seminorm_below_one():
+    scan = dirichlet.CapacityScan(2.0, [1, 2], [4.0, 2.0], "parabolic-trend",
+                                  [])
+    with pytest.raises(NullSequenceError,
+                       match=r"no scan radius reaches .*smallest seminorm "
+                             r"1\.414e\+00\)$"):
+        null_sequence(scan)
+
+
+def test_newton_takes_the_gradient_step_when_the_solve_gives_none(
+        monkeypatch):
+    """A Newton step that is not finite becomes the full-ball gradient step,
+    and Newton still reaches the minimizer from the pinned start (Z^1 R=4
+    at p = 3: the capacity 2 * 2 R^(1-p))."""
+    ball = build_ball(Z1, 4)
+    _, q = dirichlet._setup(EnergyProblem(ball, 3.0, {0: 1.0, **dict.fromkeys(
+        ball.sphere_indices(4).tolist(), 0.0)}, "zero"))
+    real, calls = dirichlet._solve_narrow, []
+
+    def first_fails(L, b):
+        calls.append(len(b))
+        return np.full(len(b), np.nan) if len(calls) == 1 else real(L, b)
+
+    monkeypatch.setattr(dirichlet, "_solve_narrow", first_fails)
+    x, steps, _ = dirichlet._newton(q.x0, 3.0, q)
+    assert len(calls) == steps >= 2
+    assert dirichlet._energy(x, 3.0, q) == pytest.approx(4.0 / 16, rel=1e-8)
+
+
+def test_trend_of_a_vanishing_capacity_is_parabolic():
+    """A capacity of 0 has no logarithm: its log-log slope is -inf."""
+    assert dirichlet._loglog_slope([1, 2], [1.0, 0.0]) == -np.inf
+    assert trend_verdict([1, 2], [1.0, 0.0]) == "parabolic-trend"
+
+
+def test_reports_compare_by_identity():
+    """A report holds arrays, so == is identity, not an ambiguous
+    element-wise comparison."""
+    a, b = (capacity(make_group("Z^2"), 2.0, 4)[2] for _ in range(2))
+    assert a == a and a != b

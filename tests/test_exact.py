@@ -60,6 +60,26 @@ def test_p2_capacities_within_an_ulp_budget_of_exact(spec, R_max, budget):
         assert ulps(cap, exact.capacity(graph, R)) <= budget, R
 
 
+# Radii past ULP_BUDGETS', each scan solved on the graph of its largest
+# radius.  Distance from the exact value in ulps, as measured: Z^2 R = 20,
+# 24, 32: 0.54, 0.33, 0.19; Z^3 R = 10, 12, 16: 1.14, 1.18, 0.77; F_2
+# R = 9..12: at most 1.93 (R = 9); F_3 R = 9: 2.03, past F_3's R <= 8
+# budget of 1, so it has its own.  F_3 R = 10 passes the vertex cap, and
+# H3 R >= 9 is left out: its exact solve takes 7.5 s at R = 9.
+LARGE_RADII = [("Z^2", [20, 24, 32], 2), ("Z^3", [10, 12, 16], 2),
+               ("F_2", [9, 10, 11, 12], 2), ("F_3", [9], 3)]
+
+
+@pytest.mark.parametrize("spec,radii,budget", LARGE_RADII)
+def test_p2_capacities_at_larger_radii_within_an_ulp_budget(spec, radii,
+                                                            budget):
+    group = make_group(spec)
+    graph = graph_of(group, radii[-1])
+    scan = parabolicity_scan(group, 2.0, radii)
+    for R, cap in zip(radii, scan.capacities):
+        assert ulps(cap, exact.capacity(graph, R)) <= budget, R
+
+
 def test_h3_r4_capacity_is_the_float_nearest_27_5():
     group = make_group("H3")
     assert parabolicity_scan(group, 2.0, [4]).capacities == [5.4]

@@ -580,3 +580,29 @@ def test_one_function_operators_reject_stacks():
         is_harmonic(stack, ball.interior_indices())
     with pytest.raises(ValueError, match="stack"):
         harmonicity_via_pairing(stack, ball.interior_indices())
+
+
+def test_guards_of_carriers_and_operands():
+    """An unknown convention, operands on two balls or of two carriers, and
+    an is_harmonic domain with a neighbor outside the ball are refused."""
+    ball, other = build_ball(Z2, 2), build_ball(Z2, 2)
+    f = BallFunction(ball, np.ones(ball.n_vertices))
+    with pytest.raises(ValueError, match=r"^unknown exterior convention 'x'$"):
+        BallFunction(ball, np.ones(ball.n_vertices), "x")
+    with pytest.raises(ValueError, match=r"^functions live on different balls$"):
+        pairing(f, BallFunction(other, np.ones(other.n_vertices)))
+    with pytest.raises(TypeError, match=r"^operands must all be FormalSums or "
+                                        r"all BallFunctions$"):
+        pairing(f, FormalSum.delta(Z2))
+    with pytest.raises(ValueError, match=r"^domain must have all S-neighbors "
+                                         r"inside the ball$"):
+        is_harmonic(f, ball.sphere_indices(2))
+
+
+def test_reprs():
+    ball = build_ball(Z2, 1)
+    assert repr(ball) == "<CayleyBall Z^2 R=1 n=5>"
+    assert repr(FormalSum.delta(Z2)) == "<FormalSum on Z^2, support 1>"
+    assert repr(BallFunction(ball, np.zeros(5), "ball")) == \
+        "<BallFunction on <CayleyBall Z^2 R=1 n=5>, convention=ball>"
+    assert repr(Z2) == "<GroupModel Z^2>"

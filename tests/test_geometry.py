@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import itertools
 from typing import Dict, FrozenSet, List, Set, Tuple
 
@@ -649,3 +651,98 @@ def test_equivalence_probe():
     nS = len(Z2.generators)
     assert 2.0 - 1e-12 <= probe.bridge_min_factor
     assert probe.bridge_max_factor <= 2.0 * nS + 1e-12
+
+
+def test_guards_of_profiles_and_sobolev_constants(monkeypatch):
+    """Cube families off Z^d, d <= 1 and an empty profile are refused; a
+    broken indicator identity raises."""
+    with pytest.raises(ValueError, match=r"^cube-family profiles are defined "
+                                         r"on Z\^d$"):
+        isoperimetric_profile(make_group("F_2"), 5, "cube-family")
+    profile = isoperimetric_profile(Z2, 3)
+    with pytest.raises(ValueError, match=r"^check_ISd requires d > 1$"):
+        check_ISd(profile, 1.0)
+    with pytest.raises(ValueError, match=r"^empty profile$"):
+        check_ISd(geometry.IsoperimetricProfile("Z^2", "exhaustive", []), 2.0)
+    with pytest.raises(ValueError, match=r"^sobolev_constant requires d > 1$"):
+        sobolev_constant(Z2, 1.0, [])
+    monkeypatch.setattr(geometry, "indicator_identities", lambda g, A: (1.0, 2.0))
+    with pytest.raises(AssertionError,
+                       match=r"^indicator norm identities violated$"):
+        sobolev_constant(Z2, 2.0, [("indicator-n1", FormalSum.delta(Z2))])
+
+
+def test_sobolev_skips_zero_functions_and_counts_violations():
+    """A zero function is no sample of either Sobolev step; a constant far
+    too small makes each p = 2 check a violation."""
+    Z3 = make_group("Z^3")
+    zero, delta = FormalSum(Z3), FormalSum.delta(Z3)
+    rep = sobolev_constant(Z3, 3.0, [("zero", zero), ("delta", delta)])
+    assert rep.samples == 1 and rep.maximizer_kind == "delta"
+    assert sobolev_p2(rep, [zero]).worst_margin is None
+    small = dataclasses.replace(rep, constant=1e-9)
+    done = sobolev_p2(small, [zero, delta, 2.0 * delta])
+    assert done.violation_count == 2 and done.worst_margin < 0.0
+
+
+def test_prefix_set_operators_and_repr():
+    order = [(0, 0), (1, 0), (0, 1)]
+    A = geometry.PrefixSet(order, {x: i for i, x in enumerate(order)}, 2)
+    assert (A | {(5, 5)}) == frozenset([(0, 0), (1, 0), (5, 5)])
+    assert isinstance(A & {(1, 0)}, frozenset)
+    assert repr(A) == "PrefixSet([(0, 0), (1, 0)])"
+
+
+@functools.cache
+def _profile(spec, n_max, strategy):
+    return isoperimetric_profile(make_group(spec), n_max, strategy)
+
+
+def _growth_terms(group, n_max):
+    """(|B_r|, sum_{j<=r} j N_j) for r = 1..R, N_j the size of sphere j and
+    R the first power of 2 with |B_R| > 8 n_max: from the closed form
+    |B_r| where the family has one, else from a built ball."""
+    R = 1
+    while True:
+        sizes = np.array([group.ball_size(r) for r in range(R + 1)]
+                         if group.ball_size(0) is not None else
+                         np.cumsum(build_ball(group, R).sphere_sizes),
+                         dtype=np.int64)
+        if sizes[-1] > 8 * n_max:
+            break
+        R *= 2
+    N = np.diff(sizes, prepend=0)
+    return sizes[1:], np.cumsum(np.arange(R + 1) * N)[1:]
+
+
+# Every record of every strategy against the growth lower bound of ROADMAP
+# section 3: |dA| >= |A| (|B_r| - |A|) / sum_{j<=r} j N_j for every r >= 1.
+# The ratio |dA| / bound is 1 at n = 1 and at least 1.2 past it here.
+ISO_BOUND_CASES = (
+    [("exhaustive", s, n) for s, n in [("Z^1", 10), ("Z^2", 10), ("Z^3", 8),
+                                       ("H3", 9), ("F_2", 8), ("F_3", 7)]]
+    + [("greedy", s, 1000) for s in ("Z^1", "Z^2", "Z^3", "H3")]
+    + [("greedy", s, 500) for s in ("F_2", "F_3")]
+    + [("ball-family", s, 2000) for s in ("Z^1", "Z^2", "Z^3", "H3", "F_2",
+                                          "F_3")]
+    + [("cube-family", "Z^1", 50), ("cube-family", "Z^2", 2000),
+       ("cube-family", "Z^3", 2000)])
+
+
+@pytest.mark.parametrize("strategy,spec,n_max", ISO_BOUND_CASES)
+def test_every_record_is_at_least_the_growth_lower_bound(strategy, spec, n_max):
+    records = _profile(spec, n_max, strategy).records
+    sizes, moments = _growth_terms(make_group(spec), records[-1].n)
+    for rec in records:
+        # |dA| sum_{j<=r} j N_j >= n (|B_r| - n), in integers
+        assert np.all(rec.boundary_size * moments >= rec.n * (sizes - rec.n)), \
+            rec.n
+
+
+@pytest.mark.parametrize("k,n_max", [(2, 8), (3, 7)])
+def test_free_group_minima_are_the_tree_formula(k, n_max):
+    """On F_k, a tree of degree 2k, min |dA| = n - floor((n - 2)/(2k - 1))
+    for n >= 2."""
+    records = _profile(f"F_{k}", n_max, "exhaustive").records
+    assert [(r.n, r.boundary_size) for r in records[1:]] == \
+        [(n, n - (n - 2) // (2 * k - 1)) for n in range(2, n_max + 1)]

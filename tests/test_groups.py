@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from caylex.cayley import build_ball
-from caylex.groups import (FreeGroup, HeisenbergGroup, UnknownFamilyError,
-                           make_group)
+from caylex.groups import (FreeGroup, GroupModel, HeisenbergGroup,
+                           UnknownFamilyError, make_group)
 from conftest import word_element
 
 ALL_SPECS = ["Z^1", "Z^2", "Z^3", "F_2", "H3"]
@@ -241,3 +241,17 @@ def test_h3_orbit_key_is_the_least_image():
     big = rng.integers(-2 ** 30, 2 ** 30, size=(200, 3))
     for r in (rows, big):
         assert np.array_equal(make_group("H3").orbit_key(r), _h3_least_images(r))
+
+
+def test_free_group_letter_cap():
+    FreeGroup(26)
+    with pytest.raises(ValueError, match=r"^F_k supports at most 26 letters$"):
+        FreeGroup(27)
+
+
+@pytest.mark.parametrize("method,args", [("identity", ()),
+                                         ("multiply", ((0,), (0,))),
+                                         ("inverse", ((0,),))])
+def test_group_model_leaves_arithmetic_to_its_families(method, args):
+    with pytest.raises(NotImplementedError):
+        getattr(GroupModel(), method)(*args)

@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from caylex import geometry, verify
+from caylex.funcspace import FormalSum
 
 
 def test_suite_names_cover_registry():
@@ -222,3 +224,95 @@ def test_lemma61_failures_in_sample_order(monkeypatch):
     res = verify.suite_lemma61(3, n=200, n_scalar=10, t=2.5)
     assert res.failures == want
     assert res.stats["violations"] == len(want)
+
+
+# Each suite's failure messages, with the check it makes broken by a stub.
+
+def test_cocycle_failure_messages(monkeypatch):
+    """A residual above 1e-12 and translations that are no homomorphism."""
+    monkeypatch.setattr(verify, "check_cocycle", lambda alpha, g, h: 1.0)
+    monkeypatch.setattr(verify, "translate",
+                        lambda alpha, g: FormalSum(alpha.group, {g: 1.0}))
+    want = []
+    for i in range(150):
+        name = verify._FAMILIES[i % 4]
+        want += [f"cocycle: {name} sample {i} residual 1.00e+00",
+                 f"translation homomorphism: {name} sample {i}"]
+    assert verify.suite_cocycle(0).failures == want
+
+
+def test_lemma31_failure_messages(monkeypatch):
+    with monkeypatch.context() as m:
+        def unavailable(scan):
+            raise verify.dirichlet.NullSequenceError("none")
+        m.setattr(verify.dirichlet, "null_sequence", unavailable)
+        res = verify.suite_lemma31(0)
+        assert (res.checked, res.failures) == (1, ["null sequence unavailable: none"])
+    with monkeypatch.context() as m:
+        # no truncation: every error is the tent's whole D(2) seminorm,
+        # sqrt(2 * 40 edges * (1/20)^2) = sqrt(0.2)
+        m.setattr(verify, "truncate_min", lambda alpha, beta: 0.0 * alpha)
+        assert verify.suite_lemma31(0).failures == [
+            "truncation error floor 4.472e-01 > 0.001"]
+    calls = itertools.count()
+    # the first term leaves no error, the later ones the whole seminorm
+    monkeypatch.setattr(verify, "truncate_min", lambda alpha, beta:
+                        alpha if next(calls) == 0 else 0.0 * alpha)
+    assert verify.suite_lemma31(0).failures == [
+        "truncation errors not dominated by the first term"]
+
+
+class _ExponentBelowOne:
+    """A generator whose draw uniform(1.0, 4.0) of lemma41's power-mean
+    exponent gives 0.5, where the inequality reverses."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        if (low, high, size) == (1.0, 4.0, None):
+            return 0.5
+        return self._rng.uniform(low, high, size)
+
+
+def test_lemma41_power_mean_failure_messages(monkeypatch):
+    real = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed: _ExponentBelowOne(real(seed)))
+    res = verify.suite_lemma41(0)
+    assert res.checked == CHECKED["lemma41"] and len(res.failures) == 200
+    for f in res.failures:
+        assert re.fullmatch(r"power-mean inequality: m=[2-7] p=0\.500", f), f
+
+
+def test_lemma61_mean_value_failure_message(monkeypatch):
+    monkeypatch.setattr(geometry, "mean_value_step",
+                        lambda r, s, t: -np.ones_like(r))
+    res = verify.suite_lemma61(0, n=8, n_scalar=20)
+    assert res.failures == ["mean-value step: 20 scalar violations"]
+    assert res.stats["scalar_violations"] == 20
+
+
+def test_prop62_failure_messages(monkeypatch):
+    real = geometry.sobolev_p2
+    monkeypatch.setattr(geometry, "sobolev_p2", lambda rep, ver: dataclasses.replace(
+        real(rep, ver), violation_count=3, worst_margin=-0.5,
+        exponent_identity_residual=1.0))
+    assert verify.suite_prop62(0).failures == [
+        "3 violations of the p=2 inequality (worst margin -5.000e-01)",
+        "exponent identity residual 1.00e+00"]
+
+
+def test_maxprinciple_failure_messages(monkeypatch):
+    """Every harmonic extension fails the check, and delta_e is judged
+    harmonic."""
+    monkeypatch.setattr(verify.dirichlet, "maximum_principle_check",
+                        lambda ball, u, tol=1e-8:
+                        verify.dirichlet.MaxPrincipleResult(True, False, 0.25))
+    want = [f"max principle: {name} sample {i} violation 2.500e-01"
+            for name in ("Z^2", "H3", "F_2") for i in range(10)]
+    assert verify.suite_maxprinciple(0).failures == \
+        want + ["delta_e wrongly judged harmonic"]
